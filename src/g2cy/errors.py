@@ -71,3 +71,7 @@ class MissingPaperRow(G2CYError):
 
 class InconsistentSpectralSequence(G2CYError):
     """No differential ranks are compatible with the vanishing constraints."""
+
+
+class InconsistentLongExactSequence(G2CYError):
+    """No connecting-map ranks make the conormal long exact sequence exact."""

@@ -26,16 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
 
-from .errors import (FitInconsistent, NotGloballyGenerated, RankTooLarge,
-                     TrivialSummand, UndeterminedHodge, WrongDeterminant)
+from .errors import (FitInconsistent, InconsistentLongExactSequence,
+                     NotGloballyGenerated, RankTooLarge, TrivialSummand,
+                     UndeterminedHodge, WrongDeterminant)
 from .koszul import DimRange, KoszulInput, hilbert_value, restricted_cohomology
 from .parabolic import ParabolicData, is_g_dominant
 from .reps import RepSum, dual, irrep_det, irrep_dim, trivial
 from .root_system import Weight, wadd, wzero, weight_str
-
-_LES_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -118,8 +116,6 @@ def _les_c_values(A: list[int], B: list[int], fixed: dict[int, int],
         return []
     ranges = [range(min(A[q], B[q]) + 1) for q in range(Q)]
     ranges[0] = range(A[0], A[0] + 1)
-    if prod(len(r) for r in ranges) > _LES_CAP:
-        raise AssertionError("long-exact-sequence search too large")
     solutions = []
     for ranks in product(*ranges):
         c = [B[q] - ranks[q] + (A[q + 1] - ranks[q + 1] if q + 1 < Q else 0)
@@ -166,7 +162,9 @@ def hodge_numbers(c: Candidate, enforce_vanishing: bool = True) -> HodgeRecord:
                 fixed[3] = h0q[2].value    # h^{1,3} = h^{2,0} = h^{0,2}
         sols = _les_c_values(A, B, fixed, c.dim_x)
         if not sols:
-            raise AssertionError("no consistent long exact sequence; invalid input")
+            raise InconsistentLongExactSequence(
+                "no connecting-map ranks make the conormal long exact sequence "
+                "consistent; invalid input")
         h1q = tuple(DimRange(min(s[q] for s in sols), max(s[q] for s in sols))
                     for q in range(c.dim_x + 1))
     else:

@@ -19,15 +19,33 @@ irreducible supports.  What the computation does know exactly:
 * Grothendieck vanishing: coherent cohomology of X vanishes outside
   0..dim X, so every limit entry in a forbidden total degree must die.
 
-``restricted_cohomology`` therefore enumerates all rank assignments
-consistent with both facts and reports a degree as determined only when every
-consistent assignment gives the same dimension; otherwise it reports bounds.
-The Euler characteristic is differential-independent and always exact.
+A page-r differential maps (k, q) to (k - r, q - r + 1), raising the total
+degree q - k by one, and two positions are joined on at most one page.  The
+page rule "rank in + rank out <= current dimension" therefore adds up to
+"total rank through a position <= its E1 dimension D_p": the reachable limit
+tables are exactly D - inc(f) over the b-matchings f of the bipartite graph
+whose sides are the positions of even and of odd total degree.
+``restricted_cohomology`` solves each connected component in closed form.
+Let ν(X→Z) = min over Y ⊆ X of D(X∖Y) + D(N(Y) ∩ Z) be the largest
+b-matching from X into Z (capacitated König–Ore), and S the positions in
+forbidden degrees (none when vanishing is not enforced).  The component is
+consistent iff ν(S∩A → B) = D(S∩A) for both choices of sides A, B
+(Mendelsohn–Dulmage), and a degree n whose layer L lies on side A then
+ranges over
+
+    [0, 0]                                                 if L ⊆ S,
+    [D(L) - ν((S∩A) ∪ L → B) + D(S∩A),  D(L) - D(S∩B) + ν(S∩B → A∖L)]
+                                                           otherwise,
+
+and component ranges add up.  A degree is determined when the two bounds
+meet.  The Euler characteristic is differential-independent and always
+exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .cohomology import CohomologyTable, bundle_cohomology, euler_char
 from .errors import (InconsistentSpectralSequence, NotGloballyGenerated,
@@ -35,13 +53,6 @@ from .errors import (InconsistentSpectralSequence, NotGloballyGenerated,
 from .parabolic import ParabolicData, is_g_dominant
 from .reps import RepSum, dual, exterior_power, irrep, tensor, trivial
 from .root_system import weight_str, wzero
-
-_BRANCH_CAP = 500_000
-
-
-class _TooManyBranches(Exception):
-    pass
-
 
 @dataclass(frozen=True)
 class KoszulInput:
@@ -95,7 +106,7 @@ class E1Page:
     @property
     def euler(self) -> int:
         """Alternating sum over the whole page; independent of differentials."""
-        return sum((-1) ** (q - k) * d for (k, q), d in self.entries().items())
+        return sum((-1) ** ((q - k) % 2) * d for (k, q), d in self.entries().items())
 
     def render(self) -> str:
         entries = self.entries()
@@ -150,18 +161,20 @@ class DimRange:
         return {"lower": self.lower, "upper": self.upper}
 
 
-def _differential_components(positions, max_page: int) -> list[tuple]:
-    """Group positions connected by a possible differential on any page."""
-    pos_set = set(positions)
-    adjacency = {p: set() for p in positions}
-    for (k, q) in positions:
-        for r in range(1, max_page + 1):
-            tgt = (k - r, q - r + 1)
-            if tgt in pos_set:
-                adjacency[(k, q)].add(tgt)
-                adjacency[tgt].add((k, q))
+def _adjacency(positions, max_page: int) -> dict[tuple, set]:
+    """Positions joined by a possible differential on some page 1..max_page."""
+    def linked(s, t) -> bool:
+        r = s[0] - t[0]
+        return 1 <= r <= max_page and s[1] - t[1] == r - 1
+
+    return {p: {t for t in positions if linked(p, t) or linked(t, p)}
+            for p in positions}
+
+
+def _differential_components(adjacency: dict[tuple, set]) -> list[tuple]:
+    """Connected components of the differential graph, as sorted tuples."""
     components = []
-    unseen = set(positions)
+    unseen = set(adjacency)
     while unseen:
         stack = [min(unseen)]
         unseen.discard(stack[0])
@@ -176,61 +189,48 @@ def _differential_components(positions, max_page: int) -> list[tuple]:
     return components
 
 
-def _component_outcomes(dims: dict, positions: tuple, max_page: int,
-                        budget: int = _BRANCH_CAP) -> set[tuple]:
-    """Reachable limit dimension tables for one differential component.
+def _limit_ranges(dims: dict[tuple[int, int], int], max_page: int,
+                  allowed) -> dict[int, tuple[int, int]]:
+    """Per-degree (lower, upper) limit dimensions over all differential ranks.
 
-    Explores every consistent rank assignment page by page; a page-r
-    differential removes equal rank from source and target, and the ranks
-    leaving and entering one position fit inside it (the incoming image lies
-    in the outgoing kernel).  Returns tuples aligned with ``positions``.
+    ``dims`` maps E1 positions (k, q) to their dimensions; limit entries in
+    total degrees n with ``allowed(n)`` false must vanish.  Each component is
+    solved in closed form, as described in the module docstring; raises
+    :class:`InconsistentSpectralSequence` when the vanishing cannot hold.
     """
-    order = {p: i for i, p in enumerate(positions)}
-    memo: set = set()
-    results: set[tuple] = set()
-    steps = [budget]
+    adjacency = _adjacency(sorted(dims), max_page)
 
-    def spend() -> None:
-        steps[0] -= 1
-        if steps[0] < 0:
-            raise _TooManyBranches
+    def D(ps) -> int:
+        return sum(dims[p] for p in ps)
 
-    def explore(r: int, cur: tuple) -> None:
-        if (r, cur) in memo:
-            return
-        memo.add((r, cur))
-        spend()
-        if r > max_page:
-            results.add(cur)
-            return
-        diffs = []
-        for p in positions:
-            tgt = (p[0] - r, p[1] - r + 1)
-            if cur[order[p]] > 0 and tgt in order and cur[order[tgt]] > 0:
-                diffs.append((order[p], order[tgt]))
-        if not diffs:
-            explore(r + 1, cur)
-            return
+    def nu(X: set, Z: set) -> int:
+        # capacitated König–Ore: ν(X→Z) = min over Y ⊆ X of D(X∖Y) + D(N(Y) ∩ Z)
+        return min(D(X.difference(Y)) + D(set().union(*(adjacency[y] for y in Y)) & Z)
+                   for size in range(len(X) + 1) for Y in combinations(X, size))
 
-        def assign(idx: int, drops: list[int]) -> None:
-            if idx == len(diffs):
-                explore(r + 1, tuple(c - d for c, d in zip(cur, drops)))
-                return
-            s, t = diffs[idx]
-            top = min(cur[s] - drops[s], cur[t] - drops[t])
-            for rank in range(top + 1):
-                spend()
-                drops[s] += rank
-                drops[t] += rank
-                assign(idx + 1, drops)
-                drops[s] -= rank
-                drops[t] -= rank
-
-        assign(0, [0] * len(positions))
-
-    explore(1, tuple(dims[p] for p in positions))
-    return results
-
+    ranges: dict[int, tuple[int, int]] = {}
+    for comp in _differential_components(adjacency):
+        sides = ({p for p in comp if (p[1] - p[0]) % 2 == 0},
+                 {p for p in comp if (p[1] - p[0]) % 2 == 1})
+        forbidden = {p for p in comp if not allowed(p[1] - p[0])}
+        # Mendelsohn–Dulmage: saturating S∩A and S∩B separately suffices
+        for A, B in (sides, sides[::-1]):
+            if nu(A & forbidden, B) != D(A & forbidden):
+                raise InconsistentSpectralSequence(
+                    "no differential ranks satisfy the vanishing constraints; the "
+                    "input does not define a complete intersection of expected dimension")
+        for n in sorted({q - k for k, q in comp}):
+            A, B = sides[n % 2], sides[1 - n % 2]
+            layer = {p for p in A if p[1] - p[0] == n}
+            SA, SB = A & forbidden, B & forbidden
+            if not allowed(n):
+                lo = hi = 0
+            else:
+                lo = D(layer) - nu(SA | layer, B) + D(SA)
+                hi = D(layer) - D(SB) + nu(SB, A - layer)
+            old_lo, old_hi = ranges.get(n, (0, 0))
+            ranges[n] = (old_lo + lo, old_hi + hi)
+    return ranges
 
 
 class RestrictedCohomology:
@@ -275,52 +275,18 @@ def restricted_cohomology(inp: KoszulInput, enforce_vanishing: bool = True) -> R
     formal analysis, which can only be less determined (useful as an audit).
     """
     page = e1_page(inp)
-    dims = page.entries()
-    rank = inp.E.rank
     dim_x = inp.dim_x
-    euler = page.euler
 
     def allowed(n: int) -> bool:
         return 0 <= n <= dim_x
 
-    # limit totals add up across components, and every contribution is
-    # non-negative, so the vanishing constraint decomposes component-wise
-    lower: dict[int, int] = {}
-    upper: dict[int, int] = {}
-    for positions in _differential_components(sorted(dims), rank):
-        degrees = sorted({q - k for k, q in positions})
-        try:
-            outcomes = _component_outcomes(dims, positions, rank)
-        except _TooManyBranches:
-            # sound per-component fallback: no cancellation resolved; degrees
-            # outside 0..dim X still vanish in the limit by Grothendieck
-            for (k, q) in positions:
-                n = q - k
-                top = 0 if (enforce_vanishing and not allowed(n)) else dims[(k, q)]
-                lower[n] = lower.get(n, 0)
-                upper[n] = upper.get(n, 0) + top
-            continue
-        if enforce_vanishing:
-            outcomes = {
-                table for table in outcomes
-                if all(allowed(n) or
-                       sum(d for (k, q), d in zip(positions, table) if q - k == n) == 0
-                       for n in degrees)}
-            if not outcomes:
-                raise InconsistentSpectralSequence(
-                    "no differential ranks satisfy the vanishing constraints; the "
-                    "input does not define a complete intersection of expected dimension")
-        for n in degrees:
-            values = {sum(d for (k, q), d in zip(positions, table) if q - k == n)
-                      for table in outcomes}
-            lower[n] = lower.get(n, 0) + min(values)
-            upper[n] = upper.get(n, 0) + max(values)
-
-    by_degree = {n: DimRange(lower[n], upper[n]) for n in lower
-                 if upper[n] > 0 or allowed(n)}
+    ranges = _limit_ranges(page.entries(), inp.E.rank,
+                           allowed if enforce_vanishing else lambda n: True)
+    by_degree = {n: DimRange(lo, hi) for n, (lo, hi) in ranges.items()
+                 if hi > 0 or allowed(n)}
     for n in range(0, max(dim_x, -1) + 1):
         by_degree.setdefault(n, DimRange(0, 0))
-    return RestrictedCohomology(inp, page, by_degree, euler)
+    return RestrictedCohomology(inp, page, by_degree, page.euler)
 
 
 def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
-from g2cy import g2_parabolic, g2_root_system
+from g2cy import (KoszulInput, dual, enumerate_all, g2_parabolic,
+                  g2_root_system, irrep, trivial, validate_candidate)
+
+# fixed example sequence and no per-example time limit, so runs are repeatable
+settings.register_profile("g2cy", derandomize=True, deadline=None, database=None)
+settings.load_profile("g2cy")
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +42,25 @@ def p_dominant_box(P, bound=6):
             if P.is_p_dominant((a, b)):
                 out.append((a, b))
     return out
+
+
+def koszul_sweep_inputs(records_only=False):
+    """Koszul inputs for every classified row (dims 2-5) and coefficient W.
+
+    W runs over O, E* and Ω_F, the bundles the invariant records use, then,
+    unless ``records_only``, every p-dominant irreducible with coordinates in
+    [-2, 2].
+    """
+    inputs = []
+    for dim in (2, 3, 4, 5):
+        for row in enumerate_all(dim):
+            P = g2_parabolic(row.parabolic)
+            e = validate_candidate(P, row.summands).rep
+            coefficients = [trivial(P), dual(P, e), dual(P, P.tangent)]
+            if not records_only:
+                coefficients += [irrep(P, lam) for lam in p_dominant_box(P, 2)]
+            inputs += [KoszulInput(P, e, w) for w in coefficients]
+    return inputs
 
 
 def oracle_dim_det(name, w):

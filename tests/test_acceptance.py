@@ -7,18 +7,17 @@ every check is zero.
 
 from math import comb
 
-from g2cy import (KoszulInput, diff_against_paper, decompose, dual, e1_page,
-                  enumerate_all, enumerate_candidates, euler_char,
-                  exterior_power, g2_parabolic, g2_root_system, hilbert_value,
-                  hodge_numbers, irrep, irrep_det, irrep_dim, irrep_weights,
-                  koszul_terms, published_invariants, restricted_cohomology,
-                  to_record, trivial, validate_candidate, verify_theorem,
-                  weyl_dim, bwb_irrep, bundle_cohomology, euler_number,
-                  degree_and_c2)
+from g2cy import (diff_against_paper, decompose, dual, e1_page, enumerate_all,
+                  enumerate_candidates, euler_char, exterior_power,
+                  g2_parabolic, g2_root_system, hilbert_value, hodge_numbers,
+                  irrep, irrep_det, irrep_dim, irrep_weights, koszul_terms,
+                  published_invariants, restricted_cohomology, to_record,
+                  validate_candidate, verify_theorem, weyl_dim, bwb_irrep,
+                  bundle_cohomology, euler_number, degree_and_c2)
 from g2cy.cli import main
 from g2cy.root_system import wadd, wneg
 
-from conftest import oracle_enumerate, p_dominant_box
+from conftest import koszul_sweep_inputs, oracle_enumerate, p_dominant_box
 
 
 def _pass(n, message):
@@ -221,19 +220,17 @@ def test_criterion_8e_exterior_rank():
 
 def test_criterion_8f_koszul_euler_double_sum():
     cases = 0
-    for dim in (2, 3, 4, 5):
-        for row in enumerate_all(dim):
-            P = g2_parabolic(row.parabolic)
-            e = validate_candidate(P, row.summands).rep
-            coefficient_bundles = [trivial(P), dual(P, e), dual(P, P.tangent)]
-            coefficient_bundles += [irrep(P, lam) for lam in p_dominant_box(P, 2)]
-            for w in coefficient_bundles:
-                inp = KoszulInput(P, e, w)
-                direct = sum((-1) ** k * euler_char(P, term)
-                             for k, term in enumerate(koszul_terms(inp)))
-                assert e1_page(inp).euler == direct
-                assert restricted_cohomology(inp).euler == direct
-                cases += 1
+    for inp in koszul_sweep_inputs():
+        P = inp.P
+        direct = sum((-1) ** k * euler_char(P, term)
+                     for k, term in enumerate(koszul_terms(inp)))
+        page_euler = e1_page(inp).euler
+        rc = restricted_cohomology(inp)
+        assert page_euler == direct and rc.euler == direct
+        assert type(page_euler) is int and type(rc.euler) is int
+        assert all(type(r.lower) is int and type(r.upper) is int
+                   for r in rc.by_degree.values())
+        cases += 1
     assert cases >= 200
     _pass("8f", f"Koszul double-summation Euler agreement on {cases} cases")
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from g2cy import enumerate_all
+from g2cy import enumerate_all, invariants
 from g2cy.cli import main, parse_summands
 from g2cy.errors import G2CYError
 
@@ -124,6 +124,13 @@ class TestInvariants:
         code, _, err = run(capsys, "invariants", "P2", "(1,0)")
         assert code == 1
         assert "anticanonical" in err
+
+    def test_inconsistent_long_exact_sequence_exits_one(self, capsys, monkeypatch):
+        # no admissible input reaches this; force it by removing every solution
+        monkeypatch.setattr(invariants, "_les_c_values", lambda *args: [])
+        code, _, err = run(capsys, "invariants", "P1", "(1,1)")
+        assert code == 1
+        assert err.startswith("error: ") and "long exact sequence" in err
 
 
 class TestTable:

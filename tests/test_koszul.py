@@ -1,13 +1,16 @@
 """Koszul terms, E1 pages, restricted cohomology, Hilbert values."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2cy import (KoszulInput, RepSum, dual, e1_page, euler_char, hilbert_value,
                   irrep, koszul_terms, restricted_cohomology,
                   structure_sheaf_cohomology, trivial)
-from g2cy.errors import NotGloballyGenerated, NotMaximalParabolic, TrivialSummand
+from g2cy.errors import (InconsistentSpectralSequence, NotGloballyGenerated,
+                         NotMaximalParabolic, TrivialSummand)
+from g2cy.koszul import _adjacency, _differential_components, _limit_ranges
 
-from conftest import p_dominant_box
+from conftest import koszul_sweep_inputs, p_dominant_box
 
 
 def bundle(P, *summands):
@@ -155,3 +158,174 @@ class TestHilbertValue:
     def test_rejects_borel(self, B):
         with pytest.raises(NotMaximalParabolic):
             hilbert_value(B, bundle(B, (0, 1), (0, 1), (2, 0)), 1)
+
+
+# Reference solver: the exhaustive page-by-page rank search that the closed
+# form replaced, kept verbatim with its own step budget.
+
+_BRANCH_CAP = 500_000
+
+
+class _TooManyBranches(Exception):
+    pass
+
+
+def _component_outcomes(dims: dict, positions: tuple, max_page: int,
+                        budget: int = _BRANCH_CAP) -> set[tuple]:
+    """Reachable limit dimension tables for one differential component.
+
+    Explores every consistent rank assignment page by page; a page-r
+    differential removes equal rank from source and target, and the ranks
+    leaving and entering one position fit inside it (the incoming image lies
+    in the outgoing kernel).  Returns tuples aligned with ``positions``.
+    """
+    order = {p: i for i, p in enumerate(positions)}
+    memo: set = set()
+    results: set[tuple] = set()
+    steps = [budget]
+
+    def spend() -> None:
+        steps[0] -= 1
+        if steps[0] < 0:
+            raise _TooManyBranches
+
+    def explore(r: int, cur: tuple) -> None:
+        if (r, cur) in memo:
+            return
+        memo.add((r, cur))
+        spend()
+        if r > max_page:
+            results.add(cur)
+            return
+        diffs = []
+        for p in positions:
+            tgt = (p[0] - r, p[1] - r + 1)
+            if cur[order[p]] > 0 and tgt in order and cur[order[tgt]] > 0:
+                diffs.append((order[p], order[tgt]))
+        if not diffs:
+            explore(r + 1, cur)
+            return
+
+        def assign(idx: int, drops: list[int]) -> None:
+            if idx == len(diffs):
+                explore(r + 1, tuple(c - d for c, d in zip(cur, drops)))
+                return
+            s, t = diffs[idx]
+            top = min(cur[s] - drops[s], cur[t] - drops[t])
+            for rank in range(top + 1):
+                spend()
+                drops[s] += rank
+                drops[t] += rank
+                assign(idx + 1, drops)
+                drops[s] -= rank
+                drops[t] -= rank
+
+        assign(0, [0] * len(positions))
+
+    explore(1, tuple(dims[p] for p in positions))
+    return results
+
+
+def oracle_ranges(dims, positions, max_page, allowed, budget=_BRANCH_CAP):
+    """Per-degree (lower, upper) of one component from the exhaustive search.
+
+    Keeps the tables whose forbidden degrees vanish; raises
+    InconsistentSpectralSequence when none does, and _TooManyBranches when
+    the search exceeds ``budget``.
+    """
+    outcomes = _component_outcomes(dims, positions, max_page, budget)
+    degrees = [q - k for k, q in positions]
+
+    def degree_sum(table, n):
+        return sum(d for m, d in zip(degrees, table) if m == n)
+
+    outcomes = {t for t in outcomes
+                if all(allowed(n) or degree_sum(t, n) == 0 for n in degrees)}
+    if not outcomes:
+        raise InconsistentSpectralSequence("no consistent table")
+    return {n: (min(degree_sum(t, n) for t in outcomes),
+                max(degree_sum(t, n) for t in outcomes))
+            for n in sorted(set(degrees))}
+
+
+def closed_form_ranges(dims, positions, max_page, allowed):
+    return _limit_ranges({p: dims[p] for p in positions}, max_page, allowed)
+
+
+def compare_components(dims, max_page, allowed, budget=_BRANCH_CAP):
+    """Check every component the oracle finishes; return (finished, total)."""
+    components = _differential_components(_adjacency(sorted(dims), max_page))
+    finished = 0
+    for positions in components:
+        try:
+            expected = oracle_ranges(dims, positions, max_page, allowed, budget)
+        except _TooManyBranches:
+            continue
+        except InconsistentSpectralSequence:
+            with pytest.raises(InconsistentSpectralSequence):
+                closed_form_ranges(dims, positions, max_page, allowed)
+        else:
+            assert closed_form_ranges(dims, positions, max_page, allowed) == expected
+        finished += 1
+    return finished, len(components)
+
+
+def vanishing(dim_x, enforce):
+    return (lambda n: 0 <= n <= dim_x) if enforce else (lambda n: True)
+
+
+def compare_inputs(inputs, enforce):
+    """compare_components over the E1 pages of Koszul inputs, counts summed."""
+    counts = [compare_components(e1_page(inp).entries(), inp.E.rank,
+                                 vanishing(inp.dim_x, enforce)) for inp in inputs]
+    return sum(f for f, _ in counts), sum(t for _, t in counts)
+
+
+class TestClosedFormAgainstSearch:
+    def test_sweep_components_with_vanishing(self):
+        # the search exceeds its budget on 5 components; they are pinned below
+        assert compare_inputs(koszul_sweep_inputs(), True) == (624, 629)
+
+    @pytest.mark.parametrize("enforce", [True, False])
+    def test_records_components(self, enforce):
+        inputs = koszul_sweep_inputs(records_only=True)
+        assert compare_inputs(inputs, enforce) == (138, 138)
+
+    @pytest.mark.parametrize("name,summands,twist,degree,value", [
+        ("P1", ((0, 1), (2, 0)), (2, 2), 0, 164),
+        ("P2", ((1, 0), (0, 2)), (2, 2), 0, 420),
+        ("P2", ((0, 3), (0, 1), (0, 1)), (2, 2), 0, 213),
+        ("B", ((1, 0), (1, 0), (0, 1), (0, 1)), (2, 2), 0, 98),
+        ("B", ((1, 0), (1, 0), (0, 1), (0, 1)), (-2, -2), 2, 98),
+    ])
+    def test_formerly_capped_components_are_determined(
+            self, name, summands, twist, degree, value, P1, P2, B):
+        # the search exceeded its budget on these; vanishing leaves a single
+        # allowed degree per component, so the Euler characteristic forces it
+        P = {"P1": P1, "P2": P2, "B": B}[name]
+        rc = restricted_cohomology(KoszulInput(P, bundle(P, *summands), irrep(P, twist)))
+        assert rc.determined
+        assert rc.h(degree).value == value
+        assert rc.euler == value and type(rc.euler) is int
+
+
+@st.composite
+def e1_grids(draw):
+    """Random E1 page: rank 1-4, q <= 5, entries 1-4, random sparsity, dim X."""
+    rank = draw(st.integers(1, 4))
+    cells = [(k, q) for k in range(rank + 1) for q in range(6)]
+    density = draw(st.floats(0.05, 1.0))
+    dims = {}
+    for cell in cells:
+        if draw(st.floats(0, 1)) < density:
+            dims[cell] = draw(st.integers(1, 4))
+    return dims, rank, draw(st.integers(-1, 4))
+
+
+@settings(max_examples=300)
+@given(e1_grids(), st.booleans())
+def test_closed_form_matches_search_on_random_grids(grid, enforce):
+    # a small search budget keeps this fast; components the search cannot
+    # finish within it are skipped, infeasible ones must raise on both sides
+    dims, rank, dim_x = grid
+    compare_components(dims, rank, vanishing(dim_x, enforce), budget=5_000)
