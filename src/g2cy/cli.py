@@ -25,7 +25,7 @@ import sys
 
 from . import classify, invariants
 from .cohomology import bundle_cohomology
-from .errors import G2CYError, MissingPaperRow
+from .errors import G2CYError
 from .parabolic import g2_parabolic, g2_root_system
 from .reps import RepSum, irrep_dim
 from .root_system import weight_str
@@ -319,9 +319,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except MissingPaperRow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except G2CYError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

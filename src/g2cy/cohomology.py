@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import NotGDominant, NotPDominant
 from .parabolic import ParabolicData
@@ -34,9 +35,11 @@ def weyl_dim(rs: RootSystem, mu: Weight) -> int:
     mu = tuple(mu)
     if any(c < 0 for c in mu):
         raise NotGDominant(f"{weight_str(mu)} is not dominant")
-    cached = rs._dim_cache.get(mu)
-    if cached is not None:
-        return cached
+    return _weyl_dim(rs, mu)
+
+
+@lru_cache(maxsize=None)
+def _weyl_dim(rs: RootSystem, mu: Weight) -> int:
     rho = rs.weyl_vector
     shifted = wadd(mu, rho)
     num = den = 1
@@ -45,7 +48,6 @@ def weyl_dim(rs: RootSystem, mu: Weight) -> int:
         den *= rs.pairing(rho, alpha)
     if num % den:
         raise AssertionError("Weyl dimension product is not integral")
-    rs._dim_cache[mu] = num // den
     return num // den
 
 

@@ -24,13 +24,12 @@ every sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .errors import (FitInconsistent, InconsistentLongExactSequence,
                      NotGloballyGenerated, RankTooLarge, TrivialSummand,
                      UndeterminedHodge, WrongDeterminant)
-from .koszul import DimRange, KoszulInput, hilbert_value, restricted_cohomology
+from .koszul import DimRange, KoszulInput, _hilbert_samples, restricted_cohomology
 from .parabolic import ParabolicData, is_g_dominant
 from .reps import RepSum, dual, irrep_det, irrep_dim, trivial
 from .root_system import Weight, wadd, wzero, weight_str
@@ -143,7 +142,8 @@ def hodge_numbers(c: Candidate, enforce_vanishing: bool = True) -> HodgeRecord:
     rc_conormal = restricted_cohomology(KoszulInput(P, E, dual(P, E)), enforce_vanishing)
     rc_cotangent = restricted_cohomology(KoszulInput(P, E, dual(P, P.tangent)),
                                          enforce_vanishing)
-    chi_omega1 = rc_conormal.euler - rc_cotangent.euler
+    # additivity of χ on 0 -> E*|_X -> Ω^1_F|_X -> Ω^1_X -> 0
+    chi_omega1 = rc_cotangent.euler - rc_conormal.euler
 
     if c.dim_x != 3:
         return HodgeRecord(h0q=h0q, h1q=None, chi_omega1=chi_omega1)
@@ -178,12 +178,14 @@ def degree_and_c2(c: Candidate) -> tuple[int, int, list[tuple[int, int]]]:
     """Degree and c_2·H of the polarised threefold from exact Hilbert samples.
 
     Samples χ(O_X(i)) for i = -4..4, solves the two-term cubic from i = 1, 2
-    and verifies every other sample (including χ(O_X) = 0 and the odd
-    symmetry); any failure raises :class:`FitInconsistent`.
+    and verifies every sample in integers as 12 χ = 2 deg i^3 + c2H i
+    (including χ(O_X) = 0 and the odd symmetry); any failure raises
+    :class:`FitInconsistent`.
     """
     if c.dim_x != 3:
         raise FitInconsistent(f"dim X = {c.dim_x}; the two-term cubic needs a threefold")
-    samples = [(i, hilbert_value(c.P, c.rep, i)) for i in range(-4, 5)]
+    twists = range(-4, 5)
+    samples = list(zip(twists, _hilbert_samples(c.P, c.rep, twists)))
     chi = dict(samples)
     if chi[0] != 0:
         raise FitInconsistent(f"χ(O_X) = {chi[0]} must vanish for a threefold "
@@ -191,10 +193,10 @@ def degree_and_c2(c: Candidate) -> tuple[int, int, list[tuple[int, int]]]:
     deg = chi[2] - 2 * chi[1]
     c2h = 12 * chi[1] - 2 * deg
     for i, value in samples:
-        expected = Fraction(deg, 6) * i ** 3 + Fraction(c2h, 12) * i
-        if expected != value:
+        if 12 * value != 2 * deg * i ** 3 + c2h * i:
             raise FitInconsistent(
-                f"sample χ(O_X({i})) = {value} is off the fitted cubic ({expected})")
+                f"sample χ(O_X({i})) = {value} is off the fitted cubic "
+                f"({deg}/6 · i^3 + {c2h}/12 · i)")
     return deg, c2h, samples
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from .cohomology import CohomologyTable, bundle_cohomology, euler_char
 from .errors import (InconsistentSpectralSequence, NotGloballyGenerated,
@@ -295,21 +296,27 @@ def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:
     Needs a maximal parabolic so that Pic F is generated by one line bundle
     L = E_omega, with omega the fundamental weight of the crossed node;
     negative twists are allowed.  Computed as the alternating sum of Euler
-    characteristics of the twisted Koszul terms, with no spectral sequence
-    involved.
+    characteristics of the twisted Koszul terms Λ^k E* ⊗ L^i, with no
+    spectral sequence involved.  Sampling several twists goes through
+    ``_hilbert_samples``, which builds E* and each Λ^k E* once for all of them.
     """
+    return _hilbert_samples(P, E, (i,))[0]
+
+
+def _hilbert_samples(P: ParabolicData, E: RepSum, twists: Iterable[int]) -> list[int]:
+    """``hilbert_value`` at each twist, sharing E* and every Λ^k E*."""
     if len(P.crossed) != 1:
         raise NotMaximalParabolic(
             f"{P.label} has Picard rank {len(P.crossed)}; a single twist is undefined")
     node = next(iter(P.crossed))
-    omega_i = tuple(i if j == node - 1 else 0 for j in range(P.rs.rank))
-    line = irrep(P, omega_i)
     e_dual = dual(P, E)
-    total = 0
-    for k in range(E.rank + 1):
-        term = tensor(P, exterior_power(P, e_dual, k), line)
-        total += (-1) ** k * euler_char(P, term)
-    return total
+    powers = [exterior_power(P, e_dual, k) for k in range(E.rank + 1)]
+    values = []
+    for i in twists:
+        line = irrep(P, tuple(i if j == node - 1 else 0 for j in range(P.rs.rank)))
+        values.append(sum((-1) ** k * euler_char(P, tensor(P, power, line))
+                          for k, power in enumerate(powers)))
+    return values
 
 
 def structure_sheaf_cohomology(P: ParabolicData, E: RepSum,

@@ -4,7 +4,12 @@ Irreducible representations of a parabolic P are irreducibles of its Levi,
 labelled by p-dominant highest weights.  All three G2 parabolics have a Levi
 of semisimple rank at most one, so the full weight multiset of an irreducible
 is a single alpha-string through the highest weight; everything here reduces
-to exact multiset arithmetic on integer weight tuples.
+to exact multiset arithmetic on integer weight tuples.  Duals, tensor
+products and exterior powers are computed on weight multisets and then
+decomposed in one pass by the sl2 highest-weight rule: the irreducible with
+highest weight lam occurs m(lam) - m(lam + alpha) times.  The result is
+expanded again and compared with the input, so a multiset that is not a
+character is rejected rather than misread.
 
 A :class:`RepSum` is a formal non-negative combination of irreducibles over a
 fixed parabolic.  It models every bundle in the package: bundles on G/P
@@ -15,7 +20,6 @@ matching the representation-theoretic ones.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -147,52 +151,42 @@ def irrep_det(P: "ParabolicData", lam: Weight) -> Weight:
     return det
 
 
-def _levi_height(P: "ParabolicData", u: Weight, v: Weight) -> int | None:
-    """t >= 0 with u - v = t * alpha_uncrossed, or None if incomparable."""
-    diff = wsub(u, v)
-    i = _string_node(P)
-    if i is None:
-        return 0 if not any(diff) else None
-    alpha = P.rs.cartan.row(i)
-    j = next(k for k, a in enumerate(alpha) if a != 0)
-    t = Fraction(diff[j], alpha[j])
-    if t.denominator != 1 or t < 0:
-        return None
-    t = int(t)
-    return t if diff == wscale(t, alpha) else None
-
-
 def decompose(P: "ParabolicData", multiset: Mapping[Weight, int]) -> RepSum:
     """Invert :func:`irrep_weights` on a weight multiset.
 
-    Repeatedly extracts the maximal weight in the Levi dominance order (ties
-    broken lexicographically), subtracts its string and recurses.  Raises
-    :class:`NotARepresentation` when extraction hits a non-dominant maximal
-    weight or a subtraction would go negative.
+    A torus Levi keeps every weight as its own summand.  On a rank-one Levi
+    with uncrossed node i and simple root alpha, each alpha-string is an sl2
+    character, so the irreducible with highest weight lam (lam_i >= 0) occurs
+    m(lam) - m(lam + alpha) times, m being the multiplicity in the multiset.
+    A negative count raises :class:`NotARepresentation`, and so does a result
+    whose weights do not rebuild the input exactly; sl2 characters are
+    linearly independent, so that rejects every multiset that is not a
+    character.
     """
-    work = Counter()
+    work: dict[Weight, int] = {}
     for w, c in dict(multiset).items():
         if c < 0:
             raise NotARepresentation("negative multiplicity in weight multiset")
         if c:
             work[tuple(w)] = c
-    terms: Counter = Counter()
-    while work:
-        maximal = [u for u in work
-                   if not any(v != u and _levi_height(P, v, u) for v in work)]
-        top = max(maximal)
-        if not P.is_p_dominant(top):
-            raise NotARepresentation(
-                f"maximal weight {weight_str(top)} is not p-dominant for {P.label}")
-        for w, c in irrep_weights(P, top).items():
-            if work[w] < c:
+    i = _string_node(P)
+    if i is None:
+        return RepSum(P, work)
+    alpha = P.rs.cartan.row(i)
+    terms: dict[Weight, int] = {}
+    for lam, c in work.items():
+        if lam[i - 1] >= 0:
+            n = c - work.get(wadd(lam, alpha), 0)
+            if n < 0:
                 raise NotARepresentation(
-                    f"string of {weight_str(top)} is not contained in the multiset")
-            work[w] -= c
-            if not work[w]:
-                del work[w]
-        terms[top] += 1
-    return RepSum(P, terms)
+                    f"{weight_str(lam)} occurs less often than the weight above it")
+            if n:
+                terms[lam] = n
+    result = RepSum(P, terms)
+    if result.weights() != work:
+        raise NotARepresentation(
+            f"weight multiset is not a sum of {P.label} weight strings")
+    return result
 
 
 def dual(P: "ParabolicData", r: RepSum) -> RepSum:

@@ -174,7 +174,6 @@ class RootSystem:
                                                             for k in range(cartan.rank)))
                         for i in range(1, cartan.rank + 1)}
         self._weyl_cache: tuple[WeylElement, ...] | None = None
-        self._dim_cache: dict[Weight, int] = {}
 
     @property
     def rank(self) -> int:

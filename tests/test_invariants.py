@@ -1,10 +1,14 @@
 """Candidate validation, Hodge numbers, degree and c2, Euler numbers."""
 
+from collections import Counter
+
 import pytest
 
-from g2cy import (degree_and_c2, dual, euler_char, euler_number,
-                  exterior_power, hodge_numbers, published_invariants, tensor,
-                  to_record, validate_candidate)
+from g2cy import (KoszulInput, bundle_cohomology, degree_and_c2, dual,
+                  enumerate_all, euler_char, euler_number, exterior_power,
+                  g2_parabolic, hodge_numbers, koszul_terms,
+                  published_invariants, tensor, to_record, validate_candidate)
+from g2cy import koszul
 from g2cy.errors import (FitInconsistent, NotGloballyGenerated, RankTooLarge,
                          TrivialSummand, UndeterminedHodge, WrongDeterminant)
 
@@ -48,7 +52,7 @@ class TestHodgeNumbers:
         hr = hodge_numbers(candidate(P, *summands))
         assert [r.value for r in hr.h0q] == [1, 0, 0, 1]
         assert [r.value for r in hr.h1q] == [0, 1, 50, 0]
-        assert hr.chi_omega1 == -49
+        assert hr.chi_omega1 == 49
 
     def test_structure_sheaf_row_on_all_maximal_threefolds(self, P1, P2):
         rows = [(P1, ((1, 1),)), (P1, ((1, 0), (2, 0))),
@@ -76,10 +80,10 @@ class TestHodgeNumbers:
         assert chi_conormal - chi_cotangent == -60
 
         hr = hodge_numbers(c)
-        assert hr.chi_omega1 == -60
+        assert hr.chi_omega1 == 60
         assert hr.h11.value == 1
         if hr.h12.determined:
-            assert hr.h12.value == hr.h11.value - hr.chi_omega1
+            assert hr.h12.value == hr.h11.value + hr.chi_omega1
 
     def test_non_threefolds_report_h0q_only(self, P1, B):
         hr = hodge_numbers(candidate(P1, (3, 0)))
@@ -104,7 +108,7 @@ class TestHodgeNumbers:
         assert [r.value for r in hr.h0q] == [1, 0, 0, 1]
         # undetermined entries are reported as bounds, never guessed
         if hr.h11.determined and hr.h12.determined:
-            assert hr.h11.value - hr.h12.value == hr.chi_omega1
+            assert hr.h12.value - hr.h11.value == hr.chi_omega1
 
 
 class TestDegreeAndC2:
@@ -168,6 +172,24 @@ class TestDegreeAndC2:
         with pytest.raises(FitInconsistent):
             degree_and_c2(candidate(P1, (3, 0)))
 
+    def test_koszul_powers_built_once_for_all_twists(self, P2, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            inner = getattr(koszul, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+
+        for name in ("dual", "exterior_power"):
+            monkeypatch.setattr(koszul, name, counted(name))
+        c = candidate(P2, (0, 1), (0, 4))
+        _, _, samples = degree_and_c2(c)
+        assert len(samples) == 9
+        assert calls == {"dual": 1, "exterior_power": c.rank + 1}
+
 
 class TestEulerNumber:
     def test_main_threefolds(self, P1, P2):
@@ -188,6 +210,30 @@ class TestRecord:
         assert record["deg"] == 42 and record["c2H"] == 84
         assert record["h11"] == 1 and record["h12"] == 50
         assert record["euler"] == -98
+
+    def test_every_number_is_an_int(self, P1):
+        # exact arithmetic by type: no float or Fraction in any record or table
+        def numbers(obj):
+            if isinstance(obj, dict):
+                for v in obj.values():
+                    yield from numbers(v)
+            elif isinstance(obj, (list, tuple)):
+                for v in obj:
+                    yield from numbers(v)
+            elif obj is not None and not isinstance(obj, str):
+                yield obj
+
+        rows = [row for dim in (2, 3, 4, 5) for row in enumerate_all(dim)]
+        assert len(rows) == 22
+        for row in rows:
+            c = validate_candidate(g2_parabolic(row.parabolic), row.summands)
+            payloads = [to_record(c)]
+            payloads += [bundle_cohomology(c.P, term).to_json()
+                         for term in koszul_terms(KoszulInput(c.P, c.rep, dual(c.P, c.rep)))]
+            payloads.append(bundle_cohomology(c.P, dual(c.P, c.P.tangent)).to_json())
+            for payload in payloads:
+                for x in numbers(payload):
+                    assert type(x) is int, (row, x)
 
     def test_borel_record_has_no_polarised_invariants(self, B):
         record = to_record(candidate(B, (0, 1), (0, 1), (2, 0)))

@@ -1,15 +1,19 @@
 """Weight strings, dims, dets, duals, tensors, exterior powers, decomposition."""
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
+from typing import Mapping
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from g2cy import (decompose, dual, exterior_power, irrep, irrep_det, irrep_dim,
-                  irrep_weights, tensor, trivial)
+from g2cy import (decompose, dual, exterior_power, g2_parabolic, irrep,
+                  irrep_det, irrep_dim, irrep_weights, tensor, trivial)
+from g2cy import reps
 from g2cy.errors import NotARepresentation, NotPDominant, OutOfRange
-from g2cy.reps import RepSum
-from g2cy.root_system import wadd, wneg
+from g2cy.reps import RepSum, _string_node
+from g2cy.root_system import Weight, wadd, wneg, wscale, wsub, weight_str
 
 from conftest import p_dominant_box
 
@@ -210,8 +214,124 @@ class TestDecompose:
     def test_rejects_incomplete_string(self, P1):
         with pytest.raises(NotARepresentation):
             decompose(P1, Counter({(1, 1): 1}))
+        with pytest.raises(NotARepresentation):
+            decompose(P1, Counter({(1, 1): 1, (2, -1): 2}))
 
     def test_rank_additive_over_sum(self, P2):
         a, b = irrep(P2, (2, 1)), irrep(P2, (0, 3))
         assert (a + b).rank == a.rank + b.rank
         assert (a + b).det == wadd(a.det, b.det)
+
+
+# The former peeling implementation of ``decompose``, kept verbatim as the
+# oracle: repeatedly extract a maximal weight in the Levi dominance order and
+# subtract its string.  Quadratic per extraction, but obviously correct.
+
+def _levi_height(P: "ParabolicData", u: Weight, v: Weight) -> int | None:
+    """t >= 0 with u - v = t * alpha_uncrossed, or None if incomparable."""
+    diff = wsub(u, v)
+    i = _string_node(P)
+    if i is None:
+        return 0 if not any(diff) else None
+    alpha = P.rs.cartan.row(i)
+    j = next(k for k, a in enumerate(alpha) if a != 0)
+    t = Fraction(diff[j], alpha[j])
+    if t.denominator != 1 or t < 0:
+        return None
+    t = int(t)
+    return t if diff == wscale(t, alpha) else None
+
+
+def oracle_decompose(P: "ParabolicData", multiset: Mapping[Weight, int]) -> RepSum:
+    """Invert :func:`irrep_weights` on a weight multiset.
+
+    Repeatedly extracts the maximal weight in the Levi dominance order (ties
+    broken lexicographically), subtracts its string and recurses.  Raises
+    :class:`NotARepresentation` when extraction hits a non-dominant maximal
+    weight or a subtraction would go negative.
+    """
+    work = Counter()
+    for w, c in dict(multiset).items():
+        if c < 0:
+            raise NotARepresentation("negative multiplicity in weight multiset")
+        if c:
+            work[tuple(w)] = c
+    terms: Counter = Counter()
+    while work:
+        maximal = [u for u in work
+                   if not any(v != u and _levi_height(P, v, u) for v in work)]
+        top = max(maximal)
+        if not P.is_p_dominant(top):
+            raise NotARepresentation(
+                f"maximal weight {weight_str(top)} is not p-dominant for {P.label}")
+        for w, c in irrep_weights(P, top).items():
+            if work[w] < c:
+                raise NotARepresentation(
+                    f"string of {weight_str(top)} is not contained in the multiset")
+            work[w] -= c
+            if not work[w]:
+                del work[w]
+        terms[top] += 1
+    return RepSum(P, terms)
+
+
+def outcome(decomposer, P, multiset):
+    """The decomposition, or the marker of a rejected multiset."""
+    try:
+        return decomposer(P, multiset)
+    except NotARepresentation:
+        return NotARepresentation
+
+
+def test_dual_tensor_exterior_power_match_peeling(parabolics, monkeypatch):
+    # dual, tensor and exterior_power look ``decompose`` up in their module,
+    # so patching it there gives their oracle-based versions
+    def everything():
+        out = []
+        for P in parabolics:
+            box = [irrep(P, lam) for lam in p_dominant_box(P, 2)]
+            for r in box:
+                out.append(dual(P, r))
+                out += [exterior_power(P, r, k) for k in range(r.rank + 1)]
+                out += [tensor(P, r, s) for s in box]
+        return out
+
+    closed_form = everything()
+    monkeypatch.setattr(reps, "decompose", oracle_decompose)
+    assert closed_form == everything()
+
+
+@st.composite
+def string_sums(draw):
+    """A parabolic and a non-negative sum of Levi strings, maybe perturbed.
+
+    The perturbation drops one weight, adds one weight, or negates one
+    weight, which usually (not always) leaves the set of characters.
+    """
+    P = g2_parabolic(draw(st.sampled_from(("P1", "P2", "B"))))
+    coordinate = st.integers(-4, 4)
+    multiset: Counter = Counter()
+    for _ in range(draw(st.integers(0, 5))):
+        lam = (draw(coordinate), draw(coordinate))
+        if not P.is_p_dominant(lam):
+            lam = tuple(abs(x) if i + 1 in P.uncrossed else x for i, x in enumerate(lam))
+        mult = draw(st.integers(1, 3))
+        for w, c in irrep_weights(P, lam).items():
+            multiset[w] += mult * c
+    change = draw(st.sampled_from(("none", "drop", "add", "negate")))
+    present = sorted(multiset)
+    if change == "add":
+        multiset[(draw(coordinate), draw(coordinate))] += 1
+    elif change != "none" and present:
+        w = draw(st.sampled_from(present))
+        multiset[w] -= 1
+        if change == "negate":
+            multiset[wneg(w)] += 1
+    return P, +multiset
+
+
+@settings(max_examples=500)
+@given(string_sums())
+def test_closed_form_matches_peeling_on_random_string_sums(case):
+    P, multiset = case
+    assert outcome(decompose, P, multiset) == outcome(oracle_decompose, P, multiset)
