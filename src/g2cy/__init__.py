@@ -19,8 +19,7 @@ from .invariants import (Candidate, HodgeRecord, degree_and_c2, euler_number,
 from .koszul import (DimRange, E1Page, KoszulInput, RestrictedCohomology,
                      e1_page, hilbert_value, koszul_terms,
                      restricted_cohomology, structure_sheaf_cohomology)
-from .parabolic import (ParabolicData, ParabolicSpec, g2_parabolic,
-                        is_g_dominant, is_p_dominant, make_parabolic)
+from .parabolic import ParabolicData, g2_parabolic, is_g_dominant
 from .reps import (RepSum, decompose, dual, exterior_power, irrep, irrep_det,
                    irrep_dim, irrep_weights, tensor, trivial)
 from .root_system import (G2_CARTAN, CartanMatrix, Root, RootSystem, Weight,
@@ -31,8 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "G2CYError", "G2_CARTAN", "CartanMatrix", "Root", "RootSystem", "Weight",
     "WeylElement", "build_root_system", "g2_root_system",
-    "ParabolicData", "ParabolicSpec", "g2_parabolic", "is_g_dominant",
-    "is_p_dominant", "make_parabolic",
+    "ParabolicData", "g2_parabolic", "is_g_dominant",
     "RepSum", "decompose", "dual", "exterior_power", "irrep", "irrep_det",
     "irrep_dim", "irrep_weights", "tensor", "trivial",
     "CohomologyTable", "GIrrep", "bundle_cohomology", "bwb_irrep",

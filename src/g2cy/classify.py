@@ -22,7 +22,7 @@ misses is a hard failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .errors import MissingPaperRow, OutOfRange, TheoremViolated
@@ -31,13 +31,13 @@ from .reps import irrep_det, irrep_dim
 from .root_system import Weight, wzero
 
 
-@dataclass(frozen=True)
-class TableRow:
-    """One classification row: parabolic label plus canonical summand tuple."""
+class TableRow(namedtuple("TableRow", "parabolic summands split")):
+    """One classification row: parabolic label plus canonical summand tuple.
 
-    parabolic: str
-    summands: tuple[Weight, ...]
-    split: bool
+    ``split`` is true when every summand is a line bundle.
+    """
+
+    __slots__ = ()
 
     def sort_key(self):
         order = {name: i for i, name in enumerate(G2_PARABOLIC_NAMES)}

@@ -19,7 +19,6 @@ reference row, 2 reserved for `classify --check-paper` finding extra rows
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -76,6 +75,7 @@ def _display_summands(P, weights) -> str:
 
 def _emit(payload: dict, text_lines: list[str], md_lines: list[str], fmt: str) -> None:
     if fmt == "json":
+        import json  # only json output needs it; keeps it off the import path
         print(json.dumps(payload, sort_keys=True))
     elif fmt == "md":
         print("\n".join(md_lines))

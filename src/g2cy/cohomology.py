@@ -16,8 +16,7 @@ automatically a minimal coset representative, so l(w) <= dim G/P.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .errors import NotGDominant, NotPDominant
@@ -51,12 +50,10 @@ def _weyl_dim(rs: RootSystem, mu: Weight) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class GIrrep:
-    """A G-irreducible: dominant highest weight plus its exact dimension."""
+class GIrrep(namedtuple("GIrrep", "highest dim")):
+    """A G-irreducible: dominant ``highest`` weight plus its exact ``dim``."""
 
-    highest: Weight
-    dim: int
+    __slots__ = ()
 
 
 def g_irrep(rs: RootSystem, mu: Weight) -> GIrrep:

@@ -23,7 +23,7 @@ every sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .errors import (FitInconsistent, InconsistentLongExactSequence,
@@ -35,15 +35,15 @@ from .reps import RepSum, dual, irrep_det, irrep_dim, trivial
 from .root_system import Weight, wadd, wzero, weight_str
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """A validated bundle: parabolic plus dominant highest weights."""
+class Candidate(namedtuple("Candidate", "P summands rank dim_x det")):
+    """A validated bundle: parabolic ``P`` plus dominant highest weights.
 
-    P: ParabolicData
-    summands: tuple[Weight, ...]
-    rank: int
-    dim_x: int
-    det: Weight
+    ``summands`` holds the weights in canonical order (descending irreducible
+    rank, then weight); ``rank`` and ``det`` are those of the bundle, and
+    ``dim_x`` is dim G/P - rank.
+    """
+
+    __slots__ = ()
 
     @property
     def rep(self) -> RepSum:
@@ -85,13 +85,14 @@ def validate_candidate(P: ParabolicData, summands) -> Candidate:
     return Candidate(P=P, summands=ordered, rank=rank, dim_x=P.dim - rank, det=det)
 
 
-@dataclass
-class HodgeRecord:
-    """Hodge data of X: the h^{0,q} row always, h^{1,q} on threefolds."""
+class HodgeRecord(namedtuple("HodgeRecord", "h0q h1q chi_omega1")):
+    """Hodge data of X: the h^{0,q} row always, h^{1,q} on threefolds.
 
-    h0q: tuple[DimRange, ...]
-    h1q: tuple[DimRange, ...] | None
-    chi_omega1: int
+    ``h0q`` and ``h1q`` are tuples of :class:`DimRange` indexed by q, with
+    ``h1q`` None unless X is a threefold; ``chi_omega1`` is the exact χ(Ω¹_X).
+    """
+
+    __slots__ = ()
 
     @property
     def h11(self) -> DimRange | None:

@@ -44,9 +44,9 @@ exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import combinations
-from typing import Iterable
 
 from .cohomology import CohomologyTable, bundle_cohomology, euler_char
 from .errors import (InconsistentSpectralSequence, NotGloballyGenerated,
@@ -55,22 +55,26 @@ from .parabolic import ParabolicData, is_g_dominant
 from .reps import RepSum, dual, exterior_power, irrep, tensor, trivial
 from .root_system import weight_str, wzero
 
-@dataclass(frozen=True)
-class KoszulInput:
-    """The data of a complete intersection: ambient parabolic, E and W."""
 
-    P: ParabolicData
-    E: RepSum
-    W: RepSum
+class KoszulInput(namedtuple("KoszulInput", "P E W")):
+    """The data of a complete intersection: ambient parabolic ``P``, ``E`` and ``W``.
 
-    def __post_init__(self):
-        zero = wzero(self.P.rs.rank)
-        for lam in self.E.terms:
+    ``E`` (the bundle cut by a section) and ``W`` (the bundle restricted to
+    X) are :class:`RepSum` over ``P``.  Construction rejects an ``E`` with a
+    trivial or a not globally generated summand.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, P, E, W):
+        zero = wzero(P.rs.rank)
+        for lam in E.terms:
             if lam == zero:
                 raise TrivialSummand("E contains the trivial bundle as a summand")
             if not is_g_dominant(lam):
                 raise NotGloballyGenerated(
                     f"summand {weight_str(lam)} of E is not globally generated")
+        return super().__new__(cls, P, E, W)
 
     @property
     def dim_x(self) -> int:
@@ -136,12 +140,10 @@ def e1_page(inp: KoszulInput) -> E1Page:
     return E1Page(inp, [bundle_cohomology(inp.P, term) for term in koszul_terms(inp)])
 
 
-@dataclass(frozen=True)
-class DimRange:
-    """A cohomology dimension, possibly only known up to bounds."""
+class DimRange(namedtuple("DimRange", "lower upper")):
+    """A cohomology dimension, possibly only known up to bounds ``lower..upper``."""
 
-    lower: int
-    upper: int
+    __slots__ = ()
 
     @property
     def determined(self) -> bool:

@@ -19,21 +19,13 @@ as the positivity of (3,0), (0,5), (2,2) requires.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from . import reps
 from .root_system import RootSystem, Weight, g2_root_system, wadd, wzero
 
 G2_PARABOLIC_NAMES = ("P1", "P2", "B")
-
-
-@dataclass(frozen=True)
-class ParabolicSpec:
-    """Crossed node set; nodes are 1-based Dynkin indices."""
-
-    crossed: frozenset[int]
 
 
 class ParabolicData:
@@ -88,6 +80,7 @@ class ParabolicData:
         return "P" + "".join(str(i) for i in sorted(self.crossed))
 
     def is_p_dominant(self, lam: Weight) -> bool:
+        """True iff lam is dominant for the Levi (non-negative on uncrossed nodes)."""
         return all(lam[i - 1] >= 0 for i in self.uncrossed)
 
     def __eq__(self, other) -> bool:
@@ -101,16 +94,6 @@ class ParabolicData:
         return f"<ParabolicData {self.label}: dim G/P = {self.dim}>"
 
 
-def make_parabolic(rs: RootSystem, spec: ParabolicSpec | Iterable[int]) -> ParabolicData:
-    crossed = spec.crossed if isinstance(spec, ParabolicSpec) else spec
-    return ParabolicData(rs, crossed)
-
-
-def is_p_dominant(pd: ParabolicData, lam: Weight) -> bool:
-    """True iff lam is dominant for the Levi (non-negative on uncrossed nodes)."""
-    return pd.is_p_dominant(lam)
-
-
 def is_g_dominant(lam: Weight) -> bool:
     """True iff every coordinate is non-negative (global generation of E_lam)."""
     return all(c >= 0 for c in lam)
@@ -121,7 +104,7 @@ def _g2_parabolic(name: str) -> ParabolicData:
     crossed = {"P1": (1,), "P2": (2,), "B": (1, 2)}.get(name)
     if crossed is None:
         raise ValueError(f"unknown parabolic {name!r}; expected one of P1, P2, B")
-    return make_parabolic(g2_root_system(), crossed)
+    return ParabolicData(g2_root_system(), crossed)
 
 
 def g2_parabolic(name: str) -> ParabolicData:

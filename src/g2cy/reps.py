@@ -20,14 +20,11 @@ matching the representation-theoretic ones.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from math import comb
-from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import NotARepresentation, NotPDominant, OutOfRange, UnsupportedLevi
 from .root_system import Weight, wadd, wneg, wscale, wsub, wzero, weight_str
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .parabolic import ParabolicData
 
 
 class RepSum:

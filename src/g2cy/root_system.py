@@ -13,8 +13,7 @@ Dynkin-diagram numbering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -47,17 +46,21 @@ def weight_str(u: Weight) -> str:
     return "(" + ",".join(str(a) for a in u) + ")"
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
-    """Integer Cartan matrix; entry (i, j) is ``<alpha_i, alpha_j^vee>``."""
+class CartanMatrix(namedtuple("CartanMatrix", "entries")):
+    """Integer Cartan matrix; entry (i, j) is ``<alpha_i, alpha_j^vee>``.
 
-    entries: tuple[tuple[int, ...], ...]
+    ``entries`` is the tuple of rows.  Construction checks that the matrix is
+    square and non-empty, with integer entries, 2 on the diagonal, no positive
+    entry off it and a symmetric zero pattern.
+    """
 
-    def __post_init__(self):
-        n = len(self.entries)
-        if n == 0 or any(len(row) != n for row in self.entries):
+    __slots__ = ()
+
+    def __new__(cls, entries):
+        n = len(entries)
+        if n == 0 or any(len(row) != n for row in entries):
             raise InvalidCartan("Cartan matrix must be square and non-empty")
-        for i, row in enumerate(self.entries):
+        for i, row in enumerate(entries):
             for j, c in enumerate(row):
                 if not isinstance(c, int):
                     raise InvalidCartan("Cartan entries must be integers")
@@ -65,8 +68,9 @@ class CartanMatrix:
                     raise InvalidCartan("diagonal Cartan entries must equal 2")
                 if i != j and c > 0:
                     raise InvalidCartan("off-diagonal Cartan entries must be <= 0")
-                if i != j and (c == 0) != (self.entries[j][i] == 0):
+                if i != j and (c == 0) != (entries[j][i] == 0):
                     raise InvalidCartan("zero pattern must be symmetric")
+        return super().__new__(cls, entries)
 
     @classmethod
     def from_rows(cls, rows) -> "CartanMatrix":
@@ -86,8 +90,7 @@ class CartanMatrix:
 G2_CARTAN = CartanMatrix.from_rows([[2, -3], [-1, 2]])
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(namedtuple("Root", "weight simple_coords coroot_coords norm_half long")):
     """A root, stored in every coordinate system the package needs.
 
     ``weight`` is the root in fundamental-weight coordinates, ``simple_coords``
@@ -97,11 +100,7 @@ class Root:
     ``long`` marks roots of maximal length.
     """
 
-    weight: Weight
-    simple_coords: tuple[int, ...]
-    coroot_coords: tuple[int, ...]
-    norm_half: int
-    long: bool
+    __slots__ = ()
 
     @property
     def height(self) -> int:
@@ -112,11 +111,10 @@ class Root:
         return all(c >= 0 for c in self.simple_coords)
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """A Weyl group element as a reduced word of simple reflection indices."""
+class WeylElement(namedtuple("WeylElement", "word")):
+    """A Weyl group element as ``word``, a reduced word of simple reflection indices."""
 
-    word: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -124,29 +122,34 @@ class WeylElement:
 
 
 def _symmetrizer(cartan: CartanMatrix) -> tuple[int, ...]:
-    """Positive integers d with C[i][j]*d[j] symmetric, normalised coprime."""
+    """Positive integers d with C[i][j]*d[j] symmetric, normalised coprime.
+
+    Each d[i] is carried as an exact ratio (numerator, denominator), reduced
+    by gcd, along a spanning forest of the Dynkin diagram; the final check
+    covers every edge, so an edge closing an inconsistent cycle is rejected.
+    """
     n = cartan.rank
     C = cartan.entries
-    vals: list[Fraction | None] = [None] * n
+    vals: list[tuple[int, int] | None] = [None] * n
     for start in range(n):
         if vals[start] is not None:
             continue
-        vals[start] = Fraction(1)
+        vals[start] = (1, 1)
         stack = [start]
         while stack:
             i = stack.pop()
+            num, den = vals[i]
             for j in range(n):
-                if i == j or C[i][j] == 0:
+                if i == j or C[i][j] == 0 or vals[j] is not None:
                     continue
-                # C[i][j]*d[j] = C[j][i]*d[i] fixes the ratio along each edge.
-                expected = vals[i] * Fraction(C[j][i], C[i][j])
-                if vals[j] is None:
-                    vals[j] = expected
-                    stack.append(j)
-                elif vals[j] != expected:
-                    raise InvalidCartan("Cartan matrix is not symmetrizable")
-    denom = lcm(*(v.denominator for v in vals))
-    ints = [int(v * denom) for v in vals]
+                # C[i][j]*d[j] = C[j][i]*d[i] fixes the ratio along each edge;
+                # both entries are negative.
+                num_j, den_j = num * -C[j][i], den * -C[i][j]
+                g = gcd(num_j, den_j)
+                vals[j] = (num_j // g, den_j // g)
+                stack.append(j)
+    denom = lcm(*(den for _, den in vals))
+    ints = [num * (denom // den) for num, den in vals]
     g = gcd(*ints)
     d = tuple(x // g for x in ints)
     for i in range(n):

@@ -1,6 +1,9 @@
 """Command-line interface: formats, exit codes, round trips, determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,3 +161,21 @@ class TestHarness:
         _, first, _ = run(capsys, "invariants", "P1", "(1,1)", "--format", "json")
         _, second, _ = run(capsys, "invariants", "P1", "(1,1)", "--format", "json")
         assert first == second
+
+
+class TestImportWeight:
+    # stdlib modules the package does not need on its import path; -S keeps
+    # site's .pth files from preloading any of them
+    HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "typing", "json")
+
+    def test_cli_import_leaves_heavy_stdlib_unloaded(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import g2cy.cli; "
+                "print(' '.join(m for m in sys.argv[2:] if m in sys.modules)); "
+                "sys.exit(g2cy.cli.main(['roots', '--format', 'json']))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code, src, *self.HEAVY],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded, _, out = proc.stdout.partition("\n")
+        assert loaded == ""
+        assert json.loads(out)["count"] == 6

@@ -2,7 +2,7 @@
 
 import pytest
 
-from g2cy import ParabolicSpec, is_g_dominant, is_p_dominant, make_parabolic
+from g2cy import ParabolicData, is_g_dominant
 from g2cy.reps import RepSum
 
 from conftest import p_dominant_box
@@ -54,32 +54,33 @@ class TestMakeParabolic:
         assert P2.crossed <= B.crossed and P2.dim <= B.dim
 
     def test_spec_roundtrip(self, rs, P1):
-        assert make_parabolic(rs, ParabolicSpec(frozenset({1}))) == P1
+        assert ParabolicData(rs, P1.crossed) == P1
+        assert ParabolicData(rs, [1]) == P1
 
     def test_labels(self, P1, P2, B):
         assert (P1.label, P2.label, B.label) == ("P1", "P2", "B")
 
     def test_rejects_empty_crossing(self, rs):
         with pytest.raises(ValueError):
-            make_parabolic(rs, ())
+            ParabolicData(rs, ())
 
     def test_rejects_bad_node(self, rs):
         with pytest.raises(ValueError):
-            make_parabolic(rs, (3,))
+            ParabolicData(rs, (3,))
 
 
 class TestDominance:
     def test_borel_accepts_everything(self, B):
         for lam in [(5, -7), (-1, -1), (0, 0), (-6, 6)]:
-            assert is_p_dominant(B, lam)
+            assert B.is_p_dominant(lam)
 
     def test_p1_examples(self, P1):
-        assert is_p_dominant(P1, (-1, 3))
-        assert not is_p_dominant(P1, (0, -1))
+        assert P1.is_p_dominant((-1, 3))
+        assert not P1.is_p_dominant((0, -1))
 
     def test_p2_examples(self, P2):
-        assert is_p_dominant(P2, (1, -4))
-        assert not is_p_dominant(P2, (-1, 0))
+        assert P2.is_p_dominant((1, -4))
+        assert not P2.is_p_dominant((-1, 0))
 
     def test_g_dominance(self):
         assert is_g_dominant((1, 1))
@@ -90,4 +91,4 @@ class TestDominance:
         for P in parabolics:
             for lam in p_dominant_box(P, 4):
                 if is_g_dominant(lam):
-                    assert is_p_dominant(P, lam)
+                    assert P.is_p_dominant(lam)

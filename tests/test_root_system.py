@@ -42,6 +42,25 @@ class TestBuild:
     def test_g2_symmetrizer(self, rs):
         assert rs.symmetrizer == (3, 1)
 
+    @pytest.mark.parametrize("rows, expected", [
+        ([[2, -2], [-1, 2]], (2, 1)),
+        ([[2, -1], [-2, 2]], (1, 2)),
+        ([[2, -1], [-3, 2]], (1, 3)),
+        ([[2, -1, 0], [-2, 2, -1], [0, -1, 2]], (1, 2, 2)),
+    ])
+    def test_symmetrizer(self, rows, expected):
+        rs = build_root_system(CartanMatrix.from_rows(rows))
+        assert rs.symmetrizer == expected
+        C = rs.cartan.entries
+        assert all(C[i][j] * expected[j] == C[j][i] * expected[i]
+                   for i in range(rs.rank) for j in range(rs.rank))
+
+    def test_non_symmetrizable_cycle(self):
+        # the ratios d2/d1 = 2, d3/d2 = 1 and d1/d3 = 1 around the cycle disagree
+        cycle = CartanMatrix.from_rows([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
+        with pytest.raises(InvalidCartan, match="not symmetrizable"):
+            build_root_system(cycle)
+
     def test_g2_positive_root_weights(self, rs):
         # reflection-closure by hand: alpha1, alpha2, and the four sums
         # alpha1+alpha2, alpha1+2alpha2, alpha1+3alpha2, 2alpha1+3alpha2
