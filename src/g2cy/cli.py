@@ -166,30 +166,24 @@ def _cmd_cohomology(args) -> int:
     return 0
 
 
-def _classify_rows(rows):
-    out = []
-    for n, row in enumerate(rows, start=1):
-        P = g2_parabolic(row.parabolic)
-        out.append((n, row, _display_summands(P, row.summands)))
-    return out
-
-
 def _cmd_classify(args) -> int:
     dim = args.dim
     if args.parabolic:
         rows = classify.enumerate_candidates(g2_parabolic(args.parabolic), dim)
     else:
         rows = classify.enumerate_all(dim)
+    numbered = [(n, row, _display_summands(g2_parabolic(row.parabolic), row.summands))
+                for n, row in enumerate(rows, start=1)]
     payload = {
         "dim_X": dim,
         "rows": [{"no": n, "parabolic": row.parabolic,
                   "summands": [list(w) for w in row.summands],
                   "split": row.split}
-                 for n, row, _ in _classify_rows(rows)],
+                 for n, row, _ in numbered],
     }
     text = [f"candidates with dim X = {dim}:"]
     md = ["| No. | P | E |", "| --- | --- | --- |"]
-    for n, row, shown in _classify_rows(rows):
+    for n, row, shown in numbered:
         text.append(f"  {n:>2}. {row.parabolic:<3} {shown}")
         md.append(f"| {n} | {row.parabolic} | {shown} |")
 

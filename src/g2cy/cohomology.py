@@ -124,7 +124,6 @@ class CohomologyTable:
     def render(self) -> str:
         if not self.contributions:
             return "all cohomology vanishes"
-        rs = self.parabolic.rs
         lines = []
         for q in self.degrees():
             terms = " + ".join(

@@ -23,16 +23,17 @@ every sample.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import product
 
 from .errors import (FitInconsistent, InconsistentLongExactSequence,
                      NotGloballyGenerated, RankTooLarge, TrivialSummand,
                      UndeterminedHodge, WrongDeterminant)
-from .koszul import DimRange, KoszulInput, _hilbert_samples, restricted_cohomology
+from .koszul import (DimRange, KoszulInput, _dual_powers, _e1_page, _hilbert_samples,
+                     _restricted_cohomology)
 from .parabolic import ParabolicData, is_g_dominant
 from .reps import RepSum, dual, irrep_det, irrep_dim, trivial
-from .root_system import Weight, wadd, wzero, weight_str
+from .root_system import wadd, wzero, weight_str
 
 
 class Candidate(namedtuple("Candidate", "P summands rank dim_x det")):
@@ -47,10 +48,7 @@ class Candidate(namedtuple("Candidate", "P summands rank dim_x det")):
 
     @property
     def rep(self) -> RepSum:
-        terms: dict[Weight, int] = {}
-        for w in self.summands:
-            terms[w] = terms.get(w, 0) + 1
-        return RepSum(self.P, terms)
+        return RepSum(self.P, Counter(self.summands))
 
     def __str__(self) -> str:
         return f"{self.P.label}: {self.rep}"
@@ -138,11 +136,12 @@ def hodge_numbers(c: Candidate, enforce_vanishing: bool = True) -> HodgeRecord:
     Undetermined entries keep their bounds; nothing is guessed.
     """
     P, E = c.P, c.rep
-    rc0 = restricted_cohomology(KoszulInput(P, E, trivial(P)), enforce_vanishing)
+    powers = _dual_powers(P, E)
+    # W = O, E* = Λ^1 E* and Ω_F share the Koszul powers Λ^k E*
+    rc0, rc_conormal, rc_cotangent = (
+        _restricted_cohomology(_e1_page(KoszulInput(P, E, W), powers), enforce_vanishing)
+        for W in (trivial(P), powers[1], dual(P, P.tangent)))
     h0q = rc0.hodge_vector()
-    rc_conormal = restricted_cohomology(KoszulInput(P, E, dual(P, E)), enforce_vanishing)
-    rc_cotangent = restricted_cohomology(KoszulInput(P, E, dual(P, P.tangent)),
-                                         enforce_vanishing)
     # additivity of χ on 0 -> E*|_X -> Ω^1_F|_X -> Ω^1_X -> 0
     chi_omega1 = rc_cotangent.euler - rc_conormal.euler
 

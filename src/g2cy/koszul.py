@@ -81,11 +81,16 @@ class KoszulInput(namedtuple("KoszulInput", "P E W")):
         return self.P.dim - self.E.rank
 
 
+def _dual_powers(P: ParabolicData, E: RepSum) -> list[RepSum]:
+    """Λ^k E* for k = 0..rank E, from one dual of E."""
+    e_dual = dual(P, E)
+    return [exterior_power(P, e_dual, k) for k in range(E.rank + 1)]
+
+
 def koszul_terms(inp: KoszulInput) -> list[RepSum]:
-    """Terms Λ^k E* ⊗ W of the twisted resolution, k = 0..rank E."""
-    e_dual = dual(inp.P, inp.E)
-    return [tensor(inp.P, exterior_power(inp.P, e_dual, k), inp.W)
-            for k in range(inp.E.rank + 1)]
+    """Terms Λ^k E* ⊗ W of the twisted resolution, k = 0..rank E, each product
+    with W taken by the Clebsch–Gordan rule of :func:`~g2cy.reps.tensor`."""
+    return [tensor(inp.P, power, inp.W) for power in _dual_powers(inp.P, inp.E)]
 
 
 class E1Page:
@@ -111,7 +116,7 @@ class E1Page:
     @property
     def euler(self) -> int:
         """Alternating sum over the whole page; independent of differentials."""
-        return sum((-1) ** ((q - k) % 2) * d for (k, q), d in self.entries().items())
+        return sum((-1) ** k * col.euler for k, col in enumerate(self.columns))
 
     def render(self) -> str:
         entries = self.entries()
@@ -137,7 +142,13 @@ class E1Page:
 
 
 def e1_page(inp: KoszulInput) -> E1Page:
-    return E1Page(inp, [bundle_cohomology(inp.P, term) for term in koszul_terms(inp)])
+    return _e1_page(inp, _dual_powers(inp.P, inp.E))
+
+
+def _e1_page(inp: KoszulInput, powers: list[RepSum]) -> E1Page:
+    """``e1_page`` from precomputed Λ^k E*, shared by pages with the same E."""
+    return E1Page(inp, [bundle_cohomology(inp.P, tensor(inp.P, power, inp.W))
+                        for power in powers])
 
 
 class DimRange(namedtuple("DimRange", "lower upper")):
@@ -277,7 +288,12 @@ def restricted_cohomology(inp: KoszulInput, enforce_vanishing: bool = True) -> R
     outside 0..dim X are required to vanish; disabling it gives the purely
     formal analysis, which can only be less determined (useful as an audit).
     """
-    page = e1_page(inp)
+    return _restricted_cohomology(e1_page(inp), enforce_vanishing)
+
+
+def _restricted_cohomology(page: E1Page, enforce_vanishing: bool) -> RestrictedCohomology:
+    """``restricted_cohomology`` of ``page.input``, given its E1 page."""
+    inp = page.input
     dim_x = inp.dim_x
 
     def allowed(n: int) -> bool:
@@ -311,8 +327,7 @@ def _hilbert_samples(P: ParabolicData, E: RepSum, twists: Iterable[int]) -> list
         raise NotMaximalParabolic(
             f"{P.label} has Picard rank {len(P.crossed)}; a single twist is undefined")
     node = next(iter(P.crossed))
-    e_dual = dual(P, E)
-    powers = [exterior_power(P, e_dual, k) for k in range(E.rank + 1)]
+    powers = _dual_powers(P, E)
     values = []
     for i in twists:
         line = irrep(P, tuple(i if j == node - 1 else 0 for j in range(P.rs.rank)))

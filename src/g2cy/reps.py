@@ -1,15 +1,15 @@
 """Representations of the parabolic subgroups: weights, duals, tensors, powers.
 
 Irreducible representations of a parabolic P are irreducibles of its Levi,
-labelled by p-dominant highest weights.  All three G2 parabolics have a Levi
-of semisimple rank at most one, so the full weight multiset of an irreducible
-is a single alpha-string through the highest weight; everything here reduces
-to exact multiset arithmetic on integer weight tuples.  Duals, tensor
-products and exterior powers are computed on weight multisets and then
-decomposed in one pass by the sl2 highest-weight rule: the irreducible with
-highest weight lam occurs m(lam) - m(lam + alpha) times.  The result is
-expanded again and compared with the input, so a multiset that is not a
-character is rejected rather than misread.
+labelled by p-dominant highest weights.  Every G2 Levi has semisimple rank at
+most one (uncrossed node i with simple root alpha, or a torus), so the weights
+of an irreducible form one alpha-string through its highest weight.  Duals and
+tensor products follow from highest weights: V(lam)* = V(lam_i alpha - lam),
+and V(lam) ⊗ V(mu) = ⊕ V(lam + mu - j alpha) over j = 0..min(lam_i, mu_i)
+(Clebsch–Gordan).  Exterior powers are computed on weight multisets and split
+by the sl2 rule, the irreducible with highest weight lam occurring
+m(lam) - m(lam + alpha) times; the result is expanded again and compared with
+the input, so a multiset that is not a character is rejected.
 
 A :class:`RepSum` is a formal non-negative combination of irreducibles over a
 fixed parabolic.  It models every bundle in the package: bundles on G/P
@@ -187,19 +187,40 @@ def decompose(P: "ParabolicData", multiset: Mapping[Weight, int]) -> RepSum:
 
 
 def dual(P: "ParabolicData", r: RepSum) -> RepSum:
-    """Dual representation: the weight multiset is negated, then re-decomposed."""
-    return decompose(P, Counter({wneg(w): c for w, c in r.weights().items()}))
+    """Dual summand by summand, V(lam)* = V(lam_i alpha - lam) (V(-lam) on a torus);
+    the rank is checked to be kept and the determinant to be negated."""
+    i = _string_node(P)
+    alpha = None if i is None else P.rs.cartan.row(i)
+    terms: Counter = Counter()
+    for lam, m in r.terms.items():
+        terms[wneg(lam) if alpha is None else wsub(wscale(lam[i - 1], alpha), lam)] += m
+    result = RepSum(P, terms)
+    if result.rank != r.rank or result.det != wneg(r.det):
+        raise AssertionError("dual changed the rank or did not negate the determinant")
+    return result
 
 
 def tensor(P: "ParabolicData", a: RepSum, b: RepSum) -> RepSum:
-    """Tensor product via convolution of weight multisets."""
+    """Tensor product by Clebsch–Gordan on the Levi, summand by summand.
+
+    V(lam) ⊗ V(mu) = ⊕ V(lam + mu - j alpha), j = 0..min(lam_i, mu_i)
+    (V(lam + mu) on a torus); the rank is checked to be multiplicative.
+    """
     if a.parabolic != P or b.parabolic != P:
         raise ValueError("tensor factors must live over the given parabolic")
-    conv: Counter = Counter()
-    for u, cu in a.weights().items():
-        for v, cv in b.weights().items():
-            conv[wadd(u, v)] += cu * cv
-    return decompose(P, conv)
+    i = _string_node(P)
+    alpha = wzero(P.rs.rank) if i is None else P.rs.cartan.row(i)
+    terms: Counter = Counter()
+    for lam, m in a.terms.items():
+        for mu, n in b.terms.items():
+            top = wadd(lam, mu)
+            for _ in range(1 if i is None else min(lam[i - 1], mu[i - 1]) + 1):
+                terms[top] += m * n
+                top = wsub(top, alpha)
+    result = RepSum(P, terms)
+    if result.rank != a.rank * b.rank:
+        raise AssertionError("tensor product has the wrong rank")
+    return result
 
 
 def exterior_power(P: "ParabolicData", r: RepSum, k: int) -> RepSum:

@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
-from g2cy import (KoszulInput, dual, enumerate_all, g2_parabolic,
+from g2cy import (KoszulInput, RepSum, dual, enumerate_all, g2_parabolic,
                   g2_root_system, irrep, trivial, validate_candidate)
 
 # fixed example sequence and no per-example time limit, so runs are repeatable
@@ -42,6 +42,27 @@ def p_dominant_box(P, bound=6):
             if P.is_p_dominant((a, b)):
                 out.append((a, b))
     return out
+
+
+def p_dominant_weights(P, bound):
+    """Strategy: p-dominant weights of P with coordinates in [-bound, bound]."""
+    return st.tuples(*(st.integers(0 if node in P.uncrossed else -bound, bound)
+                       for node in range(1, P.rs.rank + 1)))
+
+
+def rep_sums(count=1, bound=3, max_summands=4, max_mult=3):
+    """Strategy: a G2 parabolic P and ``count`` random RepSums over it.
+
+    Each sum has 1..max_summands distinct p-dominant irreducibles with
+    coordinates in [-bound, bound], each with multiplicity 1..max_mult.
+    """
+    def over(name):
+        P = g2_parabolic(name)
+        terms = st.dictionaries(p_dominant_weights(P, bound), st.integers(1, max_mult),
+                                min_size=1, max_size=max_summands)
+        return st.tuples(st.just(P), *[terms.map(lambda t: RepSum(P, t))] * count)
+
+    return st.sampled_from(("P1", "P2", "B")).flatmap(over)
 
 
 def koszul_sweep_inputs(records_only=False):

@@ -8,13 +8,41 @@ from g2cy import (KoszulInput, bundle_cohomology, degree_and_c2, dual,
                   enumerate_all, euler_char, euler_number, exterior_power,
                   g2_parabolic, hodge_numbers, koszul_terms,
                   published_invariants, tensor, to_record, validate_candidate)
-from g2cy import koszul
+from g2cy import invariants, koszul
 from g2cy.errors import (FitInconsistent, NotGloballyGenerated, RankTooLarge,
                          TrivialSummand, UndeterminedHodge, WrongDeterminant)
+
+from test_reps import oracle_dual, oracle_tensor
 
 
 def candidate(P, *summands):
     return validate_candidate(P, summands)
+
+
+def count_calls(monkeypatch, module, names, through=None):
+    """Patch ``names`` in ``module`` to count their calls into the returned Counter.
+
+    A call goes on to ``through[name]`` if given, else to the original.
+    """
+    calls = Counter()
+
+    def counted(name):
+        inner = (through or {}).get(name, getattr(module, name))
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name))
+    return calls
+
+
+def all_rows():
+    rows = [row for dim in (2, 3, 4, 5) for row in enumerate_all(dim)]
+    assert len(rows) == 22
+    return [validate_candidate(g2_parabolic(row.parabolic), row.summands) for row in rows]
 
 
 class TestValidate:
@@ -110,6 +138,19 @@ class TestHodgeNumbers:
         if hr.h11.determined and hr.h12.determined:
             assert hr.h12.value - hr.h11.value == hr.chi_omega1
 
+    @pytest.mark.parametrize("name,summands", [("P1", ((1, 1),)),
+                                               ("P2", ((0, 1), (0, 4))),
+                                               ("B", ((0, 1), (0, 1), (2, 0)))])
+    def test_koszul_powers_shared_by_the_three_pages(self, name, summands, monkeypatch):
+        # W = O, E* and Ω_F share one Λ^k E* per k; E* itself is Λ^1 E*, and
+        # the one other dual is Ω_F = (g/p)*
+        c = candidate(g2_parabolic(name), *summands)
+        calls = count_calls(monkeypatch, koszul, ("dual", "exterior_power"))
+        calls_here = count_calls(monkeypatch, invariants, ("dual",))
+        hodge_numbers(c)
+        assert calls == {"dual": 1, "exterior_power": c.rank + 1}
+        assert calls_here == {"dual": 1}
+
 
 class TestDegreeAndC2:
     def test_first_threefold(self, P1):
@@ -173,18 +214,7 @@ class TestDegreeAndC2:
             degree_and_c2(candidate(P1, (3, 0)))
 
     def test_koszul_powers_built_once_for_all_twists(self, P2, monkeypatch):
-        calls = Counter()
-
-        def counted(name):
-            inner = getattr(koszul, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return inner(*args)
-            return wrapper
-
-        for name in ("dual", "exterior_power"):
-            monkeypatch.setattr(koszul, name, counted(name))
+        calls = count_calls(monkeypatch, koszul, ("dual", "exterior_power"))
         c = candidate(P2, (0, 1), (0, 4))
         _, _, samples = degree_and_c2(c)
         assert len(samples) == 9
@@ -223,19 +253,26 @@ class TestRecord:
             elif obj is not None and not isinstance(obj, str):
                 yield obj
 
-        rows = [row for dim in (2, 3, 4, 5) for row in enumerate_all(dim)]
-        assert len(rows) == 22
-        for row in rows:
-            c = validate_candidate(g2_parabolic(row.parabolic), row.summands)
+        for c in all_rows():
             payloads = [to_record(c)]
             payloads += [bundle_cohomology(c.P, term).to_json()
                          for term in koszul_terms(KoszulInput(c.P, c.rep, dual(c.P, c.rep)))]
             payloads.append(bundle_cohomology(c.P, dual(c.P, c.P.tangent)).to_json())
             for payload in payloads:
                 for x in numbers(payload):
-                    assert type(x) is int, (row, x)
+                    assert type(x) is int, (c, x)
 
     def test_borel_record_has_no_polarised_invariants(self, B):
         record = to_record(candidate(B, (0, 1), (0, 1), (2, 0)))
         assert record["deg"] is None and record["c2H"] is None
         assert record["statuses"]["deg"] == "not_applicable"
+
+    def test_multiset_dual_and_tensor_give_identical_records(self, monkeypatch):
+        # the closed-form dual and tensor against the former multiset ones,
+        # patched wherever koszul and invariants look them up
+        closed_form = [to_record(c) for c in all_rows()]
+        oracles = {"dual": oracle_dual, "tensor": oracle_tensor}
+        in_koszul = count_calls(monkeypatch, koszul, ("dual", "tensor"), oracles)
+        in_invariants = count_calls(monkeypatch, invariants, ("dual",), oracles)
+        assert [to_record(c) for c in all_rows()] == closed_form
+        assert in_koszul["dual"] and in_koszul["tensor"] and in_invariants["dual"]

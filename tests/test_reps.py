@@ -15,7 +15,7 @@ from g2cy.errors import NotARepresentation, NotPDominant, OutOfRange
 from g2cy.reps import RepSum, _string_node
 from g2cy.root_system import Weight, wadd, wneg, wscale, wsub, weight_str
 
-from conftest import p_dominant_box
+from conftest import p_dominant_box, rep_sums
 
 
 def closed_string(name, a, b):
@@ -283,22 +283,51 @@ def outcome(decomposer, P, multiset):
         return NotARepresentation
 
 
+# The former multiset implementations of ``dual`` and ``tensor``, kept as
+# oracles for the closed forms.  Verbatim, except that ``decompose`` is looked
+# up in its module, so that patching it there reaches them too.
+
+def oracle_dual(P: "ParabolicData", r: RepSum) -> RepSum:
+    """Dual representation: the weight multiset is negated, then re-decomposed."""
+    return reps.decompose(P, Counter({wneg(w): c for w, c in r.weights().items()}))
+
+
+def oracle_tensor(P: "ParabolicData", a: RepSum, b: RepSum) -> RepSum:
+    """Tensor product via convolution of weight multisets."""
+    if a.parabolic != P or b.parabolic != P:
+        raise ValueError("tensor factors must live over the given parabolic")
+    conv: Counter = Counter()
+    for u, cu in a.weights().items():
+        for v, cv in b.weights().items():
+            conv[wadd(u, v)] += cu * cv
+    return reps.decompose(P, conv)
+
+
 def test_dual_tensor_exterior_power_match_peeling(parabolics, monkeypatch):
-    # dual, tensor and exterior_power look ``decompose`` up in their module,
-    # so patching it there gives their oracle-based versions
-    def everything():
+    # exterior_power and the two oracles look ``decompose`` up in its module,
+    # so patching it there gives their peeling-based versions
+    def everything(dual, tensor):
         out = []
         for P in parabolics:
             box = [irrep(P, lam) for lam in p_dominant_box(P, 2)]
+            box.append(box[0] + box[-1] + box[-1])
             for r in box:
                 out.append(dual(P, r))
                 out += [exterior_power(P, r, k) for k in range(r.rank + 1)]
                 out += [tensor(P, r, s) for s in box]
         return out
 
-    closed_form = everything()
+    closed_form = everything(reps.dual, reps.tensor)
     monkeypatch.setattr(reps, "decompose", oracle_decompose)
-    assert closed_form == everything()
+    assert closed_form == everything(oracle_dual, oracle_tensor)
+
+
+@settings(max_examples=300)
+@given(rep_sums(count=2, bound=4))
+def test_closed_form_dual_and_tensor_match_multiset_oracles(case):
+    P, a, b = case
+    assert dual(P, a) == oracle_dual(P, a)
+    assert tensor(P, a, b) == oracle_tensor(P, a, b)
 
 
 @st.composite
