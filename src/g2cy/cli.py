@@ -14,13 +14,20 @@ Summands are written "(a,b)" and joined with "+", e.g. "(1,0)+(2,0)".
 Parabolics are named P1, P2 or B.  Exit codes: 0 success, 1 error or missing
 reference row, 2 reserved for `classify --check-paper` finding extra rows
 (the documented audit signal).
+
+Layout (the text above is the ``--help`` description): each ``_cmd_*`` returns
+``(payload, text_lines, md_lines)``; ``main`` alone prints, and exits 2 exactly
+when ``payload["check"]["extra"]`` is non-empty.  ``--format`` and ``--seed``
+may come before or after the command (after wins).  A closed stdout exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
+from collections import Counter
 
 from . import classify, invariants
 from .cohomology import bundle_cohomology
@@ -52,274 +59,221 @@ def parse_summands(text: str) -> list[tuple[int, int]]:
 
 
 def _bundle(name: str, summands: str) -> RepSum:
-    P = g2_parabolic(name)
-    terms: dict = {}
-    for w in parse_summands(summands):
-        terms[w] = terms.get(w, 0) + 1
-    return RepSum(P, terms)
+    return RepSum(g2_parabolic(name), Counter(parse_summands(summands)))
 
 
-def _display_summands(P, weights) -> str:
-    ordered = sorted(weights, key=lambda w: (-irrep_dim(P, w), w))
-    parts = []
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and ordered[j] == ordered[i]:
-            j += 1
-        mult = j - i
-        parts.append(weight_str(ordered[i]) + (f"^⊕{mult}" if mult > 1 else ""))
-        i = j
-    return " ⊕ ".join(parts)
+def _display_summands(row) -> str:
+    """The summands of a table row by descending rank, repeats as ``^⊕m``."""
+    P = g2_parabolic(row.parabolic)
+    counts = sorted(Counter(row.summands).items(),
+                    key=lambda wm: (-irrep_dim(P, wm[0]), wm[0]))
+    return " ⊕ ".join(weight_str(w) + (f"^⊕{m}" if m > 1 else "") for w, m in counts)
 
 
-def _emit(payload: dict, text_lines: list[str], md_lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        import json  # only json output needs it; keeps it off the import path
-        print(json.dumps(payload, sort_keys=True))
-    elif fmt == "md":
-        print("\n".join(md_lines))
-    else:
-        print("\n".join(text_lines))
+def _numbered(header: str, rows, split: bool = False):
+    """Payload rows, ``  n. P  E`` text lines and ``| n | P | E |`` md lines."""
+    items, text, md = [], [header], ["| No. | P | E |", "| --- | --- | --- |"]
+    for n, row in enumerate(rows, start=1):
+        item = {"no": n, "parabolic": row.parabolic,
+                "summands": [list(w) for w in row.summands]}
+        if split:
+            item["split"] = row.split
+        items.append(item)
+        shown = _display_summands(row)
+        text.append(f"  {n:>2}. {row.parabolic:<3} {shown}")
+        md.append(f"| {n} | {row.parabolic} | {shown} |")
+    return items, text, md
 
 
-def _cmd_roots(args) -> int:
+def _cmd_roots(args):
     rs = g2_root_system()
     payload = {
         "cartan": [list(row) for row in rs.cartan.entries],
         "symmetrizer": list(rs.symmetrizer),
-        "positive_roots": [{
-            "weight": list(r.weight),
-            "simple_coords": list(r.simple_coords),
-            "coroot_coords": list(r.coroot_coords),
-            "long": r.long,
-        } for r in rs.positive_roots],
+        "positive_roots": [{"weight": list(r.weight), "simple_coords": list(r.simple_coords),
+                            "coroot_coords": list(r.coroot_coords), "long": r.long}
+                           for r in rs.positive_roots],
         "count": len(rs.positive_roots),
         "weyl_order": rs.weyl_order(),
         "rho": list(rs.weyl_vector),
     }
+    rho = weight_str(rs.weyl_vector)
     text = [f"Cartan matrix: {payload['cartan']}, symmetrizer {tuple(rs.symmetrizer)}",
             "positive roots (weight | simple coords | length):"]
-    for r in rs.positive_roots:
-        text.append(f"  {weight_str(r.weight):>9} | {r.simple_coords} | "
-                    f"{'long' if r.long else 'short'}")
-    text += [f"count: {payload['count']}",
-             f"Weyl group order: {payload['weyl_order']}",
-             f"rho: {weight_str(rs.weyl_vector)}"]
     md = ["| root | simple coords | length |", "| --- | --- | --- |"]
-    md += [f"| {weight_str(r.weight)} | {r.simple_coords} | "
-           f"{'long' if r.long else 'short'} |" for r in rs.positive_roots]
+    for r in rs.positive_roots:
+        length = "long" if r.long else "short"
+        text.append(f"  {weight_str(r.weight):>9} | {r.simple_coords} | {length}")
+        md.append(f"| {weight_str(r.weight)} | {r.simple_coords} | {length} |")
+    text += [f"count: {payload['count']}", f"Weyl group order: {payload['weyl_order']}",
+             f"rho: {rho}"]
     md += ["", f"{payload['count']} positive roots, Weyl order "
-           f"{payload['weyl_order']}, rho = {weight_str(rs.weyl_vector)}"]
-    _emit(payload, text, md, args.format)
-    return 0
+           f"{payload['weyl_order']}, rho = {rho}"]
+    return payload, text, md
 
 
-def _cmd_parabolic(args) -> int:
+def _cmd_parabolic(args):
     P = g2_parabolic(args.parabolic)
-    payload = {
-        "name": P.label,
-        "crossed": sorted(P.crossed),
-        "levi_rank": P.levi_rank,
-        "dim": P.dim,
-        "tangent": [{"highest": list(w), "mult": m, "dim": irrep_dim(P, w)}
-                    for w, m in P.tangent.sorted_terms()],
-        "anticanonical": list(P.anticanonical),
-    }
+    payload = {"name": P.label, "crossed": sorted(P.crossed), "levi_rank": P.levi_rank,
+               "dim": P.dim, "anticanonical": list(P.anticanonical),
+               "tangent": [{"highest": list(w), "mult": m, "dim": irrep_dim(P, w)}
+                           for w, m in P.tangent.sorted_terms()]}
+    det = weight_str(P.anticanonical)
     text = [f"{P.label}: crossed nodes {sorted(P.crossed)}, dim G/P = {P.dim}",
             f"tangent representation g/p = {P.tangent}",
-            f"anticanonical det(g/p) = {weight_str(P.anticanonical)}"]
-    md = [f"**{P.label}**: dim G/P = {P.dim}, g/p = {P.tangent}, "
-          f"det(g/p) = {weight_str(P.anticanonical)}"]
-    _emit(payload, text, md, args.format)
-    return 0
+            f"anticanonical det(g/p) = {det}"]
+    md = [f"**{P.label}**: dim G/P = {P.dim}, g/p = {P.tangent}, det(g/p) = {det}"]
+    return payload, text, md
 
 
-def _cmd_bundle(args) -> int:
+def _cmd_bundle(args):
     r = _bundle(args.parabolic, args.summands)
     P = r.parabolic
-    weights = r.weights()
-    payload = {
-        "parabolic": P.label,
-        "summands": [list(w) for w, m in sorted(r.terms.items()) for _ in range(m)],
-        "rank": r.rank,
-        "det": list(r.det),
-        "weights": [[list(w), c] for w, c in sorted(weights.items())],
-    }
+    weights = sorted(r.weights().items())
+    payload = {"parabolic": P.label, "rank": r.rank, "det": list(r.det),
+               "summands": [list(w) for w, m in sorted(r.terms.items()) for _ in range(m)],
+               "weights": [[list(w), c] for w, c in weights]}
     text = [f"bundle {r} on G/{P.label}",
             f"rank {r.rank}, det {weight_str(r.det)}",
             "weights: " + ", ".join(f"{weight_str(w)}×{c}" if c > 1 else weight_str(w)
-                                    for w, c in sorted(weights.items()))]
+                                    for w, c in weights)]
     md = [f"E = {r} on G/{P.label}: rank {r.rank}, det {weight_str(r.det)}"]
-    _emit(payload, text, md, args.format)
-    return 0
+    return payload, text, md
 
 
-def _cmd_cohomology(args) -> int:
+def _cmd_cohomology(args):
     r = _bundle(args.parabolic, args.summands)
     table = bundle_cohomology(r.parabolic, r)
     payload = table.to_json()
     payload["bundle"] = str(r)
-    text = [f"H^*(G/{r.parabolic.label}, {r}):", table.render()]
-    md = [f"cohomology of {r} on G/{r.parabolic.label}:", "```", table.render(), "```"]
-    _emit(payload, text, md, args.format)
-    return 0
+    shown = table.render()
+    return (payload, [f"H^*(G/{r.parabolic.label}, {r}):", shown],
+            [f"cohomology of {r} on G/{r.parabolic.label}:", "```", shown, "```"])
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     dim = args.dim
+    if args.check_paper and args.parabolic:
+        raise G2CYError("--check-paper compares whole tables; drop --parabolic")
     if args.parabolic:
         rows = classify.enumerate_candidates(g2_parabolic(args.parabolic), dim)
     else:
         rows = classify.enumerate_all(dim)
-    numbered = [(n, row, _display_summands(g2_parabolic(row.parabolic), row.summands))
-                for n, row in enumerate(rows, start=1)]
-    payload = {
-        "dim_X": dim,
-        "rows": [{"no": n, "parabolic": row.parabolic,
-                  "summands": [list(w) for w in row.summands],
-                  "split": row.split}
-                 for n, row, _ in numbered],
-    }
-    text = [f"candidates with dim X = {dim}:"]
-    md = ["| No. | P | E |", "| --- | --- | --- |"]
-    for n, row, shown in numbered:
-        text.append(f"  {n:>2}. {row.parabolic:<3} {shown}")
-        md.append(f"| {n} | {row.parabolic} | {shown} |")
-
-    code = 0
+    items, text, md = _numbered(f"candidates with dim X = {dim}:", rows, split=True)
+    payload = {"dim_X": dim, "rows": items}
     if args.check_paper:
-        if args.parabolic:
-            raise G2CYError("--check-paper compares whole tables; drop --parabolic")
         diff = classify.diff_against_paper(dim)
-        payload["check"] = {
-            "matched": len(diff["matched"]),
-            "missing": len(diff["missing"]),
-            "extra": [{"parabolic": row.parabolic,
-                       "summands": [list(w) for w in row.summands]}
-                      for row in diff["extra"]],
-        }
-        summary = (f"reference check: {len(diff['matched'])} matched, "
-                   f"{len(diff['missing'])} missing, {len(diff['extra'])} extra")
-        text.append(summary)
-        md += ["", summary]
-        for row in diff["extra"]:
-            P = g2_parabolic(row.parabolic)
-            line = (f"EXTRA row not in the reference table: {row.parabolic} "
-                    f"{_display_summands(P, row.summands)}")
-            text.append(line)
-            md.append(line)
-        if diff["extra"]:
-            code = 2
-    _emit(payload, text, md, args.format)
-    return code
+        extra = diff["extra"]
+        payload["check"] = {"matched": len(diff["matched"]), "missing": len(diff["missing"]),
+                            "extra": [{"parabolic": row.parabolic,
+                                       "summands": [list(w) for w in row.summands]}
+                                      for row in extra]}
+        lines = [f"reference check: {len(diff['matched'])} matched, "
+                 f"{len(diff['missing'])} missing, {len(extra)} extra"]
+        lines += [f"EXTRA row not in the reference table: {row.parabolic} "
+                  f"{_display_summands(row)}" for row in extra]
+        text += lines
+        md += ["", *lines]
+    return payload, text, md
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args):
     r = _bundle(args.parabolic, args.summands)
-    summand_list = [w for w, m in r.terms.items() for _ in range(m)]
-    cand = invariants.validate_candidate(r.parabolic, summand_list)
+    cand = invariants.validate_candidate(
+        r.parabolic, [w for w, m in r.terms.items() for _ in range(m)])
     record = invariants.to_record(cand)
-    published = classify.published_invariants(cand.P.label,
-                                              [tuple(w) for w in cand.summands])
+    published = classify.published_invariants(cand.P.label, cand.summands)
     if published:
-        matches = {}
-        for key in ("deg", "c2H", "h11", "h12"):
-            matches[key] = record.get(key) == published[key]
-        record["published"] = dict(published)
-        record["published"]["matches"] = matches
+        matches = {key: record.get(key) == published[key]
+                   for key in ("deg", "c2H", "h11", "h12")}
+        record["published"] = dict(published, matches=matches)
         record["discrepancies"] = [
             f"computed {key} = {record.get(key)} differs from published {published[key]}"
             for key, ok in matches.items() if not ok]
     text = [f"invariants of {cand}:"]
-    for key in ("rank", "dim_X", "det", "h0q", "h11", "h12", "chi_omega1",
-                "deg", "c2H", "euler"):
-        text.append(f"  {key}: {record[key]}")
-    for line in record.get("discrepancies", []):
-        text.append("  DISCREPANCY: " + line)
-    md = list(text)
-    _emit(record, text, md, args.format)
-    return 0
+    text += [f"  {key}: {record[key]}" for key in ("rank", "dim_X", "det", "h0q", "h11",
+                                                   "h12", "chi_omega1", "deg", "c2H", "euler")]
+    text += ["  DISCREPANCY: " + line for line in record.get("discrepancies", [])]
+    return record, text, text
 
 
-def _cmd_table(args) -> int:
-    rows = classify.reference_tables()[args.number]
+def _cmd_table(args):
     dim = {v: k for k, v in classify.DIM_TO_TABLE.items()}[args.number]
-    payload = {
-        "table": args.number,
-        "dim_X": dim,
-        "rows": [{"no": n, "parabolic": row.parabolic,
-                  "summands": [list(w) for w in row.summands]}
-                 for n, row in enumerate(rows, start=1)],
-    }
-    text = [f"reference table {args.number} (dim X = {dim}):"]
-    md = ["| No. | P | E |", "| --- | --- | --- |"]
-    for n, row in enumerate(rows, start=1):
-        P = g2_parabolic(row.parabolic)
-        shown = _display_summands(P, row.summands)
-        text.append(f"  {n:>2}. {row.parabolic:<3} {shown}")
-        md.append(f"| {n} | {row.parabolic} | {shown} |")
-    _emit(payload, text, md, args.format)
-    return 0
+    items, text, md = _numbered(f"reference table {args.number} (dim X = {dim}):",
+                                classify.reference_tables()[args.number])
+    return {"table": args.number, "dim_X": dim, "rows": items}, text, md
+
+
+def _options(fmt, seed) -> _Parser:
+    options = _Parser(add_help=False)
+    options.add_argument("--format", choices=("text", "md", "json"), default=fmt)
+    options.add_argument("--seed", type=int, default=seed,
+                         help="accepted for harness compatibility; ignored "
+                              "(all computation is deterministic)")
+    return options
 
 
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("text", "md", "json"), default="text")
-    common.add_argument("--seed", type=int, default=None,
-                        help="accepted for harness compatibility; ignored "
-                             "(all computation is deterministic)")
-    parser = _Parser(prog="g2cy", description=__doc__, parents=[common],
+    parser = _Parser(prog="g2cy", description=__doc__.partition("\nLayout")[0],
+                     parents=[_options("text", None)],
                      formatter_class=argparse.RawDescriptionHelpFormatter)
+    # after the command the options have no defaults, so they cannot overwrite
+    # a --format or --seed given before it
+    common = _options(argparse.SUPPRESS, argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("roots", help="root data of G2", parents=[common])
+    def command(name, run, help_text):
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("parabolic", help="data of one parabolic", parents=[common])
-    p.add_argument("parabolic", choices=("P1", "P2", "B"))
-
-    for name, fn_help in (("bundle", "rank/det/weights of a bundle"),
-                          ("cohomology", "cohomology table of a bundle"),
-                          ("invariants", "invariant record of a candidate")):
-        p = sub.add_parser(name, help=fn_help, parents=[common])
+    command("roots", _cmd_roots, "root data of G2")
+    command("parabolic", _cmd_parabolic, "data of one parabolic").add_argument(
+        "parabolic", choices=("P1", "P2", "B"))
+    for name, run, help_text in (
+            ("bundle", _cmd_bundle, "rank/det/weights of a bundle"),
+            ("cohomology", _cmd_cohomology, "cohomology table of a bundle"),
+            ("invariants", _cmd_invariants, "invariant record of a candidate")):
+        p = command(name, run, help_text)
         p.add_argument("parabolic", choices=("P1", "P2", "B"))
         p.add_argument("summands", help='e.g. "(1,0)+(2,0)"')
 
-    p = sub.add_parser("classify", help="enumerate candidate rows", parents=[common])
+    p = command("classify", _cmd_classify, "enumerate candidate rows")
     p.add_argument("--dim", type=int, required=True, choices=(2, 3, 4, 5))
     p.add_argument("--parabolic", choices=("P1", "P2", "B"))
     p.add_argument("--check-paper", action="store_true",
                    help="diff against the reference table; exit 2 on extra rows")
 
-    p = sub.add_parser("table", help="print a reference table", parents=[common])
-    p.add_argument("number", type=int, choices=(1, 2, 3, 4))
-
+    command("table", _cmd_table, "print a reference table").add_argument(
+        "number", type=int, choices=(1, 2, 3, 4))
     return parser
 
 
-_DISPATCH = {
-    "roots": _cmd_roots,
-    "parabolic": _cmd_parabolic,
-    "bundle": _cmd_bundle,
-    "cohomology": _cmd_cohomology,
-    "classify": _cmd_classify,
-    "invariants": _cmd_invariants,
-    "table": _cmd_table,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        payload, text, md = args.run(args)
     except G2CYError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.format == "json":
+        import json  # only json output needs it; keeps it off the import path
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        print("\n".join(md if args.format == "md" else text))
+    return 2 if payload.get("check", {}).get("extra") else 0
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe; point stdout at devnull so the flush at
+        # interpreter exit cannot raise again (the recipe in the `signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -118,28 +118,6 @@ class E1Page:
         """Alternating sum over the whole page; independent of differentials."""
         return sum((-1) ** k * col.euler for k, col in enumerate(self.columns))
 
-    def render(self) -> str:
-        entries = self.entries()
-        if not entries:
-            return "E1 page is zero"
-        kmax = len(self.columns) - 1
-        qmax = max(q for _, q in entries)
-        header = "q\\k " + " ".join(f"{k:>6}" for k in range(kmax + 1))
-        lines = [header]
-        for q in range(qmax, -1, -1):
-            row = " ".join(f"{entries.get((k, q), 0):>6}" for k in range(kmax + 1))
-            lines.append(f"{q:>3} " + row)
-        return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        return {
-            "parabolic": self.input.P.label,
-            "entries": [{"k": k, "q": q, "dim": d,
-                         "irreps": [{"weight": list(mu), "mult": m}
-                                    for mu, m in sorted(self.columns[k].irreps(q).items())]}
-                        for (k, q), d in sorted(self.entries().items())],
-        }
-
 
 def e1_page(inp: KoszulInput) -> E1Page:
     return _e1_page(inp, _dual_powers(inp.P, inp.E))
@@ -254,10 +232,8 @@ class RestrictedCohomology:
     the exact alternating sum.
     """
 
-    def __init__(self, inp: KoszulInput, page: E1Page,
-                 by_degree: dict[int, DimRange], euler: int):
+    def __init__(self, inp: KoszulInput, by_degree: dict[int, DimRange], euler: int):
         self.input = inp
-        self.page = page
         self.by_degree = by_degree
         self.euler = euler
         self.dim_x = inp.dim_x
@@ -271,14 +247,6 @@ class RestrictedCohomology:
 
     def hodge_vector(self) -> tuple[DimRange, ...]:
         return tuple(self.h(n) for n in range(self.dim_x + 1))
-
-    def to_json(self) -> dict:
-        return {
-            "parabolic": self.input.P.label,
-            "dim_X": self.dim_x,
-            "h": {str(n): self.by_degree[n].to_json() for n in sorted(self.by_degree)},
-            "euler": self.euler,
-        }
 
 
 def restricted_cohomology(inp: KoszulInput, enforce_vanishing: bool = True) -> RestrictedCohomology:
@@ -305,7 +273,7 @@ def _restricted_cohomology(page: E1Page, enforce_vanishing: bool) -> RestrictedC
                  if hi > 0 or allowed(n)}
     for n in range(0, max(dim_x, -1) + 1):
         by_degree.setdefault(n, DimRange(0, 0))
-    return RestrictedCohomology(inp, page, by_degree, page.euler)
+    return RestrictedCohomology(inp, by_degree, page.euler)
 
 
 def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:

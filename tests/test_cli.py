@@ -1,21 +1,35 @@
 """Command-line interface: formats, exit codes, round trips, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from g2cy import enumerate_all, invariants
-from g2cy.cli import main, parse_summands
+from g2cy import classify, enumerate_all, invariants
+from g2cy.cli import build_parser, main, parse_summands
 from g2cy.errors import G2CYError
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+#: stdout, stderr and exit code of 153 calls: every command in all three
+#: formats, `invariants` on the 22 enumerated rows and three failing calls.
+#: Output is part of the interface, so any difference here must be deliberate.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json")
+                    .read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_output(capsys, case):
+    assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
 
 class TestParsing:
@@ -87,6 +101,16 @@ class TestClassify:
         code, _, _ = run(capsys, "classify", "--dim", "4")
         assert code == 0
 
+    def test_check_paper_with_parabolic_rejected_before_enumerating(self, capsys,
+                                                                    monkeypatch):
+        def enumerate_nothing(*args):
+            raise AssertionError("enumeration ran")
+        monkeypatch.setattr(classify, "enumerate_candidates", enumerate_nothing)
+        code, out, err = run(capsys, "classify", "--dim", "3", "--parabolic", "P1",
+                             "--check-paper")
+        assert (code, out) == (1, "")
+        assert "drop --parabolic" in err
+
     def test_parabolic_filter(self, capsys):
         code, out, _ = run(capsys, "classify", "--dim", "3", "--parabolic", "P2",
                            "--format", "json")
@@ -154,6 +178,42 @@ class TestHarness:
         code, out, _ = run(capsys, "roots", "--seed", "7")
         assert code == 0 and "count: 6" in out
 
+    @pytest.mark.parametrize("argv,first", [
+        (["--format", "json", "roots"], '{"cartan"'),
+        (["--format", "md", "table", "1"], "| No. | P | E |"),
+        (["--format", "md", "roots", "--format", "json"], '{"cartan"'),
+    ])
+    def test_format_before_command(self, capsys, argv, first):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith(first)
+
+    @pytest.mark.parametrize("argv,fmt,seed", [
+        (["roots"], "text", None),
+        (["--seed", "3", "--format", "md", "roots"], "md", 3),
+        (["roots", "--seed", "4", "--format", "json"], "json", 4),
+        (["--seed", "3", "--format", "md", "roots", "--seed", "4", "--format", "json"],
+         "json", 4),
+    ])
+    def test_option_placement(self, argv, fmt, seed):
+        args = build_parser().parse_args(argv)
+        assert (args.format, args.seed) == (fmt, seed)
+
+    @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_one_quietly(self, flags):
+        code = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
+                "from g2cy.cli import console_main; console_main()")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, *flags, "-c", code, SRC, "roots"],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "BrokenPipe" not in proc.stderr
+
     def test_byte_identical_runs(self, capsys):
         _, first, _ = run(capsys, "classify", "--dim", "3", "--format", "json")
         _, second, _ = run(capsys, "classify", "--dim", "3", "--format", "json")
@@ -169,11 +229,10 @@ class TestImportWeight:
     HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "typing", "json")
 
     def test_cli_import_leaves_heavy_stdlib_unloaded(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import g2cy.cli; "
                 "print(' '.join(m for m in sys.argv[2:] if m in sys.modules)); "
                 "sys.exit(g2cy.cli.main(['roots', '--format', 'json']))")
-        proc = subprocess.run([sys.executable, "-S", "-c", code, src, *self.HEAVY],
+        proc = subprocess.run([sys.executable, "-S", "-c", code, SRC, *self.HEAVY],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         loaded, _, out = proc.stdout.partition("\n")
