@@ -147,7 +147,7 @@ class CohomologyTable:
 def bundle_cohomology(P: ParabolicData, r: RepSum) -> CohomologyTable:
     """Apply the single-degree computation summand by summand."""
     table = CohomologyTable(P)
-    for lam, mult in r.sorted_terms():
+    for lam, mult in r.terms.items():
         res = bwb_irrep(P, lam)
         if res is None:
             table.add_vanished(lam, mult)

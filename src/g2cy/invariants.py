@@ -32,8 +32,8 @@ from .errors import (FitInconsistent, InconsistentLongExactSequence,
 from .koszul import (DimRange, KoszulInput, _dual_powers, _e1_page, _hilbert_samples,
                      _restricted_cohomology)
 from .parabolic import ParabolicData, is_g_dominant
-from .reps import RepSum, dual, irrep_det, irrep_dim, trivial
-from .root_system import wadd, wzero, weight_str
+from .reps import RepSum, dual, trivial
+from .root_system import wzero, weight_str
 
 
 class Candidate(namedtuple("Candidate", "P summands rank dim_x det")):
@@ -69,17 +69,16 @@ def validate_candidate(P: ParabolicData, summands) -> Candidate:
         if not is_g_dominant(w):
             raise NotGloballyGenerated(
                 f"summand {weight_str(w)} is not dominant, so E is not globally generated")
-    rank = sum(irrep_dim(P, w) for w in weights)
+    rep = RepSum(P, Counter(weights))
+    rank = rep.rank
     if rank > P.dim - 2:
         raise RankTooLarge(f"rank {rank} exceeds dim G/P - 2 = {P.dim - 2}")
-    det = zero
-    for w in weights:
-        det = wadd(det, irrep_det(P, w))
+    det = rep.det
     if det != P.anticanonical:
         raise WrongDeterminant(
             f"det E = {weight_str(det)} differs from the anticanonical "
             f"{weight_str(P.anticanonical)}")
-    ordered = tuple(sorted(weights, key=lambda w: (irrep_dim(P, w), w), reverse=True))
+    ordered = tuple(w for w, m in rep.sorted_terms() for _ in range(m))
     return Candidate(P=P, summands=ordered, rank=rank, dim_x=P.dim - rank, det=det)
 
 

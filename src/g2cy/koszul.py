@@ -233,7 +233,6 @@ class RestrictedCohomology:
     """
 
     def __init__(self, inp: KoszulInput, by_degree: dict[int, DimRange], euler: int):
-        self.input = inp
         self.by_degree = by_degree
         self.euler = euler
         self.dim_x = inp.dim_x
@@ -271,7 +270,7 @@ def _restricted_cohomology(page: E1Page, enforce_vanishing: bool) -> RestrictedC
                            allowed if enforce_vanishing else lambda n: True)
     by_degree = {n: DimRange(lo, hi) for n, (lo, hi) in ranges.items()
                  if hi > 0 or allowed(n)}
-    for n in range(0, max(dim_x, -1) + 1):
+    for n in range(dim_x + 1):
         by_degree.setdefault(n, DimRange(0, 0))
     return RestrictedCohomology(inp, by_degree, page.euler)
 

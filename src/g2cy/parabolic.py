@@ -23,6 +23,7 @@ from collections.abc import Iterable
 from functools import lru_cache
 
 from . import reps
+from .errors import UnsupportedLevi
 from .root_system import RootSystem, Weight, g2_root_system, wadd, wzero
 
 G2_PARABOLIC_NAMES = ("P1", "P2", "B")
@@ -42,7 +43,11 @@ class ParabolicData:
     anticanonical : Weight
         det(g/p), the sum of the tangent weight multiset.
     levi_rank : int
-        Semisimple rank of the Levi.
+        Semisimple rank of the Levi, 0 (a torus) or 1; a Levi of higher rank
+        raises :class:`UnsupportedLevi`.
+    levi_root : Weight
+        The uncrossed simple root, or the zero weight on a torus: V(lam) has
+        the weights lam - j * levi_root for j < ``string_length(lam)``.
     """
 
     def __init__(self, rs: RootSystem, crossed: Iterable[int]):
@@ -56,6 +61,12 @@ class ParabolicData:
         self.crossed = crossed
         self.uncrossed = nodes - crossed
         self.levi_rank = len(self.uncrossed)
+        if self.levi_rank > 1:
+            raise UnsupportedLevi(f"Levi of {self.label} has semisimple rank "
+                                  f"{self.levi_rank}; only rank <= 1 is supported")
+        self._levi_node = min(self.uncrossed, default=None)
+        self.levi_root: Weight = (wzero(rs.rank) if self._levi_node is None
+                                  else rs.cartan.row(self._levi_node))
 
         outside = [r for r in rs.positive_roots if not self._levi_supported(r)]
         self.dim = len(outside)
@@ -82,6 +93,10 @@ class ParabolicData:
     def is_p_dominant(self, lam: Weight) -> bool:
         """True iff lam is dominant for the Levi (non-negative on uncrossed nodes)."""
         return all(lam[i - 1] >= 0 for i in self.uncrossed)
+
+    def string_length(self, lam: Weight) -> int:
+        """dim V(lam) = lam_i + 1 for the uncrossed node i, or 1 on a torus Levi."""
+        return 1 if self._levi_node is None else lam[self._levi_node - 1] + 1
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ParabolicData) and self.rs == other.rs

@@ -1,15 +1,18 @@
 """Representations of the parabolic subgroups: weights, duals, tensors, powers.
 
 Irreducible representations of a parabolic P are irreducibles of its Levi,
-labelled by p-dominant highest weights.  Every G2 Levi has semisimple rank at
-most one (uncrossed node i with simple root alpha, or a torus), so the weights
-of an irreducible form one alpha-string through its highest weight.  Duals and
-tensor products follow from highest weights: V(lam)* = V(lam_i alpha - lam),
-and V(lam) ⊗ V(mu) = ⊕ V(lam + mu - j alpha) over j = 0..min(lam_i, mu_i)
+labelled by p-dominant highest weights.  :class:`ParabolicData` accepts only
+Levis of semisimple rank at most one and holds their one model: the weights
+of V(lam) are the string lam - j levi_root, j < n = ``P.string_length(lam)``,
+where levi_root is the uncrossed simple root, or zero on a torus (n = 1).
+Each operation here is one formula in that model: det V(lam) =
+n lam - n(n-1)/2 levi_root, V(lam)* = V((n-1) levi_root - lam), and
+V(lam) ⊗ V(mu) = ⊕ V(lam + mu - j levi_root) over j < min(n_lam, n_mu)
 (Clebsch–Gordan).  Exterior powers are computed on weight multisets and split
 by the sl2 rule, the irreducible with highest weight lam occurring
-m(lam) - m(lam + alpha) times; the result is expanded again and compared with
-the input, so a multiset that is not a character is rejected.
+m(lam) - m(lam + levi_root) times, which needs a nonzero root, so
+:func:`decompose` alone treats the torus apart; the result is expanded again
+and compared with the input, so a multiset that is not a character is rejected.
 
 A :class:`RepSum` is a formal non-negative combination of irreducibles over a
 fixed parabolic.  It models every bundle in the package: bundles on G/P
@@ -23,7 +26,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping
 from math import comb
 
-from .errors import NotARepresentation, NotPDominant, OutOfRange, UnsupportedLevi
+from .errors import NotARepresentation, NotPDominant, OutOfRange
 from .root_system import Weight, wadd, wneg, wscale, wsub, wzero, weight_str
 
 
@@ -48,26 +51,35 @@ class RepSum:
     def sorted_terms(self) -> list[tuple[Weight, int]]:
         """Terms ordered by descending (irreducible rank, highest weight)."""
         return sorted(self.terms.items(),
-                      key=lambda kv: (irrep_dim(self.parabolic, kv[0]), kv[0]),
+                      key=lambda kv: (self.parabolic.string_length(kv[0]), kv[0]),
                       reverse=True)
+
+    # rank, det and weights read the Levi string of each term off
+    # ParabolicData without checking it again: __init__ already did.
 
     @property
     def rank(self) -> int:
-        return sum(m * irrep_dim(self.parabolic, lam) for lam, m in self.terms.items())
+        P = self.parabolic
+        return sum(m * P.string_length(lam) for lam, m in self.terms.items())
 
     @property
     def det(self) -> Weight:
-        total = wzero(self.parabolic.rs.rank)
+        """Each V(lam) adds n*lam - n(n-1)/2 * levi_root, n its string length."""
+        P = self.parabolic
+        total = wzero(P.rs.rank)
         for lam, m in self.terms.items():
-            total = wadd(total, wscale(m, irrep_det(self.parabolic, lam)))
+            n = P.string_length(lam)
+            string_sum = wsub(wscale(n, lam), wscale(n * (n - 1) // 2, P.levi_root))
+            total = wadd(total, wscale(m, string_sum))
         return total
 
     def weights(self) -> Counter:
         """Full weight multiset; its cardinality equals the rank."""
+        P = self.parabolic
         out: Counter = Counter()
         for lam, m in self.terms.items():
-            for w, c in irrep_weights(self.parabolic, lam).items():
-                out[w] += m * c
+            for j in range(P.string_length(lam)):
+                out[wsub(lam, wscale(j, P.levi_root))] += m
         return out
 
     def __add__(self, other: "RepSum") -> "RepSum":
@@ -102,59 +114,31 @@ def trivial(P: "ParabolicData") -> RepSum:
     return irrep(P, wzero(P.rs.rank))
 
 
-def _string_node(P: "ParabolicData") -> int | None:
-    """The single uncrossed node, or None when the Levi is a torus."""
-    nodes = sorted(P.uncrossed)
-    if not nodes:
-        return None
-    if len(nodes) == 1:
-        return nodes[0]
-    raise UnsupportedLevi(
-        f"Levi of {P.label} has semisimple rank {len(nodes)}; only rank <= 1 is supported")
-
-
 def irrep_weights(P: "ParabolicData", lam: Weight) -> Counter:
     """Weight multiset of the irreducible with highest weight ``lam``.
 
-    For a torus Levi this is the single character; for a rank-one Levi it is
-    the alpha-string ``lam, lam - alpha, ..., lam - <lam, alpha^vee> alpha``
-    through the uncrossed simple root.
+    The alpha-string ``lam, lam - alpha, ..., lam - <lam, alpha^vee> alpha``
+    through the uncrossed simple root; on a torus Levi, the single character.
     """
-    lam = tuple(lam)
-    if not P.is_p_dominant(lam):
-        raise NotPDominant(f"{weight_str(lam)} is not p-dominant for {P.label}")
-    i = _string_node(P)
-    if i is None:
-        return Counter({lam: 1})
-    alpha = P.rs.cartan.row(i)
-    return Counter({wsub(lam, wscale(j, alpha)): 1 for j in range(lam[i - 1] + 1)})
+    return irrep(P, lam).weights()
 
 
 def irrep_dim(P: "ParabolicData", lam: Weight) -> int:
-    if not P.is_p_dominant(lam):
-        raise NotPDominant(f"{weight_str(lam)} is not p-dominant for {P.label}")
-    i = _string_node(P)
-    return 1 if i is None else lam[i - 1] + 1
+    return irrep(P, lam).rank
 
 
 def irrep_det(P: "ParabolicData", lam: Weight) -> Weight:
-    """Sum of the weight string: n*lam - n(n-1)/2 * alpha for string length n."""
-    lam = tuple(lam)
-    n = irrep_dim(P, lam)
-    i = _string_node(P)
-    det = wscale(n, lam)
-    if i is not None:
-        det = wsub(det, wscale(n * (n - 1) // 2, P.rs.cartan.row(i)))
-    return det
+    """Sum of the weight string of V(lam): n lam - n(n-1)/2 levi_root."""
+    return irrep(P, lam).det
 
 
 def decompose(P: "ParabolicData", multiset: Mapping[Weight, int]) -> RepSum:
     """Invert :func:`irrep_weights` on a weight multiset.
 
-    A torus Levi keeps every weight as its own summand.  On a rank-one Levi
-    with uncrossed node i and simple root alpha, each alpha-string is an sl2
-    character, so the irreducible with highest weight lam (lam_i >= 0) occurs
+    On a rank-one Levi with simple root alpha each alpha-string is an sl2
+    character, so the irreducible with p-dominant highest weight lam occurs
     m(lam) - m(lam + alpha) times, m being the multiplicity in the multiset.
+    With alpha = 0 that count is 0, so a torus keeps each weight as a summand.
     A negative count raises :class:`NotARepresentation`, and so does a result
     whose weights do not rebuild the input exactly; sl2 characters are
     linearly independent, so that rejects every multiset that is not a
@@ -166,13 +150,12 @@ def decompose(P: "ParabolicData", multiset: Mapping[Weight, int]) -> RepSum:
             raise NotARepresentation("negative multiplicity in weight multiset")
         if c:
             work[tuple(w)] = c
-    i = _string_node(P)
-    if i is None:
+    if not P.levi_rank:
         return RepSum(P, work)
-    alpha = P.rs.cartan.row(i)
+    alpha = P.levi_root
     terms: dict[Weight, int] = {}
     for lam, c in work.items():
-        if lam[i - 1] >= 0:
+        if P.is_p_dominant(lam):
             n = c - work.get(wadd(lam, alpha), 0)
             if n < 0:
                 raise NotARepresentation(
@@ -187,13 +170,14 @@ def decompose(P: "ParabolicData", multiset: Mapping[Weight, int]) -> RepSum:
 
 
 def dual(P: "ParabolicData", r: RepSum) -> RepSum:
-    """Dual summand by summand, V(lam)* = V(lam_i alpha - lam) (V(-lam) on a torus);
-    the rank is checked to be kept and the determinant to be negated."""
-    i = _string_node(P)
-    alpha = None if i is None else P.rs.cartan.row(i)
+    """Dual summand by summand, V(lam)* = V((n - 1) levi_root - lam) for string
+    length n, which is V(-lam) on a torus; the rank is checked to be kept and
+    the determinant to be negated."""
+    if r.parabolic != P:
+        raise ValueError("the dual's argument must live over the given parabolic")
     terms: Counter = Counter()
     for lam, m in r.terms.items():
-        terms[wneg(lam) if alpha is None else wsub(wscale(lam[i - 1], alpha), lam)] += m
+        terms[wsub(wscale(P.string_length(lam) - 1, P.levi_root), lam)] += m
     result = RepSum(P, terms)
     if result.rank != r.rank or result.det != wneg(r.det):
         raise AssertionError("dual changed the rank or did not negate the determinant")
@@ -203,20 +187,19 @@ def dual(P: "ParabolicData", r: RepSum) -> RepSum:
 def tensor(P: "ParabolicData", a: RepSum, b: RepSum) -> RepSum:
     """Tensor product by Clebsch–Gordan on the Levi, summand by summand.
 
-    V(lam) ⊗ V(mu) = ⊕ V(lam + mu - j alpha), j = 0..min(lam_i, mu_i)
-    (V(lam + mu) on a torus); the rank is checked to be multiplicative.
+    V(lam) ⊗ V(mu) = ⊕ V(lam + mu - j levi_root), j = 0..min(n_lam, n_mu) - 1
+    for string lengths n (V(lam + mu) alone on a torus); the rank is checked
+    to be multiplicative.
     """
     if a.parabolic != P or b.parabolic != P:
         raise ValueError("tensor factors must live over the given parabolic")
-    i = _string_node(P)
-    alpha = wzero(P.rs.rank) if i is None else P.rs.cartan.row(i)
     terms: Counter = Counter()
     for lam, m in a.terms.items():
         for mu, n in b.terms.items():
             top = wadd(lam, mu)
-            for _ in range(1 if i is None else min(lam[i - 1], mu[i - 1]) + 1):
+            for _ in range(min(P.string_length(lam), P.string_length(mu))):
                 terms[top] += m * n
-                top = wsub(top, alpha)
+                top = wsub(top, P.levi_root)
     result = RepSum(P, terms)
     if result.rank != a.rank * b.rank:
         raise AssertionError("tensor product has the wrong rank")
@@ -229,6 +212,8 @@ def exterior_power(P: "ParabolicData", r: RepSum, k: int) -> RepSum:
     Computed by the elementary-symmetric recurrence over the weight list, not
     by enumerating subsets.
     """
+    if r.parabolic != P:
+        raise ValueError("the exterior power's argument must live over the given parabolic")
     n = r.rank
     if not 0 <= k <= n:
         raise OutOfRange(f"exterior power {k} outside 0..{n}")

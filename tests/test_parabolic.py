@@ -2,7 +2,8 @@
 
 import pytest
 
-from g2cy import ParabolicData, is_g_dominant
+from g2cy import CartanMatrix, ParabolicData, build_root_system, is_g_dominant
+from g2cy.errors import UnsupportedLevi
 from g2cy.reps import RepSum
 
 from conftest import p_dominant_box
@@ -19,6 +20,16 @@ class TestMakeParabolic:
 
     def test_levi_ranks(self, P1, P2, B):
         assert (P1.levi_rank, P2.levi_rank, B.levi_rank) == (1, 1, 0)
+
+    def test_levi_roots(self, rs, P1, P2, B):
+        # the uncrossed simple root, as a row of the Cartan matrix; zero on B
+        assert P1.levi_root == rs.cartan.row(2) == (-1, 2)
+        assert P2.levi_root == rs.cartan.row(1) == (2, -3)
+        assert B.levi_root == (0, 0)
+
+    def test_string_lengths(self, P1, P2, B):
+        assert (P1.string_length((5, 3)), P2.string_length((5, 3))) == (4, 6)
+        assert B.string_length((5, 3)) == B.string_length((-2, -9)) == 1
 
     def test_tangent_p1(self, P1):
         assert P1.tangent == RepSum(P1, {(-1, 3): 1, (1, 0): 1})
@@ -67,6 +78,12 @@ class TestMakeParabolic:
     def test_rejects_bad_node(self, rs):
         with pytest.raises(ValueError):
             ParabolicData(rs, (3,))
+
+    def test_rejects_levi_of_semisimple_rank_two(self):
+        a3 = build_root_system(CartanMatrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]))
+        with pytest.raises(UnsupportedLevi):
+            ParabolicData(a3, [1])
+        assert ParabolicData(a3, [1, 3]).levi_rank == 1
 
 
 class TestDominance:

@@ -12,7 +12,7 @@ from g2cy import (decompose, dual, exterior_power, g2_parabolic, irrep,
                   irrep_det, irrep_dim, irrep_weights, tensor, trivial)
 from g2cy import reps
 from g2cy.errors import NotARepresentation, NotPDominant, OutOfRange
-from g2cy.reps import RepSum, _string_node
+from g2cy.reps import RepSum
 from g2cy.root_system import Weight, wadd, wneg, wscale, wsub, weight_str
 
 from conftest import p_dominant_box, rep_sums
@@ -63,6 +63,26 @@ class TestIrrepWeights:
             irrep_weights(P1, (0, -1))
         with pytest.raises(NotPDominant):
             irrep_dim(P2, (-1, 0))
+
+
+class TestForeignParabolic:
+    """A RepSum's terms are trusted only over the parabolic that validated them."""
+
+    def test_dual_of_a_borel_sum_over_p1(self, P1, B):
+        with pytest.raises(ValueError):
+            dual(P1, irrep(B, (1, 0)))
+
+    def test_dual_of_a_p2_sum_over_p1(self, P1, P2):
+        with pytest.raises(ValueError):
+            dual(P1, irrep(P2, (1, 0)))
+
+    def test_exterior_power_of_a_borel_sum_over_p1(self, P1, B):
+        with pytest.raises(ValueError):
+            exterior_power(P1, irrep(B, (1, 0)), 1)
+
+    def test_tensor_with_a_foreign_factor(self, P1, B):
+        with pytest.raises(ValueError):
+            tensor(P1, irrep(P1, (1, 0)), irrep(B, (1, 0)))
 
 
 class TestDual:
@@ -230,7 +250,7 @@ class TestDecompose:
 def _levi_height(P: "ParabolicData", u: Weight, v: Weight) -> int | None:
     """t >= 0 with u - v = t * alpha_uncrossed, or None if incomparable."""
     diff = wsub(u, v)
-    i = _string_node(P)
+    i = min(P.uncrossed, default=None)
     if i is None:
         return 0 if not any(diff) else None
     alpha = P.rs.cartan.row(i)
