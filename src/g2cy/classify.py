@@ -22,12 +22,12 @@ misses is a hard failure.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import product
 
 from .errors import MissingPaperRow, OutOfRange, TheoremViolated
 from .parabolic import G2_PARABOLIC_NAMES, ParabolicData, g2_parabolic
-from .reps import irrep_det, irrep_dim
+from .reps import RepSum, irrep_det
 from .root_system import Weight, wzero
 
 
@@ -46,11 +46,11 @@ class TableRow(namedtuple("TableRow", "parabolic summands split")):
 
 
 def make_row(P: ParabolicData, summands) -> TableRow:
-    """Canonicalise a summand multiset: descending (irreducible rank, weight)."""
+    """Canonicalise a summand multiset in the order of :meth:`RepSum.sorted_terms`."""
     weights = [tuple(w) for w in summands]
-    ordered = tuple(sorted(weights, key=lambda w: (irrep_dim(P, w), w), reverse=True))
-    split = all(irrep_dim(P, w) == 1 for w in weights)
-    return TableRow(parabolic=P.label, summands=ordered, split=split)
+    rep = RepSum(P, Counter(weights))
+    ordered = tuple(w for w, m in rep.sorted_terms() for _ in range(m))
+    return TableRow(parabolic=P.label, summands=ordered, split=rep.rank == len(weights))
 
 
 def _candidate_pool(P: ParabolicData, rank_budget: int) -> list[Weight]:
@@ -63,7 +63,7 @@ def _candidate_pool(P: ParabolicData, rank_budget: int) -> list[Weight]:
     for coords in product(*(range(b + 1) for b in bounds)):
         if not any(coords):
             continue
-        if irrep_dim(P, coords) > rank_budget:
+        if P.string_length(coords) > rank_budget:
             continue
         det = irrep_det(P, coords)
         if all(d <= a for d, a in zip(det, A)):
@@ -81,7 +81,7 @@ def enumerate_candidates(P: ParabolicData, dim_x: int) -> list[TableRow]:
         raise OutOfRange(f"dim X = {dim_x} outside 2..{P.dim - 1} on {P.label}")
     rank_budget = P.dim - dim_x
     pool = _candidate_pool(P, rank_budget)
-    dims = {w: irrep_dim(P, w) for w in pool}
+    dims = {w: P.string_length(w) for w in pool}
     dets = {w: irrep_det(P, w) for w in pool}
     zero = wzero(P.rs.rank)
     found: list[tuple[Weight, ...]] = []

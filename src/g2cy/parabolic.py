@@ -91,8 +91,8 @@ class ParabolicData:
         return "P" + "".join(str(i) for i in sorted(self.crossed))
 
     def is_p_dominant(self, lam: Weight) -> bool:
-        """True iff lam is dominant for the Levi (non-negative on uncrossed nodes)."""
-        return all(lam[i - 1] >= 0 for i in self.uncrossed)
+        """True iff lam is dominant for the Levi (non-negative on the uncrossed node, if any)."""
+        return self._levi_node is None or lam[self._levi_node - 1] >= 0
 
     def string_length(self, lam: Weight) -> int:
         """dim V(lam) = lam_i + 1 for the uncrossed node i, or 1 on a torus Levi."""

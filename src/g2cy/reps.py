@@ -30,21 +30,44 @@ from .errors import NotARepresentation, NotPDominant, OutOfRange
 from .root_system import Weight, wadd, wneg, wscale, wsub, wzero, weight_str
 
 
+def _collect(P: "ParabolicData", pairs: Mapping[Weight, int] | Iterable) -> dict[Weight, int]:
+    """Add up (weight, multiplicity) pairs, from a mapping or an iterable of pairs.
+
+    Zero multiplicities are dropped.  A multiplicity that is negative or not
+    an ``int`` raises :class:`NotARepresentation`; a weight whose length is not
+    the rank raises ``ValueError``.  Every weight past this point has rank
+    length, which the weight kernels rely on.
+    """
+    rank = P.rs.rank
+    out: dict[Weight, int] = {}
+    for lam, mult in (pairs.items() if isinstance(pairs, Mapping) else pairs):
+        lam = tuple(lam)
+        if len(lam) != rank:
+            raise ValueError(f"weight {weight_str(lam)} does not have length {rank}")
+        if not isinstance(mult, int):
+            raise NotARepresentation(f"multiplicity {mult!r} of {weight_str(lam)} "
+                                     "is not an integer")
+        if mult < 0:
+            raise NotARepresentation(f"negative multiplicity for {weight_str(lam)}")
+        if mult:
+            out[lam] = out.get(lam, 0) + mult
+    return out
+
+
 class RepSum:
-    """Formal sum of irreducible P-representations, keyed by highest weight."""
+    """Formal sum of irreducible P-representations, keyed by highest weight.
+
+    Built from a mapping or an iterable of (highest weight, multiplicity)
+    pairs, repeated weights adding up; see :func:`_collect` for the checks.
+    """
 
     __slots__ = ("parabolic", "terms")
 
     def __init__(self, parabolic: "ParabolicData", terms: Mapping[Weight, int] | Iterable = ()):
-        clean: dict[Weight, int] = {}
-        for lam, mult in dict(terms).items():
-            if mult < 0:
-                raise NotARepresentation(f"negative multiplicity for {weight_str(lam)}")
-            if mult == 0:
-                continue
+        clean = _collect(parabolic, terms)
+        for lam in clean:
             if not parabolic.is_p_dominant(lam):
                 raise NotPDominant(f"{weight_str(lam)} is not p-dominant for {parabolic.label}")
-            clean[tuple(lam)] = mult
         self.parabolic = parabolic
         self.terms = clean
 
@@ -66,12 +89,14 @@ class RepSum:
     def det(self) -> Weight:
         """Each V(lam) adds n*lam - n(n-1)/2 * levi_root, n its string length."""
         P = self.parabolic
-        total = wzero(P.rs.rank)
+        alpha = P.levi_root
+        total = [0] * P.rs.rank
         for lam, m in self.terms.items():
             n = P.string_length(lam)
-            string_sum = wsub(wscale(n, lam), wscale(n * (n - 1) // 2, P.levi_root))
-            total = wadd(total, wscale(m, string_sum))
-        return total
+            top, drop = m * n, m * (n * (n - 1) // 2)
+            for k, (x, a) in enumerate(zip(lam, alpha)):
+                total[k] += top * x - drop * a
+        return tuple(total)
 
     def weights(self) -> Counter:
         """Full weight multiset; its cardinality equals the rank."""
@@ -132,7 +157,7 @@ def irrep_det(P: "ParabolicData", lam: Weight) -> Weight:
     return irrep(P, lam).det
 
 
-def decompose(P: "ParabolicData", multiset: Mapping[Weight, int]) -> RepSum:
+def decompose(P: "ParabolicData", multiset: Mapping[Weight, int] | Iterable) -> RepSum:
     """Invert :func:`irrep_weights` on a weight multiset.
 
     On a rank-one Levi with simple root alpha each alpha-string is an sl2
@@ -142,14 +167,10 @@ def decompose(P: "ParabolicData", multiset: Mapping[Weight, int]) -> RepSum:
     A negative count raises :class:`NotARepresentation`, and so does a result
     whose weights do not rebuild the input exactly; sl2 characters are
     linearly independent, so that rejects every multiset that is not a
-    character.
+    character.  The multiset may also be an iterable of (weight, multiplicity)
+    pairs; repeated weights add up.
     """
-    work: dict[Weight, int] = {}
-    for w, c in dict(multiset).items():
-        if c < 0:
-            raise NotARepresentation("negative multiplicity in weight multiset")
-        if c:
-            work[tuple(w)] = c
+    work = _collect(P, multiset)
     if not P.levi_rank:
         return RepSum(P, work)
     alpha = P.levi_root

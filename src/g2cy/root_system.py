@@ -9,6 +9,12 @@ Python integers never overflow, so no checked arithmetic is needed.
 
 Node indices are 1-based throughout the public interface, matching the usual
 Dynkin-diagram numbering.
+
+The weight helpers (``wadd``, ``wsub``, ...) and the Weyl kernels
+(``reflect``, ``dominant_conjugate``) take integer tuples of length ``rank``
+and build one tuple per call or step.  Lengths are checked once, where
+weights enter the package: ``RepSum`` raises ``ValueError`` on a weight of the
+wrong length, and so do ``wadd`` and ``wsub`` on operands of unequal length.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add, sub
 
 from .errors import InvalidCartan, NonFiniteType
 
@@ -23,11 +30,15 @@ Weight = tuple[int, ...]
 
 
 def wadd(u: Weight, v: Weight) -> Weight:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"weights of lengths {len(u)} and {len(v)} cannot be added")
+    return tuple(map(add, u, v))
 
 
 def wsub(u: Weight, v: Weight) -> Weight:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"weights of lengths {len(u)} and {len(v)} cannot be subtracted")
+    return tuple(map(sub, u, v))
 
 
 def wneg(u: Weight) -> Weight:
@@ -199,7 +210,7 @@ class RootSystem:
         c = lam[i - 1]
         if c == 0:
             return lam
-        return wsub(lam, wscale(c, self.cartan.row(i)))
+        return tuple([x - c * a for x, a in zip(lam, self.cartan.entries[i - 1])])
 
     def act(self, word: tuple[int, ...], lam: Weight) -> Weight:
         """Apply a word of simple reflections, rightmost letter first."""
@@ -221,18 +232,22 @@ class RootSystem:
         coordinate, which strictly shrinks the set of positive roots pairing
         negatively, so at most ``len(positive_roots)`` steps occur.
         """
+        rows = self.cartan.entries
         cur = mu
         length = 0
         limit = len(self.positive_roots)
         while True:
-            neg = next((i for i, c in enumerate(cur) if c < 0), None)
-            if neg is None:
+            for i, c in enumerate(cur):
+                if c < 0:
+                    break
+            else:
                 break
             if length >= limit:
                 raise AssertionError("dominant_conjugate failed to terminate")
-            cur = self.reflect(neg + 1, cur)
+            # s_i(cur) = cur - c * alpha_i, alpha_i being row i of the Cartan matrix
+            cur = tuple([x - c * a for x, a in zip(cur, rows[i])])
             length += 1
-        if any(c == 0 for c in cur):
+        if 0 in cur:
             return None
         return length, cur
 

@@ -49,6 +49,18 @@ class TestEnumerate:
                 P = g2_parabolic(row.parabolic)
                 assert row.split == all(irrep_dim(P, w) == 1 for w in row.summands)
 
+    def test_summand_order_is_the_repsum_order(self):
+        # make_row and validate_candidate share RepSum.sorted_terms; the key
+        # below is the one make_row used to sort by on its own
+        rows = [row for dim in (2, 3, 4, 5) for row in enumerate_all(dim)]
+        rows += [row for table in reference_tables().values() for row in table]
+        for row in rows:
+            P = g2_parabolic(row.parabolic)
+            assert validate_candidate(P, row.summands).summands == row.summands
+            assert list(row.summands) == sorted(
+                row.summands, key=lambda w: (irrep_dim(P, w), w), reverse=True)
+            assert classify.make_row(P, reversed(row.summands)) == row
+
     def test_deterministic(self):
         for dim in (2, 3, 4, 5):
             assert enumerate_all(dim) == enumerate_all(dim)
