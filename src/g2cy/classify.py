@@ -53,13 +53,13 @@ def make_row(P: ParabolicData, summands) -> TableRow:
     return TableRow(parabolic=P.label, summands=ordered, split=rep.rank == len(weights))
 
 
-def _candidate_pool(P: ParabolicData, rank_budget: int) -> list[Weight]:
-    """Nonzero dominant weights that could appear as a summand."""
+def _candidate_pool(P: ParabolicData, rank_budget: int) -> dict[Weight, Weight]:
+    """{weight: det} of the nonzero dominant weights that could be a summand, sorted."""
     A = P.anticanonical
     bounds = []
     for node in range(1, P.rs.rank + 1):
         bounds.append(A[node - 1] if node in P.crossed else rank_budget - 1)
-    pool = []
+    pool = {}
     for coords in product(*(range(b + 1) for b in bounds)):
         if not any(coords):
             continue
@@ -67,8 +67,8 @@ def _candidate_pool(P: ParabolicData, rank_budget: int) -> list[Weight]:
             continue
         det = irrep_det(P, coords)
         if all(d <= a for d, a in zip(det, A)):
-            pool.append(coords)
-    return sorted(pool)
+            pool[coords] = det
+    return dict(sorted(pool.items()))
 
 
 def enumerate_candidates(P: ParabolicData, dim_x: int) -> list[TableRow]:
@@ -80,9 +80,9 @@ def enumerate_candidates(P: ParabolicData, dim_x: int) -> list[TableRow]:
     if not 2 <= dim_x <= P.dim - 1:
         raise OutOfRange(f"dim X = {dim_x} outside 2..{P.dim - 1} on {P.label}")
     rank_budget = P.dim - dim_x
-    pool = _candidate_pool(P, rank_budget)
+    dets = _candidate_pool(P, rank_budget)
+    pool = list(dets)
     dims = {w: P.string_length(w) for w in pool}
-    dets = {w: irrep_det(P, w) for w in pool}
     zero = wzero(P.rs.rank)
     found: list[tuple[Weight, ...]] = []
 
@@ -137,8 +137,46 @@ def verify_theorem() -> dict[str, TableRow]:
     return witnesses
 
 
+_REFERENCE_ROWS = {
+    1: (
+        ("B", (2, 2)),
+    ),
+    2: (
+        ("P1", (3, 0)),
+        ("P2", (0, 5)),
+        ("B", (0, 1), (2, 1)),
+        ("B", (1, 1), (1, 1)),
+        ("B", (0, 2), (2, 0)),
+    ),
+    3: (
+        ("P1", (1, 1)),
+        ("P1", (1, 0), (2, 0)),
+        ("P2", (1, 1)),
+        ("P2", (0, 1), (0, 4)),
+        ("P2", (0, 2), (0, 3)),
+        ("B", (0, 1), (0, 1), (2, 0)),
+        ("B", (0, 1), (1, 0), (1, 1)),
+        ("B", (0, 2), (1, 0), (1, 0)),
+    ),
+    4: (
+        ("P1", (0, 2)),
+        ("P1", (0, 1), (2, 0)),
+        ("P1", (1, 0), (1, 0), (1, 0)),
+        ("P2", (1, 0), (0, 2)),
+        ("P2", (0, 1), (0, 1), (0, 3)),
+        ("P2", (0, 1), (0, 2), (0, 2)),
+        ("B", (0, 1), (0, 1), (1, 0), (1, 0)),
+    ),
+}
+
+
 def _row(name: str, *summands) -> TableRow:
     return make_row(g2_parabolic(name), summands)
+
+
+def _reference_table(number: int) -> tuple[TableRow, ...]:
+    """Published table ``number`` as canonical rows, in the published order."""
+    return tuple(_row(*row) for row in _REFERENCE_ROWS[number])
 
 
 def reference_tables() -> dict[int, tuple[TableRow, ...]]:
@@ -147,37 +185,7 @@ def reference_tables() -> dict[int, tuple[TableRow, ...]]:
     Tables 1-4 list the fibre dimensions 5, 4, 3, 2 respectively; rows keep
     the published order.
     """
-    return {
-        1: (
-            _row("B", (2, 2)),
-        ),
-        2: (
-            _row("P1", (3, 0)),
-            _row("P2", (0, 5)),
-            _row("B", (0, 1), (2, 1)),
-            _row("B", (1, 1), (1, 1)),
-            _row("B", (0, 2), (2, 0)),
-        ),
-        3: (
-            _row("P1", (1, 1)),
-            _row("P1", (1, 0), (2, 0)),
-            _row("P2", (1, 1)),
-            _row("P2", (0, 1), (0, 4)),
-            _row("P2", (0, 2), (0, 3)),
-            _row("B", (0, 1), (0, 1), (2, 0)),
-            _row("B", (0, 1), (1, 0), (1, 1)),
-            _row("B", (0, 2), (1, 0), (1, 0)),
-        ),
-        4: (
-            _row("P1", (0, 2)),
-            _row("P1", (0, 1), (2, 0)),
-            _row("P1", (1, 0), (1, 0), (1, 0)),
-            _row("P2", (1, 0), (0, 2)),
-            _row("P2", (0, 1), (0, 1), (0, 3)),
-            _row("P2", (0, 1), (0, 2), (0, 2)),
-            _row("B", (0, 1), (0, 1), (1, 0), (1, 0)),
-        ),
-    }
+    return {number: _reference_table(number) for number in _REFERENCE_ROWS}
 
 
 DIM_TO_TABLE = {5: 1, 4: 2, 3: 3, 2: 4}
@@ -208,7 +216,7 @@ def diff_against_paper(dim_x: int) -> dict[str, list[TableRow]]:
     table_no = DIM_TO_TABLE.get(dim_x)
     if table_no is None:
         raise OutOfRange(f"no reference table for dim X = {dim_x}")
-    reference = reference_tables()[table_no]
+    reference = _reference_table(table_no)
     computed = enumerate_all(dim_x)
     ref_set = set(reference)
     comp_set = set(computed)

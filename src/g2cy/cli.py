@@ -200,7 +200,7 @@ def _cmd_invariants(args):
 def _cmd_table(args):
     dim = {v: k for k, v in classify.DIM_TO_TABLE.items()}[args.number]
     items, text, md = _numbered(f"reference table {args.number} (dim X = {dim}):",
-                                classify.reference_tables()[args.number])
+                                classify._reference_table(args.number))
     return {"table": args.number, "dim_X": dim, "rows": items}, text, md
 
 

@@ -40,13 +40,17 @@ ranges over
 and component ranges add up.  A degree is determined when the two bounds
 meet.  The Euler characteristic is differential-independent and always
 exact.
+
+The solver works on bitmasks: each position is one bit of an ``int``, as
+are adjacency rows, components, sides, forbidden sets and degree layers.
+ν(X→Z) tabulates D(Y) and N(Y) over the subsets Y of X only: 2^|X| work,
+never 2 to the size of a component or of a side.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from itertools import combinations
 
 from .cohomology import CohomologyTable, bundle_cohomology, euler_char
 from .errors import (InconsistentSpectralSequence, NotGloballyGenerated,
@@ -105,13 +109,8 @@ class E1Page:
 
     def entries(self) -> dict[tuple[int, int], int]:
         """Nonzero entries as {(k, q): dim}."""
-        out = {}
-        for k, col in enumerate(self.columns):
-            for q in col.degrees():
-                d = col.dim(q)
-                if d:
-                    out[(k, q)] = d
-        return out
+        return {(k, q): d for k, col in enumerate(self.columns)
+                for q, d in col.total_dims().items() if d}
 
     @property
     def euler(self) -> int:
@@ -153,34 +152,6 @@ class DimRange(namedtuple("DimRange", "lower upper")):
         return {"lower": self.lower, "upper": self.upper}
 
 
-def _adjacency(positions, max_page: int) -> dict[tuple, set]:
-    """Positions joined by a possible differential on some page 1..max_page."""
-    def linked(s, t) -> bool:
-        r = s[0] - t[0]
-        return 1 <= r <= max_page and s[1] - t[1] == r - 1
-
-    return {p: {t for t in positions if linked(p, t) or linked(t, p)}
-            for p in positions}
-
-
-def _differential_components(adjacency: dict[tuple, set]) -> list[tuple]:
-    """Connected components of the differential graph, as sorted tuples."""
-    components = []
-    unseen = set(adjacency)
-    while unseen:
-        stack = [min(unseen)]
-        unseen.discard(stack[0])
-        comp = {stack[0]}
-        while stack:
-            for nbr in adjacency[stack.pop()]:
-                if nbr in unseen:
-                    unseen.discard(nbr)
-                    comp.add(nbr)
-                    stack.append(nbr)
-        components.append(tuple(sorted(comp)))
-    return components
-
-
 def _limit_ranges(dims: dict[tuple[int, int], int], max_page: int,
                   allowed) -> dict[int, tuple[int, int]]:
     """Per-degree (lower, upper) limit dimensions over all differential ranks.
@@ -190,36 +161,75 @@ def _limit_ranges(dims: dict[tuple[int, int], int], max_page: int,
     solved in closed form, as described in the module docstring; raises
     :class:`InconsistentSpectralSequence` when the vanishing cannot hold.
     """
-    adjacency = _adjacency(sorted(dims), max_page)
+    bit_of = {p: 1 << i for i, p in enumerate(sorted(dims))}
+    dim = {b: dims[p] for p, b in bit_of.items()}
+    adjacency = dict.fromkeys(dim, 0)    # positions joined on some page 1..max_page
+    layers: dict[int, int] = {}          # positions by total degree
+    for (k, q), b in bit_of.items():
+        for r in range(1, max_page + 1):
+            t = bit_of.get((k - r, q - r + 1))
+            if t:
+                adjacency[b] |= t
+                adjacency[t] |= b
+        layers[q - k] = layers.get(q - k, 0) | b
+    degrees = sorted(layers)
+    sides = [0, 0]                       # positions of even and of odd total degree
+    forbidden = 0
+    for n in degrees:
+        sides[n % 2] |= layers[n]
+        if not allowed(n):
+            forbidden |= layers[n]
 
-    def D(ps) -> int:
-        return sum(dims[p] for p in ps)
+    def D(mask: int) -> int:
+        total = 0
+        while mask:
+            b = mask & -mask
+            total += dim[b]
+            mask ^= b
+        return total
 
-    def nu(X: set, Z: set) -> int:
-        # capacitated König–Ore: ν(X→Z) = min over Y ⊆ X of D(X∖Y) + D(N(Y) ∩ Z)
-        return min(D(X.difference(Y)) + D(set().union(*(adjacency[y] for y in Y)) & Z)
-                   for size in range(len(X) + 1) for Y in combinations(X, size))
+    def nu(X: int, Z: int) -> int:
+        # capacitated König–Ore: ν(X→Z) = min over Y ⊆ X of D(X∖Y) + D(N(Y) ∩ Z),
+        # with D(Y) and N(Y) tabulated over the subsets of X only
+        d_sub, n_sub = [0], [0]
+        while X:
+            b = X & -X
+            X ^= b
+            d_sub += [d + dim[b] for d in d_sub]
+            n_sub += [m | adjacency[b] for m in n_sub]
+        d_x = d_sub[-1]
+        return min(d_x - d + D(m & Z) for d, m in zip(d_sub, n_sub))
 
     ranges: dict[int, tuple[int, int]] = {}
-    for comp in _differential_components(adjacency):
-        sides = ({p for p in comp if (p[1] - p[0]) % 2 == 0},
-                 {p for p in comp if (p[1] - p[0]) % 2 == 1})
-        forbidden = {p for p in comp if not allowed(p[1] - p[0])}
+    unseen = (1 << len(dim)) - 1
+    while unseen:
+        comp = todo = unseen & -unseen
+        while todo:
+            b = todo & -todo
+            new = adjacency[b] & ~comp
+            comp |= new
+            todo ^= b | new
+        unseen &= ~comp
+        # neighbours of positions in the component stay inside it, so only
+        # the sets ν starts from need masking by the component
+        S = forbidden & comp
         # Mendelsohn–Dulmage: saturating S∩A and S∩B separately suffices
         for A, B in (sides, sides[::-1]):
-            if nu(A & forbidden, B) != D(A & forbidden):
+            if nu(S & A, B) != D(S & A):
                 raise InconsistentSpectralSequence(
                     "no differential ranks satisfy the vanishing constraints; the "
                     "input does not define a complete intersection of expected dimension")
-        for n in sorted({q - k for k, q in comp}):
+        for n in degrees:
+            layer = layers[n] & comp
+            if not layer:
+                continue
             A, B = sides[n % 2], sides[1 - n % 2]
-            layer = {p for p in A if p[1] - p[0] == n}
-            SA, SB = A & forbidden, B & forbidden
-            if not allowed(n):
+            SA, SB = A & S, B & S
+            if (layer & S) == layer:    # L ⊆ S
                 lo = hi = 0
             else:
                 lo = D(layer) - nu(SA | layer, B) + D(SA)
-                hi = D(layer) - D(SB) + nu(SB, A - layer)
+                hi = D(layer) - D(SB) + nu(SB, A & ~layer)
             old_lo, old_hi = ranges.get(n, (0, 0))
             ranges[n] = (old_lo + lo, old_hi + hi)
     return ranges
@@ -266,13 +276,16 @@ def _restricted_cohomology(page: E1Page, enforce_vanishing: bool) -> RestrictedC
     def allowed(n: int) -> bool:
         return 0 <= n <= dim_x
 
-    ranges = _limit_ranges(page.entries(), inp.E.rank,
+    entries = page.entries()
+    ranges = _limit_ranges(entries, inp.E.rank,
                            allowed if enforce_vanishing else lambda n: True)
     by_degree = {n: DimRange(lo, hi) for n, (lo, hi) in ranges.items()
                  if hi > 0 or allowed(n)}
     for n in range(dim_x + 1):
         by_degree.setdefault(n, DimRange(0, 0))
-    return RestrictedCohomology(inp, by_degree, page.euler)
+    # E1Page.euler from the entries already in hand; q - k may be negative
+    euler = sum(-d if (q - k) % 2 else d for (k, q), d in entries.items())
+    return RestrictedCohomology(inp, by_degree, euler)
 
 
 def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:

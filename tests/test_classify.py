@@ -119,7 +119,7 @@ class TestDiff:
         real = reference_tables()
         doctored = dict(real)
         doctored[3] = real[3] + (classify._row("B", (1, 1), (1, 1)),)
-        monkeypatch.setattr(classify, "reference_tables", lambda: doctored)
+        monkeypatch.setattr(classify, "_reference_table", doctored.__getitem__)
         with pytest.raises(MissingPaperRow):
             classify.diff_against_paper(3)
 

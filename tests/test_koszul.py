@@ -1,5 +1,8 @@
 """Koszul terms, E1 pages, restricted cohomology, Hilbert values."""
 
+import tracemalloc
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +11,7 @@ from g2cy import (KoszulInput, RepSum, dual, e1_page, euler_char, hilbert_value,
                   structure_sheaf_cohomology, trivial)
 from g2cy.errors import (InconsistentSpectralSequence, NotGloballyGenerated,
                          NotMaximalParabolic, TrivialSummand)
-from g2cy.koszul import _adjacency, _differential_components, _limit_ranges
+from g2cy.koszul import _limit_ranges, _restricted_cohomology
 
 from conftest import koszul_sweep_inputs, p_dominant_box
 
@@ -248,6 +251,93 @@ def oracle_ranges(dims, positions, max_page, allowed, budget=_BRANCH_CAP):
             for n in sorted(set(degrees))}
 
 
+# Reference closed form: the set-based solver that the bitmask one replaced,
+# kept verbatim apart from its name.  It also splits pages into components
+# for compare_components.
+
+def _adjacency(positions, max_page: int) -> dict[tuple, set]:
+    """Positions joined by a possible differential on some page 1..max_page."""
+    def linked(s, t) -> bool:
+        r = s[0] - t[0]
+        return 1 <= r <= max_page and s[1] - t[1] == r - 1
+
+    return {p: {t for t in positions if linked(p, t) or linked(t, p)}
+            for p in positions}
+
+
+def _differential_components(adjacency: dict[tuple, set]) -> list[tuple]:
+    """Connected components of the differential graph, as sorted tuples."""
+    components = []
+    unseen = set(adjacency)
+    while unseen:
+        stack = [min(unseen)]
+        unseen.discard(stack[0])
+        comp = {stack[0]}
+        while stack:
+            for nbr in adjacency[stack.pop()]:
+                if nbr in unseen:
+                    unseen.discard(nbr)
+                    comp.add(nbr)
+                    stack.append(nbr)
+        components.append(tuple(sorted(comp)))
+    return components
+
+
+def _set_limit_ranges(dims: dict[tuple[int, int], int], max_page: int,
+                      allowed) -> dict[int, tuple[int, int]]:
+    """Per-degree (lower, upper) limit dimensions over all differential ranks.
+
+    ``dims`` maps E1 positions (k, q) to their dimensions; limit entries in
+    total degrees n with ``allowed(n)`` false must vanish.  Each component is
+    solved in closed form, as described in the module docstring; raises
+    :class:`InconsistentSpectralSequence` when the vanishing cannot hold.
+    """
+    adjacency = _adjacency(sorted(dims), max_page)
+
+    def D(ps) -> int:
+        return sum(dims[p] for p in ps)
+
+    def nu(X: set, Z: set) -> int:
+        # capacitated König–Ore: ν(X→Z) = min over Y ⊆ X of D(X∖Y) + D(N(Y) ∩ Z)
+        return min(D(X.difference(Y)) + D(set().union(*(adjacency[y] for y in Y)) & Z)
+                   for size in range(len(X) + 1) for Y in combinations(X, size))
+
+    ranges: dict[int, tuple[int, int]] = {}
+    for comp in _differential_components(adjacency):
+        sides = ({p for p in comp if (p[1] - p[0]) % 2 == 0},
+                 {p for p in comp if (p[1] - p[0]) % 2 == 1})
+        forbidden = {p for p in comp if not allowed(p[1] - p[0])}
+        # Mendelsohn–Dulmage: saturating S∩A and S∩B separately suffices
+        for A, B in (sides, sides[::-1]):
+            if nu(A & forbidden, B) != D(A & forbidden):
+                raise InconsistentSpectralSequence(
+                    "no differential ranks satisfy the vanishing constraints; the "
+                    "input does not define a complete intersection of expected dimension")
+        for n in sorted({q - k for k, q in comp}):
+            A, B = sides[n % 2], sides[1 - n % 2]
+            layer = {p for p in A if p[1] - p[0] == n}
+            SA, SB = A & forbidden, B & forbidden
+            if not allowed(n):
+                lo = hi = 0
+            else:
+                lo = D(layer) - nu(SA | layer, B) + D(SA)
+                hi = D(layer) - D(SB) + nu(SB, A - layer)
+            old_lo, old_hi = ranges.get(n, (0, 0))
+            ranges[n] = (old_lo + lo, old_hi + hi)
+    return ranges
+
+
+def assert_same_ranges(dims, max_page, allowed):
+    """The bitmask solver returns the set-based one's dict, or both raise."""
+    try:
+        expected = _set_limit_ranges(dims, max_page, allowed)
+    except InconsistentSpectralSequence:
+        with pytest.raises(InconsistentSpectralSequence):
+            _limit_ranges(dims, max_page, allowed)
+    else:
+        assert list(_limit_ranges(dims, max_page, allowed).items()) == list(expected.items())
+
+
 def closed_form_ranges(dims, positions, max_page, allowed):
     return _limit_ranges({p: dims[p] for p in positions}, max_page, allowed)
 
@@ -326,6 +416,46 @@ def e1_grids(draw):
 @given(e1_grids(), st.booleans())
 def test_closed_form_matches_search_on_random_grids(grid, enforce):
     # a small search budget keeps this fast; components the search cannot
-    # finish within it are skipped, infeasible ones must raise on both sides
+    # finish within it are skipped, infeasible ones must raise on both sides.
+    # The set-based closed form has no budget and checks the whole page.
     dims, rank, dim_x = grid
     compare_components(dims, rank, vanishing(dim_x, enforce), budget=5_000)
+    assert_same_ranges(dims, rank, vanishing(dim_x, enforce))
+
+
+@pytest.fixture(scope="module")
+def sweep_pages():
+    return [e1_page(inp) for inp in koszul_sweep_inputs()]
+
+
+class TestBitmaskAgainstSets:
+    @pytest.mark.parametrize("enforce", [True, False])
+    def test_sweep_pages(self, sweep_pages, enforce):
+        for page in sweep_pages:
+            inp = page.input
+            assert_same_ranges(page.entries(), inp.E.rank, vanishing(inp.dim_x, enforce))
+            rc = _restricted_cohomology(page, enforce)
+            assert type(page.euler) is int and type(rc.euler) is int
+            assert rc.euler == page.euler
+        assert len(sweep_pages) == 486
+
+    @pytest.mark.parametrize("dim_x", [-1, 0, 1, 2, 3, 4, None])
+    def test_full_rank_four_grid(self, dim_x):
+        # every cell of a rank-4, q <= 5 grid: one component of 30 positions,
+        # 15 per side.  ν tabulates the subsets of its source set only; a
+        # table over the subsets of the component or of a side would not fit
+        # in the memory bound.
+        dims = {(k, q): 1 + (7 * k + 3 * q) % 4 for k in range(5) for q in range(6)}
+        assert len(_differential_components(_adjacency(sorted(dims), 4))) == 1
+        allowed = vanishing(dim_x, dim_x is not None)
+        tracemalloc.start()
+        try:
+            try:
+                _limit_ranges(dims, 4, allowed)
+            except InconsistentSpectralSequence:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert_same_ranges(dims, 4, allowed)
