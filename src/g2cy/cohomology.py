@@ -113,12 +113,7 @@ class CohomologyTable:
         return sorted({degree for _, _, degree, _ in self.contributions})
 
     def total_dims(self) -> dict[int, int]:
-        """{q: dim H^q} over :meth:`degrees`, in one pass over the contributions."""
-        rs = self.parabolic.rs
-        dims: dict[int, int] = {}
-        for _, mult, degree, mu in self.contributions:
-            dims[degree] = dims.get(degree, 0) + mult * weyl_dim(rs, mu)
-        return {q: dims[q] for q in sorted(dims)}
+        return {q: self.dim(q) for q in self.degrees()}
 
     @property
     def euler(self) -> int:

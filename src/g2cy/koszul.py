@@ -7,7 +7,9 @@ dimension dim F - rank E, and the structure sheaf of X is resolved by
 
 Tensoring the resolution with a bundle W and taking cohomology termwise gives
 the first page E1(k, q) = H^q(F, Λ^k E* ⊗ W) of a spectral sequence
-converging to H^{q-k}(X, W|_X).
+converging to H^{q-k}(X, W|_X).  E1 columns and Hilbert samples go straight
+from the Clebsch–Gordan terms of each product into Borel–Weil–Bott
+(``_tensor_dims``), with no intermediate RepSum or CohomologyTable.
 
 The differentials depend on the chosen section (they are contractions with
 it), so they are not equivariant maps and cannot be dismissed by comparing
@@ -52,11 +54,11 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .cohomology import CohomologyTable, bundle_cohomology, euler_char
+from .cohomology import bwb_irrep, weyl_dim
 from .errors import (InconsistentSpectralSequence, NotGloballyGenerated,
                      NotMaximalParabolic, TrivialSummand)
 from .parabolic import ParabolicData, is_g_dominant
-from .reps import RepSum, dual, exterior_power, irrep, tensor, trivial
+from .reps import RepSum, _clebsch_gordan, dual, exterior_power, irrep, tensor, trivial
 from .root_system import weight_str, wzero
 
 
@@ -97,25 +99,41 @@ def koszul_terms(inp: KoszulInput) -> list[RepSum]:
     return [tensor(inp.P, power, inp.W) for power in _dual_powers(inp.P, inp.E)]
 
 
-class E1Page:
-    """First page of the Koszul spectral sequence: a (k, q) grid of groups."""
+def _tensor_dims(P: ParabolicData, a: RepSum, b: RepSum) -> dict[int, int]:
+    """{q: dim H^q(F, a ⊗ b)} from :func:`bwb_irrep` (which checks p-dominance)
+    and :func:`weyl_dim` on each Clebsch–Gordan term; ranks must multiply."""
+    terms, rank = _clebsch_gordan(P, a, b)
+    dims: dict[int, int] = {}
+    for lam, mult in terms.items():
+        rank -= mult * P.string_length(lam)     # counts rank a · rank b down to 0
+        res = bwb_irrep(P, lam)
+        if res is not None:
+            q, mu = res
+            dims[q] = dims.get(q, 0) + mult * weyl_dim(P.rs, mu)
+    if rank:
+        raise AssertionError("tensor product has the wrong rank")
+    return dims
 
-    def __init__(self, inp: KoszulInput, columns: list[CohomologyTable]):
+
+class E1Page:
+    """First page of the Koszul spectral sequence: {(k, q): dim H^q(F, Λ^k E* ⊗ W)},
+    each column straight from Clebsch–Gordan into Borel–Weil–Bott."""
+
+    def __init__(self, inp: KoszulInput, dims: dict[tuple[int, int], int]):
         self.input = inp
-        self.columns = columns
+        self._dims = dims
 
     def dim(self, k: int, q: int) -> int:
-        return self.columns[k].dim(q)
+        return self._dims.get((k, q), 0)
 
     def entries(self) -> dict[tuple[int, int], int]:
         """Nonzero entries as {(k, q): dim}."""
-        return {(k, q): d for k, col in enumerate(self.columns)
-                for q, d in col.total_dims().items() if d}
+        return dict(self._dims)
 
     @property
     def euler(self) -> int:
         """Alternating sum over the whole page; independent of differentials."""
-        return sum((-1) ** k * col.euler for k, col in enumerate(self.columns))
+        return sum(-d if (q - k) % 2 else d for (k, q), d in self._dims.items())
 
 
 def e1_page(inp: KoszulInput) -> E1Page:
@@ -124,8 +142,8 @@ def e1_page(inp: KoszulInput) -> E1Page:
 
 def _e1_page(inp: KoszulInput, powers: list[RepSum]) -> E1Page:
     """``e1_page`` from precomputed Λ^k E*, shared by pages with the same E."""
-    return E1Page(inp, [bundle_cohomology(inp.P, tensor(inp.P, power, inp.W))
-                        for power in powers])
+    return E1Page(inp, {(k, q): d for k, power in enumerate(powers)
+                        for q, d in _tensor_dims(inp.P, power, inp.W).items()})
 
 
 class DimRange(namedtuple("DimRange", "lower upper")):
@@ -188,17 +206,23 @@ def _limit_ranges(dims: dict[tuple[int, int], int], max_page: int,
             mask ^= b
         return total
 
-    def nu(X: int, Z: int) -> int:
+    def nu(X: int, Z: int, below: int = 0) -> int:
         # capacitated König–Ore: ν(X→Z) = min over Y ⊆ X of D(X∖Y) + D(N(Y) ∩ Z),
-        # with D(Y) and N(Y) tabulated over the subsets of X only
+        # with D(Y) and N(Y) tabulated over the subsets of X only, stopping
+        # at the first value under ``below``
+        d_x = best = D(X)                # Y = ∅
         d_sub, n_sub = [0], [0]
         while X:
             b = X & -X
             X ^= b
-            d_sub += [d + dim[b] for d in d_sub]
-            n_sub += [m | adjacency[b] for m in n_sub]
-        d_x = d_sub[-1]
-        return min(d_x - d + D(m & Z) for d, m in zip(d_sub, n_sub))
+            for i in range(len(d_sub)):
+                d, m = d_sub[i] + dim[b], n_sub[i] | adjacency[b]
+                best = min(best, d_x - d + D(m & Z))
+                if best < below:
+                    return best
+                d_sub.append(d)
+                n_sub.append(m)
+        return best
 
     ranges: dict[int, tuple[int, int]] = {}
     unseen = (1 << len(dim)) - 1
@@ -215,7 +239,7 @@ def _limit_ranges(dims: dict[tuple[int, int], int], max_page: int,
         S = forbidden & comp
         # Mendelsohn–Dulmage: saturating S∩A and S∩B separately suffices
         for A, B in (sides, sides[::-1]):
-            if nu(S & A, B) != D(S & A):
+            if nu(S & A, B, D(S & A)) != D(S & A):
                 raise InconsistentSpectralSequence(
                     "no differential ranks satisfy the vanishing constraints; the "
                     "input does not define a complete intersection of expected dimension")
@@ -276,16 +300,13 @@ def _restricted_cohomology(page: E1Page, enforce_vanishing: bool) -> RestrictedC
     def allowed(n: int) -> bool:
         return 0 <= n <= dim_x
 
-    entries = page.entries()
-    ranges = _limit_ranges(entries, inp.E.rank,
+    ranges = _limit_ranges(page.entries(), inp.E.rank,
                            allowed if enforce_vanishing else lambda n: True)
     by_degree = {n: DimRange(lo, hi) for n, (lo, hi) in ranges.items()
                  if hi > 0 or allowed(n)}
     for n in range(dim_x + 1):
         by_degree.setdefault(n, DimRange(0, 0))
-    # E1Page.euler from the entries already in hand; q - k may be negative
-    euler = sum(-d if (q - k) % 2 else d for (k, q), d in entries.items())
-    return RestrictedCohomology(inp, by_degree, euler)
+    return RestrictedCohomology(inp, by_degree, page.euler)
 
 
 def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:
@@ -311,8 +332,8 @@ def _hilbert_samples(P: ParabolicData, E: RepSum, twists: Iterable[int]) -> list
     values = []
     for i in twists:
         line = irrep(P, tuple(i if j == node - 1 else 0 for j in range(P.rs.rank)))
-        values.append(sum((-1) ** k * euler_char(P, tensor(P, power, line))
-                          for k, power in enumerate(powers)))
+        values.append(sum(-d if (q - k) % 2 else d for k, power in enumerate(powers)
+                          for q, d in _tensor_dims(P, power, line).items()))
     return values
 
 

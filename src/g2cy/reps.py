@@ -205,24 +205,35 @@ def dual(P: "ParabolicData", r: RepSum) -> RepSum:
     return result
 
 
-def tensor(P: "ParabolicData", a: RepSum, b: RepSum) -> RepSum:
-    """Tensor product by Clebsch–Gordan on the Levi, summand by summand.
+def _clebsch_gordan(P: "ParabolicData", a: RepSum, b: RepSum) -> tuple[dict[Weight, int], int]:
+    """Highest weights of a ⊗ b with multiplicities, and rank a · rank b.
 
     V(lam) ⊗ V(mu) = ⊕ V(lam + mu - j levi_root), j = 0..min(n_lam, n_mu) - 1
-    for string lengths n (V(lam + mu) alone on a torus); the rank is checked
-    to be multiplicative.
+    for string lengths n (V(lam + mu) alone on a torus).
     """
     if a.parabolic != P or b.parabolic != P:
         raise ValueError("tensor factors must live over the given parabolic")
-    terms: Counter = Counter()
+    alpha = P.levi_root
+    right = [(mu, n, P.string_length(mu)) for mu, n in b.terms.items()]
+    terms: dict[Weight, int] = {}
+    rank_a = 0
     for lam, m in a.terms.items():
-        for mu, n in b.terms.items():
+        n_lam = P.string_length(lam)
+        rank_a += m * n_lam
+        for mu, n, n_mu in right:
             top = wadd(lam, mu)
-            for _ in range(min(P.string_length(lam), P.string_length(mu))):
-                terms[top] += m * n
-                top = wsub(top, P.levi_root)
+            for _ in range(min(n_lam, n_mu)):
+                terms[top] = terms.get(top, 0) + m * n
+                top = wsub(top, alpha)
+    return terms, rank_a * sum(n * n_mu for _, n, n_mu in right)
+
+
+def tensor(P: "ParabolicData", a: RepSum, b: RepSum) -> RepSum:
+    """Tensor product by Clebsch–Gordan on the Levi (:func:`_clebsch_gordan`),
+    summand by summand; the rank is checked to be multiplicative."""
+    terms, rank = _clebsch_gordan(P, a, b)
     result = RepSum(P, terms)
-    if result.rank != a.rank * b.rank:
+    if result.rank != rank:
         raise AssertionError("tensor product has the wrong rank")
     return result
 

@@ -6,14 +6,16 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2cy import (KoszulInput, RepSum, dual, e1_page, euler_char, hilbert_value,
-                  irrep, koszul_terms, restricted_cohomology,
-                  structure_sheaf_cohomology, trivial)
+from g2cy import (KoszulInput, RepSum, bundle_cohomology, dual, e1_page, enumerate_all,
+                  euler_char, g2_parabolic, hilbert_value, irrep, koszul, koszul_terms,
+                  restricted_cohomology, structure_sheaf_cohomology, tensor, trivial,
+                  validate_candidate)
 from g2cy.errors import (InconsistentSpectralSequence, NotGloballyGenerated,
                          NotMaximalParabolic, TrivialSummand)
-from g2cy.koszul import _limit_ranges, _restricted_cohomology
+from g2cy.koszul import (_dual_powers, _hilbert_samples, _limit_ranges,
+                         _restricted_cohomology, _tensor_dims)
 
-from conftest import koszul_sweep_inputs, p_dominant_box
+from conftest import koszul_sweep_inputs, p_dominant_box, rep_sums
 
 
 def bundle(P, *summands):
@@ -60,7 +62,7 @@ class TestE1Page:
     def test_dominant_w_concentrates_in_column_zero_row_zero(self, P2):
         inp = KoszulInput(P2, irrep(P2, (1, 1)), irrep(P2, (0, 2)))
         page = e1_page(inp)
-        col0 = {q: page.dim(0, q) for q in page.columns[0].degrees()}
+        col0 = {q: d for (k, q), d in page.entries().items() if k == 0}
         assert list(col0) == [0]
 
     def test_euler_matches_term_sums(self, parabolics):
@@ -161,6 +163,75 @@ class TestHilbertValue:
     def test_rejects_borel(self, B):
         with pytest.raises(NotMaximalParabolic):
             hilbert_value(B, bundle(B, (0, 1), (0, 1), (2, 0)), 1)
+
+
+def tensor_cohomology(P, a, b):
+    """{q: dim} of a ⊗ b the way E1 columns were once built: the product as a
+    RepSum, then its cohomology table, reduced per degree."""
+    return bundle_cohomology(P, tensor(P, a, b)).total_dims()
+
+
+class TestTensorDims:
+    """The Clebsch–Gordan–BWB kernel against ``tensor`` + ``bundle_cohomology``."""
+
+    def test_sweep_pairs(self):
+        inputs = koszul_sweep_inputs()
+        assert len(inputs) == 486
+        # among them every (Λ^k E*, W) of the 22 rows, W ∈ {O, E*, Ω_F}
+        assert all(inp in inputs for inp in koszul_sweep_inputs(records_only=True))
+        for inp in inputs:
+            P = inp.P
+            powers = _dual_powers(P, inp.E)
+            columns = [tensor_cohomology(P, power, inp.W) for power in powers]
+            for power, column in zip(powers, columns):
+                assert _tensor_dims(P, power, inp.W) == column
+            page = e1_page(inp)
+            assert page.entries() == {(k, q): d for k, column in enumerate(columns)
+                                      for q, d in column.items()}
+            assert page.euler == sum((-1) ** k * euler_char(P, term)
+                                     for k, term in enumerate(koszul_terms(inp)))
+
+    def test_hilbert_twists(self):
+        threefolds = [validate_candidate(g2_parabolic(row.parabolic), row.summands)
+                      for row in enumerate_all(3) if row.parabolic != "B"]
+        assert len(threefolds) == 5
+        twists = range(-4, 5)
+        for c in threefolds:
+            P = c.P
+            node = next(iter(P.crossed))
+            powers = _dual_powers(P, c.rep)
+            expected = []
+            for i in twists:
+                line = irrep(P, tuple(i if j == node - 1 else 0 for j in range(P.rs.rank)))
+                for power in powers:
+                    assert _tensor_dims(P, power, line) == tensor_cohomology(P, power, line)
+                expected.append(sum((-1) ** k * euler_char(P, tensor(P, power, line))
+                                    for k, power in enumerate(powers)))
+            assert _hilbert_samples(P, c.rep, twists) == expected
+
+    def test_every_term_goes_through_bwb(self, parabolics, monkeypatch):
+        # bwb_irrep checks each Clebsch–Gordan term for p-dominance
+        seen = []
+        original = koszul.bwb_irrep
+
+        def recorded(P, lam):
+            seen.append(lam)
+            return original(P, lam)
+
+        monkeypatch.setattr(koszul, "bwb_irrep", recorded)
+        for P in parabolics:
+            box = [irrep(P, lam) for lam in p_dominant_box(P, 2)]
+            for a in box:
+                for b in box:
+                    seen.clear()
+                    _tensor_dims(P, a, b)
+                    assert sorted(seen) == sorted(tensor(P, a, b).terms)
+
+
+@given(rep_sums(count=2))
+def test_tensor_dims_match_bundle_cohomology(case):
+    P, a, b = case
+    assert _tensor_dims(P, a, b) == tensor_cohomology(P, a, b)
 
 
 # Reference solver: the exhaustive page-by-page rank search that the closed
