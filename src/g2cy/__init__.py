@@ -14,8 +14,8 @@ from .classify import (TableRow, diff_against_paper, enumerate_all,
 from .cohomology import (CohomologyTable, GIrrep, bundle_cohomology, bwb_irrep,
                          euler_char, g_irrep, weyl_dim)
 from .errors import G2CYError
-from .invariants import (Candidate, HodgeRecord, degree_and_c2, euler_number,
-                         hodge_numbers, to_record, validate_candidate)
+from .invariants import (Candidate, HodgeRecord, degree_and_c2, hodge_numbers,
+                         to_record, validate_candidate)
 from .koszul import (DimRange, E1Page, KoszulInput, RestrictedCohomology,
                      e1_page, hilbert_value, koszul_terms,
                      restricted_cohomology, structure_sheaf_cohomology)
@@ -38,8 +38,8 @@ __all__ = [
     "DimRange", "E1Page", "KoszulInput", "RestrictedCohomology", "e1_page",
     "hilbert_value", "koszul_terms", "restricted_cohomology",
     "structure_sheaf_cohomology",
-    "Candidate", "HodgeRecord", "degree_and_c2", "euler_number",
-    "hodge_numbers", "to_record", "validate_candidate",
+    "Candidate", "HodgeRecord", "degree_and_c2", "hodge_numbers",
+    "to_record", "validate_candidate",
     "TableRow", "diff_against_paper", "enumerate_all", "enumerate_candidates",
     "published_invariants", "reference_tables", "verify_theorem",
 ]

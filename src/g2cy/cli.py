@@ -191,8 +191,9 @@ def _cmd_invariants(args):
             f"computed {key} = {record.get(key)} differs from published {published[key]}"
             for key, ok in matches.items() if not ok]
     text = [f"invariants of {cand}:"]
-    text += [f"  {key}: {record[key]}" for key in ("rank", "dim_X", "det", "h0q", "h11",
-                                                   "h12", "chi_omega1", "deg", "c2H", "euler")]
+    text += [f"  {key}: {record[key]}" for key in ("rank", "dim_X", "det", "h0q", "h1q",
+                                                   "h11", "h12", "chi_omega1", "deg", "c2H",
+                                                   "euler")]
     text += ["  DISCREPANCY: " + line for line in record.get("discrepancies", [])]
     return record, text, text
 

@@ -57,10 +57,6 @@ class FitInconsistent(G2CYError):
     """Hilbert samples do not lie on a two-term odd cubic."""
 
 
-class UndeterminedHodge(G2CYError):
-    """A Hodge number needed here could not be pinned to a single value."""
-
-
 class TheoremViolated(G2CYError):
     """Uniqueness of the non-split threefold candidate failed."""
 

@@ -4,16 +4,20 @@ Hodge numbers come from the conormal sequence
 
     0 -> E*|_X -> Ω^1_F|_X -> Ω^1_X -> 0
 
-whose outer terms are computed by the Koszul machinery.  The long exact
-sequence is resolved by enumerating all connecting-map ranks consistent with
+whose outer terms are computed by the Koszul machinery, in any dimension
+n = dim X.  Where a page is only bounded, its exact Euler characteristic
+ties the bounded degrees together, leaving few per-degree vectors A
+(conormal) and B (cotangent).  Each pair is solved in closed form over the
+connecting-map ranks, subject to
 
 * exactness and left exactness at the first term,
-* vanishing of coherent cohomology outside 0..dim X,
-* on a threefold with trivial canonical bundle, Serre duality and Hodge
-  symmetry: h^{1,0} = h^{0,1} and h^{1,3} = h^{2,0} = h^{0,2}.
+* vanishing of coherent cohomology of Ω^1_X outside 0..n,
+* with trivial canonical bundle, Serre duality and Hodge symmetry:
+  h^{1,0} = h^{0,1} and h^{1,n} = h^{n-1,0} = h^{0,n-1}.
 
-A Hodge number is reported as determined only when every consistent choice
-gives the same value; χ(Ω^1_X) is differential-independent and always exact.
+An h^{1,q} is reported as determined only when every pair and every
+consistent choice of ranks gives the same value; χ(Ω^1_X) is
+differential-independent and always exact.
 
 Degree and c_2 are extracted from exact Hilbert samples χ(O_X(i)): for a
 threefold with χ(O_X) = 0 and odd Serre symmetry these lie on the two-term
@@ -28,9 +32,9 @@ from itertools import product
 
 from .errors import (FitInconsistent, InconsistentLongExactSequence,
                      NotGloballyGenerated, RankTooLarge, TrivialSummand,
-                     UndeterminedHodge, WrongDeterminant)
-from .koszul import (DimRange, KoszulInput, _dual_powers, _e1_page, _hilbert_samples,
-                     _restricted_cohomology)
+                     WrongDeterminant)
+from .koszul import (DimRange, KoszulInput, RestrictedCohomology, _dual_powers, _e1_page,
+                     _hilbert_samples, _restricted_cohomology)
 from .parabolic import ParabolicData, is_g_dominant
 from .reps import RepSum, dual, trivial
 from .root_system import wzero, weight_str
@@ -83,56 +87,64 @@ def validate_candidate(P: ParabolicData, summands) -> Candidate:
 
 
 class HodgeRecord(namedtuple("HodgeRecord", "h0q h1q chi_omega1")):
-    """Hodge data of X: the h^{0,q} row always, h^{1,q} on threefolds.
+    """Hodge data of X: the h^{0,q} and h^{1,q} rows, q = 0..dim X.
 
-    ``h0q`` and ``h1q`` are tuples of :class:`DimRange` indexed by q, with
-    ``h1q`` None unless X is a threefold; ``chi_omega1`` is the exact χ(Ω¹_X).
+    ``h0q`` and ``h1q`` are tuples of :class:`DimRange` indexed by q;
+    ``chi_omega1`` is the exact χ(Ω¹_X).
     """
 
     __slots__ = ()
 
     @property
-    def h11(self) -> DimRange | None:
-        return self.h1q[1] if self.h1q is not None else None
+    def h11(self) -> DimRange:
+        return self.h1q[1]
 
     @property
-    def h12(self) -> DimRange | None:
-        return self.h1q[2] if self.h1q is not None else None
+    def h12(self) -> DimRange:
+        return self.h1q[2]
 
 
-def _les_c_values(A: list[int], B: list[int], fixed: dict[int, int],
-                  dim_x: int) -> list[tuple[int, ...]]:
-    """Dimensions of the C-terms in 0 -> A0 -> B0 -> C0 -> A1 -> ...
+def _page_vectors(rc: RestrictedCohomology, span: range) -> list[tuple[int, ...]]:
+    """Per-degree dimension vectors inside ``rc``'s ranges with its exact Euler characteristic."""
+    return [v for v in product(*(range(r.lower, r.upper + 1) for r in map(rc.h, span)))
+            if sum(v[0::2]) - sum(v[1::2]) == rc.euler]
 
-    Enumerates the ranks of the maps A^q -> B^q subject to left exactness
-    (the first map is injective), non-negativity of every term, C^q = 0 for
-    q > dim_x, and any values of C^q pinned by ``fixed``.
+
+def _les_ranges(A, B, pins: dict[int, int], dim_x: int) -> list[tuple[int, int]] | None:
+    """Per-q (min, max) of C^q in 0 -> A^0 -> B^0 -> C^0 -> A^1 -> ..., q <= dim_x.
+
+    With r_q the rank of A^q -> B^q, C^q = B^q + A^{q+1} - r_q - r_{q+1},
+    where r_q lies in [0, min(A^q, B^q)], r_0 = A^0 (left exactness) and
+    r_Q = 0 past the end.  A pinned C^q (from ``pins``, and C^q = 0 for
+    q > dim_x) fixes r_q + r_{q+1}, so the pins chain ranks along a path: one
+    sweep down and one up narrow every r_q to its exact interval.  An unpinned
+    C^q is the sum of two independent ranks.  None if no ranks fit.
     """
     Q = len(A)
-    if A[0] > B[0]:
-        return []
-    ranges = [range(min(A[q], B[q]) + 1) for q in range(Q)]
-    ranges[0] = range(A[0], A[0] + 1)
-    solutions = []
-    for ranks in product(*ranges):
-        c = [B[q] - ranks[q] + (A[q + 1] - ranks[q + 1] if q + 1 < Q else 0)
-             for q in range(Q)]
-        if any(x < 0 for x in c):
-            continue
-        if any(c[q] != 0 for q in range(dim_x + 1, Q)):
-            continue
-        if any(c[q] != v for q, v in fixed.items()):
-            continue
-        solutions.append(tuple(c[: dim_x + 1]))
-    return solutions
+    A = [*A, 0]
+    lo, hi = [A[0]] + [0] * Q, [min(a, b) for a, b in zip(A, B)] + [0]
+    total = [B[q] + A[q + 1] for q in range(Q)]
+    fixed = {q: total[q] - v for q, v in pins.items()}    # r_q + r_{q+1}
+    for q in range(dim_x + 1, Q):
+        if fixed.setdefault(q, total[q]) != total[q]:
+            return None
+    for q, s in sorted(fixed.items()):                 # down: the pins below r_{q+1}
+        lo[q + 1], hi[q + 1] = max(lo[q + 1], s - hi[q]), min(hi[q + 1], s - lo[q])
+    for q, s in sorted(fixed.items(), reverse=True):   # up: the pins above r_q
+        lo[q], hi[q] = max(lo[q], s - hi[q + 1]), min(hi[q], s - lo[q + 1])
+    if any(l > h for l, h in zip(lo, hi)):
+        return None
+    return [(total[q] - fixed[q],) * 2 if q in fixed else
+            (total[q] - hi[q] - hi[q + 1], total[q] - lo[q] - lo[q + 1])
+            for q in range(dim_x + 1)]
 
 
 def hodge_numbers(c: Candidate, enforce_vanishing: bool = True) -> HodgeRecord:
     """Hodge numbers of X via the conormal sequence and Koszul pages.
 
-    ``h0q`` comes from the structure sheaf; on threefolds ``h1q`` is resolved
-    from the long exact sequence as documented in the module docstring.
-    Undetermined entries keep their bounds; nothing is guessed.
+    ``h0q`` comes from the structure sheaf and ``h1q`` from the long exact
+    sequence, as documented in the module docstring.  Undetermined entries
+    keep their bounds; nothing is guessed.
     """
     P, E = c.P, c.rep
     powers = _dual_powers(P, E)
@@ -144,32 +156,23 @@ def hodge_numbers(c: Candidate, enforce_vanishing: bool = True) -> HodgeRecord:
     # additivity of χ on 0 -> E*|_X -> Ω^1_F|_X -> Ω^1_X -> 0
     chi_omega1 = rc_cotangent.euler - rc_conormal.euler
 
-    if c.dim_x != 3:
-        return HodgeRecord(h0q=h0q, h1q=None, chi_omega1=chi_omega1)
-
-    span = range(0, P.dim + 2)
-    a_ranges = [rc_conormal.h(q) for q in span]
-    b_ranges = [rc_cotangent.h(q) for q in span]
-    if all(r.determined for r in a_ranges + b_ranges):
-        A = [r.value for r in a_ranges]
-        B = [r.value for r in b_ranges]
-        fixed: dict[int, int] = {}
-        if enforce_vanishing:
-            if h0q[1].determined:
-                fixed[0] = h0q[1].value    # h^{1,0} = h^{0,1}
-            if h0q[2].determined:
-                fixed[3] = h0q[2].value    # h^{1,3} = h^{2,0} = h^{0,2}
-        sols = _les_c_values(A, B, fixed, c.dim_x)
-        if not sols:
-            raise InconsistentLongExactSequence(
-                "no connecting-map ranks make the conormal long exact sequence "
-                "consistent; invalid input")
-        h1q = tuple(DimRange(min(s[q] for s in sols), max(s[q] for s in sols))
-                    for q in range(c.dim_x + 1))
-    else:
-        # conservative: coker(f^q) + ker(f^{q+1}) bounded by B^q + A^{q+1}
-        h1q = tuple(DimRange(0, b_ranges[q].upper + a_ranges[q + 1].upper)
-                    for q in range(c.dim_x + 1))
+    n = c.dim_x
+    pins: dict[int, int] = {}
+    if enforce_vanishing:
+        # h^{1,0} = h^{0,1} and h^{1,n} = h^{n-1,0} = h^{0,n-1}
+        for q, h in ((0, h0q[1]), (n, h0q[n - 1])):
+            if h.determined:
+                pins[q] = h.value
+    span = range(P.dim + 2)
+    solved = [s for A, B in product(_page_vectors(rc_conormal, span),
+                                    _page_vectors(rc_cotangent, span))
+              if (s := _les_ranges(A, B, pins, n)) is not None]
+    if not solved:
+        raise InconsistentLongExactSequence(
+            "no connecting-map ranks make the conormal long exact sequence "
+            "consistent; invalid input")
+    h1q = tuple(DimRange(min(s[q][0] for s in solved), max(s[q][1] for s in solved))
+                for q in range(n + 1))
     return HodgeRecord(h0q=h0q, h1q=h1q, chi_omega1=chi_omega1)
 
 
@@ -199,14 +202,8 @@ def degree_and_c2(c: Candidate) -> tuple[int, int, list[tuple[int, int]]]:
     return deg, c2h, samples
 
 
-def euler_number(c: Candidate) -> int:
-    """Topological Euler number 2(h^{1,1} - h^{1,2}) of a threefold."""
-    hr = hodge_numbers(c)
-    if hr.h1q is None:
-        raise UndeterminedHodge(f"Euler number needs a threefold, got dim X = {c.dim_x}")
-    if not (hr.h11.determined and hr.h12.determined):
-        raise UndeterminedHodge("h^{1,1} or h^{1,2} is not determined")
-    return 2 * (hr.h11.value - hr.h12.value)
+def _status(r: DimRange) -> str:
+    return "determined" if r.determined else "bounded"
 
 
 def to_record(c: Candidate) -> dict:
@@ -220,20 +217,17 @@ def to_record(c: Candidate) -> dict:
     }
     statuses: dict = {}
     hr = hodge_numbers(c)
-    record["h0q"] = [r.to_json() for r in hr.h0q]
-    statuses["h0q"] = ["determined" if r.determined else "bounded" for r in hr.h0q]
+    for key, row in (("h0q", hr.h0q), ("h1q", hr.h1q)):
+        record[key] = [r.to_json() for r in row]
+        statuses[key] = [_status(r) for r in row]
     record["chi_omega1"] = hr.chi_omega1
-    if hr.h1q is not None:
-        record["h11"] = hr.h11.to_json()
-        record["h12"] = hr.h12.to_json()
-        statuses["h11"] = "determined" if hr.h11.determined else "bounded"
-        statuses["h12"] = "determined" if hr.h12.determined else "bounded"
-        if hr.h11.determined and hr.h12.determined:
-            record["euler"] = 2 * (hr.h11.value - hr.h12.value)
-            statuses["euler"] = "determined"
-        else:
-            record["euler"] = None
-            statuses["euler"] = "undetermined"
+    if c.dim_x == 3:
+        h11, h12 = hr.h11, hr.h12
+        record["h11"], record["h12"] = h11.to_json(), h12.to_json()
+        statuses["h11"], statuses["h12"] = _status(h11), _status(h12)
+        exact = h11.determined and h12.determined
+        record["euler"] = 2 * (h11.value - h12.value) if exact else None
+        statuses["euler"] = "determined" if exact else "undetermined"
     else:
         record["h11"] = record["h12"] = record["euler"] = None
         statuses["h11"] = statuses["h12"] = statuses["euler"] = "not_applicable"

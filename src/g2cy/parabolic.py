@@ -99,8 +99,8 @@ class ParabolicData:
         return 1 if self._levi_node is None else lam[self._levi_node - 1] + 1
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, ParabolicData) and self.rs == other.rs
-                and self.crossed == other.crossed)
+        return self is other or (isinstance(other, ParabolicData) and self.rs == other.rs
+                                 and self.crossed == other.crossed)
 
     def __hash__(self) -> int:
         return hash((self.rs, self.crossed))

@@ -13,7 +13,7 @@ from g2cy import (diff_against_paper, decompose, dual, e1_page, enumerate_all,
                   irrep, irrep_det, irrep_dim, irrep_weights, koszul_terms,
                   published_invariants, restricted_cohomology, to_record,
                   validate_candidate, verify_theorem, weyl_dim, bwb_irrep,
-                  bundle_cohomology, euler_number, degree_and_c2)
+                  bundle_cohomology, degree_and_c2)
 from g2cy.cli import main
 from g2cy.root_system import wadd, wneg
 
@@ -126,7 +126,7 @@ def test_criterion_6_invariants_no1():
     hr = hodge_numbers(c)
     assert [r.value for r in hr.h0q] == [1, 0, 0, 1]
     assert hr.h11.value == 1 and hr.h12.value == 50
-    assert euler_number(c) == -98
+    assert to_record(c)["euler"] == -98
     _pass(6, "deg 42, c2 84, h^{0,1} = h^{0,2} = 0, h11 1, h12 50, Euler -98")
 
 

@@ -154,7 +154,7 @@ class TestInvariants:
 
     def test_inconsistent_long_exact_sequence_exits_one(self, capsys, monkeypatch):
         # no admissible input reaches this; force it by removing every solution
-        monkeypatch.setattr(invariants, "_les_c_values", lambda *args: [])
+        monkeypatch.setattr(invariants, "_les_ranges", lambda *args: None)
         code, _, err = run(capsys, "invariants", "P1", "(1,1)")
         assert code == 1
         assert err.startswith("error: ") and "long exact sequence" in err

@@ -1,16 +1,19 @@
 """Candidate validation, Hodge numbers, degree and c2, Euler numbers."""
 
 from collections import Counter
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2cy import (KoszulInput, bundle_cohomology, degree_and_c2, dual,
-                  enumerate_all, euler_char, euler_number, exterior_power,
+                  enumerate_all, euler_char, exterior_power,
                   g2_parabolic, hodge_numbers, koszul_terms,
-                  published_invariants, tensor, to_record, validate_candidate)
+                  published_invariants, restricted_cohomology, tensor, to_record,
+                  validate_candidate)
 from g2cy import invariants, koszul
 from g2cy.errors import (FitInconsistent, NotGloballyGenerated, RankTooLarge,
-                         TrivialSummand, UndeterminedHodge, WrongDeterminant)
+                         TrivialSummand, WrongDeterminant)
 
 from test_reps import oracle_dual, oracle_tensor
 
@@ -37,6 +40,41 @@ def count_calls(monkeypatch, module, names, through=None):
     for name in names:
         monkeypatch.setattr(module, name, counted(name))
     return calls
+
+
+def oracle_les_c_values(A, B, fixed, dim_x):
+    """The former rank search, kept verbatim as the oracle of ``_les_ranges``.
+
+    Dimensions of the C-terms in 0 -> A0 -> B0 -> C0 -> A1 -> ...: enumerates
+    the ranks of the maps A^q -> B^q subject to left exactness (the first map
+    is injective), non-negativity of every term, C^q = 0 for q > dim_x, and
+    any values of C^q pinned by ``fixed``.
+    """
+    Q = len(A)
+    if A[0] > B[0]:
+        return []
+    ranges = [range(min(A[q], B[q]) + 1) for q in range(Q)]
+    ranges[0] = range(A[0], A[0] + 1)
+    solutions = []
+    for ranks in product(*ranges):
+        c = [B[q] - ranks[q] + (A[q + 1] - ranks[q + 1] if q + 1 < Q else 0)
+             for q in range(Q)]
+        if any(x < 0 for x in c):
+            continue
+        if any(c[q] != 0 for q in range(dim_x + 1, Q)):
+            continue
+        if any(c[q] != v for q, v in fixed.items()):
+            continue
+        solutions.append(tuple(c[: dim_x + 1]))
+    return solutions
+
+
+def oracle_ranges(A, B, fixed, dim_x):
+    """Per-q (min, max) over the oracle's solutions, or None if there are none."""
+    sols = oracle_les_c_values(A, B, fixed, dim_x)
+    if not sols:
+        return None
+    return [(min(s[q] for s in sols), max(s[q] for s in sols)) for q in range(len(sols[0]))]
 
 
 def all_rows():
@@ -110,23 +148,53 @@ class TestHodgeNumbers:
         hr = hodge_numbers(c)
         assert hr.chi_omega1 == 60
         assert hr.h11.value == 1
-        if hr.h12.determined:
-            assert hr.h12.value == hr.h11.value + hr.chi_omega1
+        assert hr.h12.value == hr.h11.value + hr.chi_omega1 == 61
 
-    def test_non_threefolds_report_h0q_only(self, P1, B):
+    def test_non_threefolds_report_every_h1q(self, P1, B):
         hr = hodge_numbers(candidate(P1, (3, 0)))
         assert [r.value for r in hr.h0q] == [1, 0, 0, 0, 1]
-        assert hr.h1q is None
+        assert [r.value for r in hr.h1q] == [0, 1, 0, 258, 0]
         hr = hodge_numbers(candidate(B, (2, 2)))
         assert [r.value for r in hr.h0q] == [1, 0, 0, 0, 0, 1]
+        assert [r.value for r in hr.h1q] == [0, 2, 0, 0, 714, 0]
 
-    def test_audit_mode_never_contradicts(self, P1, P2):
-        for P in (P1, P2):
-            c = candidate(P, (1, 1))
+    def test_k3_rows_have_h11_twenty(self):
+        # every K3 surface has h^{1,1} = 20: a check from outside the package
+        rows = [c for c in all_rows() if c.dim_x == 2]
+        assert len(rows) == 7
+        for c in rows:
+            assert [r.value for r in hodge_numbers(c).h1q] == [0, 20, 0], c
+
+    @pytest.mark.parametrize("summands,h11,h12,euler", [
+        (((2, 0), (0, 1), (0, 1)), 2, 58, -112),
+        (((1, 1), (1, 0), (0, 1)), 2, 48, -92),
+        (((1, 0), (1, 0), (0, 2)), 2, 38, -72)])
+    def test_borel_threefolds(self, B, summands, h11, h12, euler):
+        record = to_record(candidate(B, *summands))
+        assert (record["h11"], record["h12"], record["euler"]) == (h11, h12, euler)
+        assert record["h1q"] == [0, h11, h12, 0]
+
+    @pytest.mark.parametrize("name,summands,h11,h13", [
+        ("P1", ((3, 0),), 1, 258), ("P2", ((0, 5),), 1, 356),
+        ("B", ((2, 1), (0, 1)), 2, 200), ("B", ((2, 0), (0, 2)), 2, 102),
+        ("B", ((1, 2), (1, 0)), 2, 160), ("B", ((1, 1), (1, 1)), 2, 110)])
+    def test_fourfolds(self, name, summands, h11, h13):
+        hr = hodge_numbers(candidate(g2_parabolic(name), *summands))
+        assert [r.value for r in hr.h1q] == [0, h11, 0, h13, 0]
+
+    def test_alternating_sum_is_chi_omega1(self):
+        for c in all_rows():
+            hr = hodge_numbers(c)
+            assert all(r.determined for r in hr.h1q), c
+            assert sum((-1) ** q * r.value for q, r in enumerate(hr.h1q)) == hr.chi_omega1, c
+
+    def test_audit_mode_never_contradicts(self):
+        for c in all_rows():
             strict = hodge_numbers(c, enforce_vanishing=True)
             loose = hodge_numbers(c, enforce_vanishing=False)
+            assert len(strict.h1q) == len(loose.h1q) == c.dim_x + 1
             for on, off in zip(strict.h1q, loose.h1q):
-                assert off.lower <= on.lower and on.upper <= off.upper
+                assert off.lower <= on.lower and on.upper <= off.upper, c
                 if off.determined:
                     assert on == off
 
@@ -134,9 +202,7 @@ class TestHodgeNumbers:
         c = candidate(B, (0, 1), (0, 1), (2, 0))
         hr = hodge_numbers(c)
         assert [r.value for r in hr.h0q] == [1, 0, 0, 1]
-        # undetermined entries are reported as bounds, never guessed
-        if hr.h11.determined and hr.h12.determined:
-            assert hr.h12.value - hr.h11.value == hr.chi_omega1
+        assert hr.h12.value - hr.h11.value == hr.chi_omega1 == 56
 
     @pytest.mark.parametrize("name,summands", [("P1", ((1, 1),)),
                                                ("P2", ((0, 1), (0, 4))),
@@ -150,6 +216,68 @@ class TestHodgeNumbers:
         hodge_numbers(c)
         assert calls == {"dual": 1, "exterior_power": c.rank + 1}
         assert calls_here == {"dual": 1}
+
+
+@st.composite
+def les_inputs(draw):
+    """Random outer terms A, B of a long exact sequence, pins on C and dim X.
+
+    The pins are read off one choice of ranks, some off by one, so that
+    solvable and unsolvable cases both occur often.
+    """
+    length = draw(st.integers(2, 7))
+    terms = st.lists(st.integers(0, 6), min_size=length, max_size=length)
+    A, B = draw(terms), draw(terms)
+    ranks = [min(A[0], B[0])] + [draw(st.integers(0, min(a, b))) for a, b in zip(A[1:], B[1:])]
+    C = [B[q] - ranks[q] + (A[q + 1] - ranks[q + 1] if q + 1 < length else 0)
+         for q in range(length)]
+    # a run of consecutive pins chains ranks across several degrees
+    first = draw(st.integers(0, length - 1))
+    pinned = set(range(first, draw(st.integers(first, length))))
+    pinned |= draw(st.sets(st.integers(0, length - 1), max_size=2))
+    pins = {q: max(0, C[q] + draw(st.sampled_from((0, 0, 0, -1, 1)))) for q in sorted(pinned)}
+    return A, B, pins, draw(st.integers(0, length - 1))
+
+
+class TestLongExactSequence:
+    @settings(max_examples=300)
+    @given(les_inputs())
+    def test_closed_form_matches_rank_search(self, case):
+        assert invariants._les_ranges(*case) == oracle_ranges(*case)
+
+    @pytest.mark.parametrize("case", [
+        ([3, 0], [2, 5], {}, 1),            # A^0 does not inject into B^0
+        ([0, 0, 4], [0, 1, 1], {}, 0),      # ker(A^2 -> B^2) is too large for C^1 = 0
+        ([1, 2, 0], [1, 2, 1], {0: 3}, 2),  # a pin that no rank reaches
+        ([0, 0, 0], [0, 0, 0], {2: 1}, 1)])  # a pin against the vanishing above dim X
+    def test_no_solution_matches_rank_search(self, case):
+        assert oracle_ranges(*case) is None
+        assert invariants._les_ranges(*case) is None
+
+    @pytest.mark.parametrize("case", [
+        ([0, 3, 3, 0], [0, 3, 3, 0], {1: 3, 2: 1}, 3),
+        ([0, 3, 3, 3, 3, 3, 0], [0, 3, 3, 3, 3, 3, 0], {1: 3, 2: 3, 3: 3, 4: 3, 5: 2}, 6)])
+    def test_pins_narrow_ranks_along_the_whole_chain(self, case):
+        # the last pin fixes the last free rank, and the chain of pins then
+        # fixes every rank down to r_1, so the unpinned C^0 = 3 - r_1 is exact
+        # only once the last pin has reached r_1
+        assert oracle_ranges(*case)[0] == (2, 2)
+        assert invariants._les_ranges(*case) == oracle_ranges(*case)
+
+    def test_closed_form_matches_rank_search_on_every_row(self):
+        # the page vectors and pins hodge_numbers feeds the solver, on all 22 rows
+        for c in all_rows():
+            hr = hodge_numbers(c)
+            pages = [restricted_cohomology(KoszulInput(c.P, c.rep, W))
+                     for W in (dual(c.P, c.rep), dual(c.P, c.P.tangent))]
+            pins = {0: hr.h0q[1].value, c.dim_x: hr.h0q[c.dim_x - 1].value}
+            span = range(c.P.dim + 2)
+            vectors = [invariants._page_vectors(rc, span) for rc in pages]
+            assert 1 <= len(vectors[0]) * len(vectors[1]) <= 6
+            for A, B in product(*vectors):
+                got = invariants._les_ranges(A, B, pins, c.dim_x)
+                assert got == oracle_ranges(A, B, pins, c.dim_x), c
+                assert got == [(r.value, r.value) for r in hr.h1q], c
 
 
 class TestDegreeAndC2:
@@ -223,20 +351,23 @@ class TestDegreeAndC2:
 
 class TestEulerNumber:
     def test_main_threefolds(self, P1, P2):
-        assert euler_number(candidate(P1, (1, 1))) == -98
-        assert euler_number(candidate(P2, (1, 1))) == -98
+        assert to_record(candidate(P1, (1, 1)))["euler"] == -98
+        assert to_record(candidate(P2, (1, 1)))["euler"] == -98
 
     def test_needs_threefold(self, P1):
-        with pytest.raises(UndeterminedHodge):
-            euler_number(candidate(P1, (3, 0)))
+        record = to_record(candidate(P1, (3, 0)))
+        assert record["euler"] is None
+        assert record["statuses"]["euler"] == "not_applicable"
 
 
 class TestRecord:
     def test_schema(self, P1):
         record = to_record(candidate(P1, (1, 1)))
-        for key in ("parabolic", "summands", "rank", "dim_X", "det", "h0q",
+        for key in ("parabolic", "summands", "rank", "dim_X", "det", "h0q", "h1q",
                     "h11", "h12", "chi_omega1", "deg", "c2H", "euler", "statuses"):
             assert key in record
+        assert record["h1q"] == [0, 1, 50, 0]
+        assert record["statuses"]["h1q"] == ["determined"] * 4
         assert record["deg"] == 42 and record["c2H"] == 84
         assert record["h11"] == 1 and record["h12"] == 50
         assert record["euler"] == -98

@@ -68,6 +68,18 @@ class TestMakeParabolic:
         assert ParabolicData(rs, P1.crossed) == P1
         assert ParabolicData(rs, [1]) == P1
 
+    def test_equality_and_hash_beyond_identity(self, P1, P2, B):
+        # the cached G2 parabolics compare by identity first; separately built
+        # ones, even over a separately built root system, must still agree
+        rs = build_root_system(CartanMatrix.from_rows([[2, -3], [-1, 2]]))
+        for P in (P1, P2, B):
+            twin = ParabolicData(rs, P.crossed)
+            assert twin is not P and twin.rs is not P.rs
+            assert twin == P and P == twin and hash(twin) == hash(P)
+            assert twin == ParabolicData(rs, P.crossed)
+        assert P1 != P2 and P1 != B and ParabolicData(rs, [1]) != ParabolicData(rs, [2])
+        assert hash(P1) != hash(P2) and P1 != "P1"
+
     def test_labels(self, P1, P2, B):
         assert (P1.label, P2.label, B.label) == ("P1", "P2", "B")
 
