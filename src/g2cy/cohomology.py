@@ -39,6 +39,10 @@ def weyl_dim(rs: RootSystem, mu: Weight) -> int:
 
 @lru_cache(maxsize=None)
 def _weyl_dim(rs: RootSystem, mu: Weight) -> int:
+    """Weyl's product for any weight mu: (-1)^l(w) times the dimension of the
+    irreducible with highest weight w(mu + rho) - rho when w(mu + rho) is
+    strictly dominant, and 0 when mu + rho is singular; this is χ(G/B, L_mu)
+    by Borel–Weil–Bott."""
     rho = rs.weyl_vector
     shifted = wadd(mu, rho)
     num = den = 1

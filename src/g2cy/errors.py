@@ -10,7 +10,8 @@ class InvalidCartan(G2CYError):
 
 
 class NonFiniteType(G2CYError):
-    """Reflection closure of the simple roots did not terminate."""
+    """Cartan matrix not of finite type (its symmetrised form is not positive
+    definite), or a Weyl group enumeration past its bound."""
 
 
 class NotPDominant(G2CYError):

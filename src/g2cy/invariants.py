@@ -34,7 +34,7 @@ from .errors import (FitInconsistent, InconsistentLongExactSequence,
                      NotGloballyGenerated, RankTooLarge, TrivialSummand,
                      WrongDeterminant)
 from .koszul import (DimRange, KoszulInput, RestrictedCohomology, _dual_powers, _e1_page,
-                     _hilbert_samples, _restricted_cohomology)
+                     _restricted_cohomology, hilbert_value)
 from .parabolic import ParabolicData, is_g_dominant
 from .reps import RepSum, dual, trivial
 from .root_system import wzero, weight_str
@@ -186,8 +186,8 @@ def degree_and_c2(c: Candidate) -> tuple[int, int, list[tuple[int, int]]]:
     """
     if c.dim_x != 3:
         raise FitInconsistent(f"dim X = {c.dim_x}; the two-term cubic needs a threefold")
-    twists = range(-4, 5)
-    samples = list(zip(twists, _hilbert_samples(c.P, c.rep, twists)))
+    P, E = c.P, c.rep
+    samples = [(i, hilbert_value(P, E, i)) for i in range(-4, 5)]
     chi = dict(samples)
     if chi[0] != 0:
         raise FitInconsistent(f"χ(O_X) = {chi[0]} must vanish for a threefold "

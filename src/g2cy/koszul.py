@@ -7,9 +7,9 @@ dimension dim F - rank E, and the structure sheaf of X is resolved by
 
 Tensoring the resolution with a bundle W and taking cohomology termwise gives
 the first page E1(k, q) = H^q(F, Λ^k E* ⊗ W) of a spectral sequence
-converging to H^{q-k}(X, W|_X).  E1 columns and Hilbert samples go straight
-from the Clebsch–Gordan terms of each product into Borel–Weil–Bott
-(``_tensor_dims``), with no intermediate RepSum or CohomologyTable.
+converging to H^{q-k}(X, W|_X).  E1 columns go from the Clebsch–Gordan terms
+of each product straight into Borel–Weil–Bott (``_tensor_dims``); Hilbert
+samples need no page, only the weights of E (``hilbert_value``).
 
 The differentials depend on the chosen section (they are contractions with
 it), so they are not equivariant maps and cannot be dismissed by comparing
@@ -52,14 +52,13 @@ never 2 to the size of a component or of a side.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
 
-from .cohomology import bwb_irrep, weyl_dim
+from .cohomology import _weyl_dim, bwb_irrep, weyl_dim
 from .errors import (InconsistentSpectralSequence, NotGloballyGenerated,
                      NotMaximalParabolic, TrivialSummand)
 from .parabolic import ParabolicData, is_g_dominant
-from .reps import RepSum, _clebsch_gordan, dual, exterior_power, irrep, tensor, trivial
-from .root_system import weight_str, wzero
+from .reps import RepSum, _clebsch_gordan, dual, exterior_power, tensor, trivial
+from .root_system import wadd, weight_str, wsub, wzero
 
 
 class KoszulInput(namedtuple("KoszulInput", "P E W")):
@@ -314,27 +313,27 @@ def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:
 
     Needs a maximal parabolic so that Pic F is generated by one line bundle
     L = E_omega, with omega the fundamental weight of the crossed node;
-    negative twists are allowed.  Computed as the alternating sum of Euler
-    characteristics of the twisted Koszul terms Λ^k E* ⊗ L^i, with no
-    spectral sequence involved.  Sampling several twists goes through
-    ``_hilbert_samples``, which builds E* and each Λ^k E* once for all of them.
+    negative twists are allowed.  χ is additive and χ(F, E_mu) is Weyl's
+    product W(mu) for every weight mu, so the Koszul resolution gives
+    χ(O_X(i)) = Σ_S (-1)^|S| W(i omega - ε_S), S running over the
+    sub-multisets of the weights ε of E: the character of Λ_{-1} E*, built
+    in one pass with equal sums merged, and no spectral sequence involved.
     """
-    return _hilbert_samples(P, E, (i,))[0]
-
-
-def _hilbert_samples(P: ParabolicData, E: RepSum, twists: Iterable[int]) -> list[int]:
-    """``hilbert_value`` at each twist, sharing E* and every Λ^k E*."""
     if len(P.crossed) != 1:
         raise NotMaximalParabolic(
             f"{P.label} has Picard rank {len(P.crossed)}; a single twist is undefined")
+    if E.parabolic != P:
+        raise ValueError("E must live over the given parabolic")
+    koszul_char = {wzero(P.rs.rank): 1}
+    for eps in E.weights().elements():
+        step = dict(koszul_char)
+        for mu, c in koszul_char.items():
+            nu = wsub(mu, eps)
+            step[nu] = step.get(nu, 0) - c
+        koszul_char = step
     node = next(iter(P.crossed))
-    powers = _dual_powers(P, E)
-    values = []
-    for i in twists:
-        line = irrep(P, tuple(i if j == node - 1 else 0 for j in range(P.rs.rank)))
-        values.append(sum(-d if (q - k) % 2 else d for k, power in enumerate(powers)
-                          for q, d in _tensor_dims(P, power, line).items()))
-    return values
+    line = tuple(i if j == node - 1 else 0 for j in range(P.rs.rank))
+    return sum(c * _weyl_dim(P.rs, wadd(mu, line)) for mu, c in koszul_char.items())
 
 
 def structure_sheaf_cohomology(P: ParabolicData, E: RepSum,

@@ -117,10 +117,6 @@ class Root(namedtuple("Root", "weight simple_coords coroot_coords norm_half long
     def height(self) -> int:
         return sum(self.simple_coords)
 
-    @property
-    def positive(self) -> bool:
-        return all(c >= 0 for c in self.simple_coords)
-
 
 class WeylElement(namedtuple("WeylElement", "word")):
     """A Weyl group element as ``word``, a reduced word of simple reflection indices."""
@@ -277,15 +273,41 @@ class RootSystem:
         return elements
 
     def weyl_order(self) -> int:
-        return len(self.weyl_elements())
+        """|W| = Π (ht a + 1) / Π ht a over the positive roots a, exactly."""
+        num = den = 1
+        for alpha in self.positive_roots:
+            num *= alpha.height + 1
+            den *= alpha.height
+        if num % den:
+            raise AssertionError("Weyl group order is not integral")
+        return num // den
 
 
-def build_root_system(cartan: CartanMatrix, max_positive_roots: int = 512) -> RootSystem:
+def _positive_definite(form: list[list[int]]) -> bool:
+    """Sylvester's criterion: every leading principal minor is positive.
+
+    Fraction-free (Bareiss) elimination without pivoting leaves the k-th
+    leading minor on the k-th diagonal entry, each an exact integer.
+    """
+    m = [row[:] for row in form]
+    n, prev = len(m), 1
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return True
+
+
+def build_root_system(cartan: CartanMatrix) -> RootSystem:
     """Close the simple roots under reflection and assemble the root system.
 
-    Raises :class:`NonFiniteType` when the closure exceeds
-    ``max_positive_roots``, which is how non-finite Cartan matrices (affine or
-    indefinite) are rejected.
+    Raises :class:`NonFiniteType` unless the symmetrised form is positive
+    definite, which is how non-finite Cartan matrices (affine or indefinite)
+    are rejected before any closure runs.
     """
     d = _symmetrizer(cartan)
     n = cartan.rank
@@ -293,6 +315,9 @@ def build_root_system(cartan: CartanMatrix, max_positive_roots: int = 512) -> Ro
 
     # (alpha_i, alpha_j) in the normalisation where short roots have norm 2.
     bilinear = [[C[i][j] * d[j] for j in range(n)] for i in range(n)]
+    if not _positive_definite(bilinear):
+        raise NonFiniteType("Cartan matrix is not of finite type: its symmetrised "
+                            "form is not positive definite")
 
     def unit(i: int) -> tuple[int, ...]:
         return tuple(int(k == i) for k in range(n))
@@ -316,10 +341,6 @@ def build_root_system(cartan: CartanMatrix, max_positive_roots: int = 512) -> Ro
                 if nsc not in known:
                     known[nsc] = to_weight(nsc)
                     nxt.append(nsc)
-                    if len(known) > max_positive_roots:
-                        raise NonFiniteType(
-                            f"root closure exceeded {max_positive_roots} roots; "
-                            "Cartan matrix is not of finite type")
         frontier = nxt
 
     roots = []

@@ -1,13 +1,15 @@
 """Single-degree cohomology, Weyl dimensions, Euler characteristics."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from g2cy import (bundle_cohomology, bwb_irrep, dual, euler_char, irrep,
-                  trivial, weyl_dim)
+from g2cy import (G2_CARTAN, CartanMatrix, build_root_system, bundle_cohomology,
+                  bwb_irrep, dual, euler_char, irrep, trivial, weyl_dim)
+from g2cy.cohomology import _weyl_dim
 from g2cy.errors import NotGDominant, NotPDominant
-from g2cy.root_system import wadd, wneg
+from g2cy.root_system import wadd, wneg, wsub
 
 from conftest import p_dominant_box
 
@@ -52,6 +54,21 @@ class TestWeylDim:
     def test_rejects_non_dominant(self, rs):
         with pytest.raises(NotGDominant):
             weyl_dim(rs, (-1, 3))
+
+    @pytest.mark.parametrize("cartan", [G2_CARTAN, CartanMatrix.from_rows([[2, -1], [-1, 2]])],
+                             ids=["G2", "A2"])
+    def test_product_on_any_weight(self, cartan):
+        # Weyl's product is (-1)^l dim V(w(mu + rho) - rho), or 0 when mu + rho
+        # is singular: the identity hilbert_value sums over
+        rs = build_root_system(cartan)
+        rho = rs.weyl_vector
+        for mu in product(range(-8, 9), repeat=2):
+            conj = rs.dominant_conjugate(wadd(mu, rho))
+            if conj is None:
+                assert _weyl_dim(rs, mu) == 0
+            else:
+                length, dom = conj
+                assert _weyl_dim(rs, mu) == (-1) ** length * weyl_dim(rs, wsub(dom, rho))
 
 
 class TestBwbIrrep:

@@ -341,12 +341,14 @@ class TestDegreeAndC2:
         with pytest.raises(FitInconsistent):
             degree_and_c2(candidate(P1, (3, 0)))
 
-    def test_koszul_powers_built_once_for_all_twists(self, P2, monkeypatch):
-        calls = count_calls(monkeypatch, koszul, ("dual", "exterior_power"))
-        c = candidate(P2, (0, 1), (0, 4))
-        _, _, samples = degree_and_c2(c)
+    def test_hilbert_samples_build_no_koszul_powers(self, P2, monkeypatch):
+        # the samples need only the weights of E: no Λ^k E*, no E1 column
+        calls = count_calls(monkeypatch, koszul, ("dual", "exterior_power", "_tensor_dims"))
+        hilbert = count_calls(monkeypatch, invariants, ("hilbert_value",))
+        _, _, samples = degree_and_c2(candidate(P2, (0, 1), (0, 4)))
         assert len(samples) == 9
-        assert calls == {"dual": 1, "exterior_power": c.rank + 1}
+        assert not calls
+        assert hilbert == {"hilbert_value": 9}
 
 
 class TestEulerNumber:

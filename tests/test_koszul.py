@@ -6,14 +6,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2cy import (KoszulInput, RepSum, bundle_cohomology, dual, e1_page, enumerate_all,
+from g2cy import (CartanMatrix, KoszulInput, ParabolicData, RepSum, build_root_system,
+                  bundle_cohomology, dual, e1_page, enumerate_all,
                   euler_char, g2_parabolic, hilbert_value, irrep, koszul, koszul_terms,
                   restricted_cohomology, structure_sheaf_cohomology, tensor, trivial,
                   validate_candidate)
 from g2cy.errors import (InconsistentSpectralSequence, NotGloballyGenerated,
                          NotMaximalParabolic, TrivialSummand)
-from g2cy.koszul import (_dual_powers, _hilbert_samples, _limit_ranges,
-                         _restricted_cohomology, _tensor_dims)
+from g2cy.koszul import _dual_powers, _limit_ranges, _restricted_cohomology, _tensor_dims
 
 from conftest import koszul_sweep_inputs, p_dominant_box, rep_sums
 
@@ -164,6 +164,31 @@ class TestHilbertValue:
         with pytest.raises(NotMaximalParabolic):
             hilbert_value(B, bundle(B, (0, 1), (0, 1), (2, 0)), 1)
 
+    def test_boundary_errors_in_order(self, P1, P2, B):
+        # a parabolic that is not maximal is rejected before E is looked at
+        with pytest.raises(NotMaximalParabolic):
+            hilbert_value(B, irrep(P1, (1, 1)), 1)
+        with pytest.raises(ValueError, match="parabolic"):
+            hilbert_value(P2, irrep(P1, (1, 1)), 1)
+
+    def test_projective_plane(self):
+        # A2 with node 1 crossed is P^2 with L = O(1); the weight (3,0) has
+        # string length 1, so it is the line bundle O(3)
+        P = ParabolicData(build_root_system(CartanMatrix.from_rows([[2, -1], [-1, 2]])),
+                          (1,))
+        assert P.dim == 2
+        cubic, empty = irrep(P, (3, 0)), RepSum(P)
+        assert cubic.rank == 1
+        for i in range(-6, 7):
+            assert hilbert_value(P, cubic, i) == 3 * i             # a plane cubic
+            assert hilbert_value(P, empty, i) == (i + 1) * (i + 2) // 2
+
+    def test_projective_line(self):
+        # two points on P^1: χ(O_X(i)) = 2 for every i
+        P = ParabolicData(build_root_system(CartanMatrix.from_rows([[2]])), (1,))
+        for i in range(-6, 7):
+            assert hilbert_value(P, irrep(P, (2,)), i) == 2
+
 
 def tensor_cohomology(P, a, b):
     """{q: dim} of a ⊗ b the way E1 columns were once built: the product as a
@@ -192,22 +217,23 @@ class TestTensorDims:
                                      for k, term in enumerate(koszul_terms(inp)))
 
     def test_hilbert_twists(self):
-        threefolds = [validate_candidate(g2_parabolic(row.parabolic), row.summands)
-                      for row in enumerate_all(3) if row.parabolic != "B"]
-        assert len(threefolds) == 5
-        twists = range(-4, 5)
-        for c in threefolds:
+        # hilbert_value against the Koszul terms Λ^k E* ⊗ L^i, each taken
+        # through tensor and euler_char, on every maximal-parabolic row
+        rows = [validate_candidate(g2_parabolic(row.parabolic), row.summands)
+                for dim_x in (2, 3, 4) for row in enumerate_all(dim_x)
+                if row.parabolic != "B"]
+        assert len(rows) == 13
+        for c in rows:
             P = c.P
             node = next(iter(P.crossed))
             powers = _dual_powers(P, c.rep)
-            expected = []
-            for i in twists:
+            for i in range(-6, 7):
                 line = irrep(P, tuple(i if j == node - 1 else 0 for j in range(P.rs.rank)))
                 for power in powers:
                     assert _tensor_dims(P, power, line) == tensor_cohomology(P, power, line)
-                expected.append(sum((-1) ** k * euler_char(P, tensor(P, power, line))
-                                    for k, power in enumerate(powers)))
-            assert _hilbert_samples(P, c.rep, twists) == expected
+                assert hilbert_value(P, c.rep, i) == sum(
+                    (-1) ** k * euler_char(P, tensor(P, power, line))
+                    for k, power in enumerate(powers))
 
     def test_every_term_goes_through_bwb(self, parabolics, monkeypatch):
         # bwb_irrep checks each Clebsch–Gordan term for p-dominance

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from g2cy import CartanMatrix, build_root_system
+from g2cy import G2_CARTAN, CartanMatrix, build_root_system
 from g2cy.errors import InvalidCartan, NonFiniteType
 from g2cy.root_system import wscale, wsub
 
@@ -76,9 +76,31 @@ class TestBuild:
         assert rs.simple_root(2).weight == (-1, 2)
 
     def test_non_finite_type(self):
-        affine = CartanMatrix.from_rows([[2, -2], [-2, 2]])
-        with pytest.raises(NonFiniteType):
-            build_root_system(affine)
+        for rows in ([[2, -2], [-2, 2]],                        # affine A1
+                     [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],   # affine A2
+                     [[2, -3], [-3, 2]]):                       # hyperbolic
+            with pytest.raises(NonFiniteType):
+                build_root_system(CartanMatrix.from_rows(rows))
+
+    def test_large_finite_type_builds(self):
+        # A32 has 528 positive roots; finiteness is decided by the form, not a count
+        rs = build_root_system(a_series(32))
+        assert len(rs.positive_roots) == 32 * 33 // 2
+
+    @pytest.mark.parametrize("rows", [a_series(r).entries for r in (1, 2, 3, 4)]
+                             + [[[2, -2], [-1, 2]], G2_CARTAN.entries],
+                             ids=["A1", "A2", "A3", "A4", "B2", "G2"])
+    def test_weyl_order_counts_the_group(self, rows):
+        rs = build_root_system(CartanMatrix.from_rows(rows))
+        assert rs.weyl_order() == len(rs.weyl_elements())
+
+    @pytest.mark.parametrize("r, order", [(6, 51_840), (8, 696_729_600)])
+    def test_weyl_order_of_e_series(self, r, order):
+        # Bourbaki numbering: the chain 1-3-4-...-r with node 2 on node 4
+        rows = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
+        for i, j in [(1, 3), (2, 4)] + [(k, k + 1) for k in range(3, r)]:
+            rows[i - 1][j - 1] = rows[j - 1][i - 1] = -1
+        assert build_root_system(CartanMatrix.from_rows(rows)).weyl_order() == order
 
     @pytest.mark.parametrize("rows", [
         [[1]],                      # bad diagonal
