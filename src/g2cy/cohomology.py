@@ -37,7 +37,7 @@ def weyl_dim(rs: RootSystem, mu: Weight) -> int:
     return _weyl_dim(rs, mu)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)    # a pass over the 22 rows touches about 60 keys
 def _weyl_dim(rs: RootSystem, mu: Weight) -> int:
     """Weyl's product for any weight mu: (-1)^l(w) times the dimension of the
     irreducible with highest weight w(mu + rho) - rho when w(mu + rho) is

@@ -33,8 +33,8 @@ from itertools import product
 from .errors import (FitInconsistent, InconsistentLongExactSequence,
                      NotGloballyGenerated, RankTooLarge, TrivialSummand,
                      WrongDeterminant)
-from .koszul import (DimRange, KoszulInput, RestrictedCohomology, _dual_powers, _e1_page,
-                     _restricted_cohomology, hilbert_value)
+from .koszul import (DimRange, KoszulInput, RestrictedCohomology, hilbert_value,
+                     restricted_cohomology)
 from .parabolic import ParabolicData, is_g_dominant
 from .reps import RepSum, dual, trivial
 from .root_system import wzero, weight_str
@@ -147,11 +147,10 @@ def hodge_numbers(c: Candidate, enforce_vanishing: bool = True) -> HodgeRecord:
     keep their bounds; nothing is guessed.
     """
     P, E = c.P, c.rep
-    powers = _dual_powers(P, E)
-    # W = O, E* = Λ^1 E* and Ω_F share the Koszul powers Λ^k E*
+    # the pages of W = O, the conormal E* and Ω_F = (g/p)*
     rc0, rc_conormal, rc_cotangent = (
-        _restricted_cohomology(_e1_page(KoszulInput(P, E, W), powers), enforce_vanishing)
-        for W in (trivial(P), powers[1], dual(P, P.tangent)))
+        restricted_cohomology(KoszulInput(P, E, W), enforce_vanishing)
+        for W in (trivial(P), dual(P, E), dual(P, P.tangent)))
     h0q = rc0.hodge_vector()
     # additivity of χ on 0 -> E*|_X -> Ω^1_F|_X -> Ω^1_X -> 0
     chi_omega1 = rc_cotangent.euler - rc_conormal.euler

@@ -7,9 +7,10 @@ dimension dim F - rank E, and the structure sheaf of X is resolved by
 
 Tensoring the resolution with a bundle W and taking cohomology termwise gives
 the first page E1(k, q) = H^q(F, Λ^k E* ⊗ W) of a spectral sequence
-converging to H^{q-k}(X, W|_X).  E1 columns go from the Clebsch–Gordan terms
-of each product straight into Borel–Weil–Bott (``_tensor_dims``); Hilbert
-samples need no page, only the weights of E (``hilbert_value``).
+converging to H^{q-k}(X, W|_X).  The weight multisets of Λ^k E*
+(``_koszul_layers``) feed both E1 columns, times the weights of W and split
+into Levi irreducibles for Borel–Weil–Bott, and Hilbert samples, as Weyl's
+product summed over them (``hilbert_value``).
 
 The differentials depend on the chosen section (they are contractions with
 it), so they are not equivariant maps and cannot be dismissed by comparing
@@ -52,13 +53,14 @@ never 2 to the size of a component or of a side.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import comb
 
 from .cohomology import _weyl_dim, bwb_irrep, weyl_dim
 from .errors import (InconsistentSpectralSequence, NotGloballyGenerated,
                      NotMaximalParabolic, TrivialSummand)
 from .parabolic import ParabolicData, is_g_dominant
-from .reps import RepSum, _clebsch_gordan, dual, exterior_power, tensor, trivial
-from .root_system import wadd, weight_str, wsub, wzero
+from .reps import RepSum, _levi_terms, dual, exterior_power, tensor, trivial
+from .root_system import Weight, wadd, weight_str, wsub, wzero
 
 
 class KoszulInput(namedtuple("KoszulInput", "P E W")):
@@ -86,37 +88,32 @@ class KoszulInput(namedtuple("KoszulInput", "P E W")):
         return self.P.dim - self.E.rank
 
 
-def _dual_powers(P: ParabolicData, E: RepSum) -> list[RepSum]:
-    """Λ^k E* for k = 0..rank E, from one dual of E."""
-    e_dual = dual(P, E)
-    return [exterior_power(P, e_dual, k) for k in range(E.rank + 1)]
+def _koszul_layers(P: ParabolicData, E: RepSum) -> list[dict[Weight, int]]:
+    """Weight multisets of Λ^k E* for k = 0..rank E: the sums of the k-element
+    sub-multisets of the negated weights of E, equal sums merged, built by the
+    elementary-symmetric recurrence in one pass over the weights."""
+    layers: list[dict[Weight, int]] = [{wzero(P.rs.rank): 1}]
+    for eps in E.weights().elements():
+        layers.append({})
+        for k in range(len(layers) - 1, 0, -1):
+            layer = layers[k]
+            for mu, c in layers[k - 1].items():
+                nu = wsub(mu, eps)
+                layer[nu] = layer.get(nu, 0) + c
+    return layers
 
 
 def koszul_terms(inp: KoszulInput) -> list[RepSum]:
     """Terms Λ^k E* ⊗ W of the twisted resolution, k = 0..rank E, each product
     with W taken by the Clebsch–Gordan rule of :func:`~g2cy.reps.tensor`."""
-    return [tensor(inp.P, power, inp.W) for power in _dual_powers(inp.P, inp.E)]
-
-
-def _tensor_dims(P: ParabolicData, a: RepSum, b: RepSum) -> dict[int, int]:
-    """{q: dim H^q(F, a ⊗ b)} from :func:`bwb_irrep` (which checks p-dominance)
-    and :func:`weyl_dim` on each Clebsch–Gordan term; ranks must multiply."""
-    terms, rank = _clebsch_gordan(P, a, b)
-    dims: dict[int, int] = {}
-    for lam, mult in terms.items():
-        rank -= mult * P.string_length(lam)     # counts rank a · rank b down to 0
-        res = bwb_irrep(P, lam)
-        if res is not None:
-            q, mu = res
-            dims[q] = dims.get(q, 0) + mult * weyl_dim(P.rs, mu)
-    if rank:
-        raise AssertionError("tensor product has the wrong rank")
-    return dims
+    P, E = inp.P, inp.E
+    e_dual = dual(P, E)
+    return [tensor(P, exterior_power(P, e_dual, k), inp.W) for k in range(E.rank + 1)]
 
 
 class E1Page:
     """First page of the Koszul spectral sequence: {(k, q): dim H^q(F, Λ^k E* ⊗ W)},
-    each column straight from Clebsch–Gordan into Borel–Weil–Bott."""
+    each column straight from its Levi irreducibles into Borel–Weil–Bott."""
 
     def __init__(self, inp: KoszulInput, dims: dict[tuple[int, int], int]):
         self.input = inp
@@ -136,13 +133,29 @@ class E1Page:
 
 
 def e1_page(inp: KoszulInput) -> E1Page:
-    return _e1_page(inp, _dual_powers(inp.P, inp.E))
-
-
-def _e1_page(inp: KoszulInput, powers: list[RepSum]) -> E1Page:
-    """``e1_page`` from precomputed Λ^k E*, shared by pages with the same E."""
-    return E1Page(inp, {(k, q): d for k, power in enumerate(powers)
-                        for q, d in _tensor_dims(inp.P, power, inp.W).items()})
+    """Column k: layer k of :func:`_koszul_layers` times the weights of W, split
+    by :func:`~g2cy.reps._levi_terms` into summands of total rank C(rank E, k) ·
+    rank W, each sent to :func:`bwb_irrep` (which checks p-dominance) and
+    :func:`weyl_dim`."""
+    P, W = inp.P, inp.W
+    w_weights = W.weights().items()
+    dims: dict[tuple[int, int], int] = {}
+    for k, layer in enumerate(_koszul_layers(P, inp.E)):
+        column: dict[Weight, int] = {}
+        for mu, c in layer.items():
+            for nu, d in w_weights:
+                lam = wadd(mu, nu)
+                column[lam] = column.get(lam, 0) + c * d
+        rank = comb(inp.E.rank, k) * W.rank
+        for lam, mult in _levi_terms(P, column).items():
+            rank -= mult * P.string_length(lam)     # counts the column's rank down to 0
+            res = bwb_irrep(P, lam)
+            if res is not None:
+                q, mu = res
+                dims[k, q] = dims.get((k, q), 0) + mult * weyl_dim(P.rs, mu)
+        if rank:
+            raise AssertionError(f"Koszul column {k} has the wrong rank")
+    return E1Page(inp, dims)
 
 
 class DimRange(namedtuple("DimRange", "lower upper")):
@@ -288,12 +301,7 @@ def restricted_cohomology(inp: KoszulInput, enforce_vanishing: bool = True) -> R
     outside 0..dim X are required to vanish; disabling it gives the purely
     formal analysis, which can only be less determined (useful as an audit).
     """
-    return _restricted_cohomology(e1_page(inp), enforce_vanishing)
-
-
-def _restricted_cohomology(page: E1Page, enforce_vanishing: bool) -> RestrictedCohomology:
-    """``restricted_cohomology`` of ``page.input``, given its E1 page."""
-    inp = page.input
+    page = e1_page(inp)
     dim_x = inp.dim_x
 
     def allowed(n: int) -> bool:
@@ -316,24 +324,18 @@ def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:
     negative twists are allowed.  χ is additive and χ(F, E_mu) is Weyl's
     product W(mu) for every weight mu, so the Koszul resolution gives
     χ(O_X(i)) = Σ_S (-1)^|S| W(i omega - ε_S), S running over the
-    sub-multisets of the weights ε of E: the character of Λ_{-1} E*, built
-    in one pass with equal sums merged, and no spectral sequence involved.
+    sub-multisets of the weights ε of E: the layers of
+    :func:`_koszul_layers` with sign (-1)^k, and no spectral sequence involved.
     """
     if len(P.crossed) != 1:
         raise NotMaximalParabolic(
             f"{P.label} has Picard rank {len(P.crossed)}; a single twist is undefined")
     if E.parabolic != P:
         raise ValueError("E must live over the given parabolic")
-    koszul_char = {wzero(P.rs.rank): 1}
-    for eps in E.weights().elements():
-        step = dict(koszul_char)
-        for mu, c in koszul_char.items():
-            nu = wsub(mu, eps)
-            step[nu] = step.get(nu, 0) - c
-        koszul_char = step
     node = next(iter(P.crossed))
     line = tuple(i if j == node - 1 else 0 for j in range(P.rs.rank))
-    return sum(c * _weyl_dim(P.rs, wadd(mu, line)) for mu, c in koszul_char.items())
+    return sum((-1) ** k * c * _weyl_dim(P.rs, wadd(mu, line))
+               for k, layer in enumerate(_koszul_layers(P, E)) for mu, c in layer.items())
 
 
 def structure_sheaf_cohomology(P: ParabolicData, E: RepSum,

@@ -9,10 +9,11 @@ Each operation here is one formula in that model: det V(lam) =
 n lam - n(n-1)/2 levi_root, V(lam)* = V((n-1) levi_root - lam), and
 V(lam) ⊗ V(mu) = ⊕ V(lam + mu - j levi_root) over j < min(n_lam, n_mu)
 (Clebsch–Gordan).  Exterior powers are computed on weight multisets and split
-by the sl2 rule, the irreducible with highest weight lam occurring
-m(lam) - m(lam + levi_root) times, which needs a nonzero root, so
-:func:`decompose` alone treats the torus apart; the result is expanded again
-and compared with the input, so a multiset that is not a character is rejected.
+by the sl2 rule of :func:`_levi_terms`, the irreducible with highest weight
+lam occurring m(lam) - m(lam + levi_root) times, which needs a nonzero root,
+so that rule alone treats the torus apart; :func:`decompose` expands the
+result again and compares it with the input, so a multiset that is not a
+character is rejected.
 
 A :class:`RepSum` is a formal non-negative combination of irreducibles over a
 fixed parabolic.  It models every bundle in the package: bundles on G/P
@@ -157,22 +158,17 @@ def irrep_det(P: "ParabolicData", lam: Weight) -> Weight:
     return irrep(P, lam).det
 
 
-def decompose(P: "ParabolicData", multiset: Mapping[Weight, int] | Iterable) -> RepSum:
-    """Invert :func:`irrep_weights` on a weight multiset.
+def _levi_terms(P: "ParabolicData", work: Mapping[Weight, int]) -> dict[Weight, int]:
+    """Levi irreducibles of a character from its weight multiset, by the sl2 rule.
 
     On a rank-one Levi with simple root alpha each alpha-string is an sl2
     character, so the irreducible with p-dominant highest weight lam occurs
-    m(lam) - m(lam + alpha) times, m being the multiplicity in the multiset.
-    With alpha = 0 that count is 0, so a torus keeps each weight as a summand.
-    A negative count raises :class:`NotARepresentation`, and so does a result
-    whose weights do not rebuild the input exactly; sl2 characters are
-    linearly independent, so that rejects every multiset that is not a
-    character.  The multiset may also be an iterable of (weight, multiplicity)
-    pairs; repeated weights add up.
+    m(lam) - m(lam + alpha) times, m being the multiplicity in ``work``; a
+    negative count raises :class:`NotARepresentation`.  On a torus (alpha = 0)
+    every weight is a summand.  Callers check the result against the input.
     """
-    work = _collect(P, multiset)
     if not P.levi_rank:
-        return RepSum(P, work)
+        return dict(work)
     alpha = P.levi_root
     terms: dict[Weight, int] = {}
     for lam, c in work.items():
@@ -183,7 +179,19 @@ def decompose(P: "ParabolicData", multiset: Mapping[Weight, int] | Iterable) -> 
                     f"{weight_str(lam)} occurs less often than the weight above it")
             if n:
                 terms[lam] = n
-    result = RepSum(P, terms)
+    return terms
+
+
+def decompose(P: "ParabolicData", multiset: Mapping[Weight, int] | Iterable) -> RepSum:
+    """Invert :func:`irrep_weights` on a weight multiset by :func:`_levi_terms`.
+
+    A result whose weights do not rebuild the input exactly raises
+    :class:`NotARepresentation`: sl2 characters are linearly independent, so
+    that rejects every multiset that is not a character.  The multiset may be
+    an iterable of (weight, multiplicity) pairs, repeated weights adding up.
+    """
+    work = _collect(P, multiset)
+    result = RepSum(P, _levi_terms(P, work))
     if result.weights() != work:
         raise NotARepresentation(
             f"weight multiset is not a sum of {P.label} weight strings")
@@ -205,35 +213,23 @@ def dual(P: "ParabolicData", r: RepSum) -> RepSum:
     return result
 
 
-def _clebsch_gordan(P: "ParabolicData", a: RepSum, b: RepSum) -> tuple[dict[Weight, int], int]:
-    """Highest weights of a ⊗ b with multiplicities, and rank a · rank b.
-
+def tensor(P: "ParabolicData", a: RepSum, b: RepSum) -> RepSum:
+    """Tensor product by Clebsch–Gordan on the Levi, summand by summand:
     V(lam) ⊗ V(mu) = ⊕ V(lam + mu - j levi_root), j = 0..min(n_lam, n_mu) - 1
-    for string lengths n (V(lam + mu) alone on a torus).
+    for string lengths n (V(lam + mu) alone on a torus).  The rank is checked
+    to be multiplicative.
     """
     if a.parabolic != P or b.parabolic != P:
         raise ValueError("tensor factors must live over the given parabolic")
-    alpha = P.levi_root
-    right = [(mu, n, P.string_length(mu)) for mu, n in b.terms.items()]
     terms: dict[Weight, int] = {}
-    rank_a = 0
     for lam, m in a.terms.items():
-        n_lam = P.string_length(lam)
-        rank_a += m * n_lam
-        for mu, n, n_mu in right:
+        for mu, n in b.terms.items():
             top = wadd(lam, mu)
-            for _ in range(min(n_lam, n_mu)):
+            for _ in range(min(P.string_length(lam), P.string_length(mu))):
                 terms[top] = terms.get(top, 0) + m * n
-                top = wsub(top, alpha)
-    return terms, rank_a * sum(n * n_mu for _, n, n_mu in right)
-
-
-def tensor(P: "ParabolicData", a: RepSum, b: RepSum) -> RepSum:
-    """Tensor product by Clebsch–Gordan on the Levi (:func:`_clebsch_gordan`),
-    summand by summand; the rank is checked to be multiplicative."""
-    terms, rank = _clebsch_gordan(P, a, b)
+                top = wsub(top, P.levi_root)
     result = RepSum(P, terms)
-    if result.rank != rank:
+    if result.rank != a.rank * b.rank:
         raise AssertionError("tensor product has the wrong rank")
     return result
 

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from g2cy import (G2_CARTAN, CartanMatrix, build_root_system, bundle_cohomology,
-                  bwb_irrep, dual, euler_char, irrep, trivial, weyl_dim)
+                  bwb_irrep, dual, euler_char, hilbert_value, irrep, trivial, weyl_dim)
 from g2cy.cohomology import _weyl_dim
 from g2cy.errors import NotGDominant, NotPDominant
 from g2cy.root_system import wadd, wneg, wsub
@@ -69,6 +69,15 @@ class TestWeylDim:
             else:
                 length, dom = conj
                 assert _weyl_dim(rs, mu) == (-1) ** length * weyl_dim(rs, wsub(dom, rho))
+
+    def test_cache_is_bounded(self, P1):
+        # each Hilbert twist feeds the cache new non-dominant weights
+        E = irrep(P1, (1, 1))
+        for i in range(-2500, 2500):
+            hilbert_value(P1, E, i)
+        info = _weyl_dim.cache_info()
+        assert isinstance(info.maxsize, int)
+        assert info.currsize <= info.maxsize
 
 
 class TestBwbIrrep:

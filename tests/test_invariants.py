@@ -11,11 +11,11 @@ from g2cy import (KoszulInput, bundle_cohomology, degree_and_c2, dual,
                   g2_parabolic, hodge_numbers, koszul_terms,
                   published_invariants, restricted_cohomology, tensor, to_record,
                   validate_candidate)
-from g2cy import invariants, koszul
+from g2cy import invariants, koszul, reps
 from g2cy.errors import (FitInconsistent, NotGloballyGenerated, RankTooLarge,
                          TrivialSummand, WrongDeterminant)
 
-from test_reps import oracle_dual, oracle_tensor
+from test_reps import oracle_decompose, oracle_dual
 
 
 def candidate(P, *summands):
@@ -207,15 +207,17 @@ class TestHodgeNumbers:
     @pytest.mark.parametrize("name,summands", [("P1", ((1, 1),)),
                                                ("P2", ((0, 1), (0, 4))),
                                                ("B", ((0, 1), (0, 1), (2, 0)))])
-    def test_koszul_powers_shared_by_the_three_pages(self, name, summands, monkeypatch):
-        # W = O, E* and Ω_F share one Λ^k E* per k; E* itself is Λ^1 E*, and
-        # the one other dual is Ω_F = (g/p)*
+    def test_three_pages_through_e1_page(self, name, summands, monkeypatch):
+        # W = O, E* and Ω_F = (g/p)* each get one page through the public
+        # e1_page, whose columns come from weights: no Λ^k E* as a RepSum
         c = candidate(g2_parabolic(name), *summands)
-        calls = count_calls(monkeypatch, koszul, ("dual", "exterior_power"))
+        pages = count_calls(monkeypatch, koszul, ("e1_page",))
+        weights = count_calls(monkeypatch, reps, ("exterior_power", "decompose"))
         calls_here = count_calls(monkeypatch, invariants, ("dual",))
         hodge_numbers(c)
-        assert calls == {"dual": 1, "exterior_power": c.rank + 1}
-        assert calls_here == {"dual": 1}
+        assert pages == {"e1_page": 3}
+        assert not weights
+        assert calls_here == {"dual": 2}
 
 
 @st.composite
@@ -343,7 +345,7 @@ class TestDegreeAndC2:
 
     def test_hilbert_samples_build_no_koszul_powers(self, P2, monkeypatch):
         # the samples need only the weights of E: no Λ^k E*, no E1 column
-        calls = count_calls(monkeypatch, koszul, ("dual", "exterior_power", "_tensor_dims"))
+        calls = count_calls(monkeypatch, koszul, ("dual", "exterior_power", "e1_page"))
         hilbert = count_calls(monkeypatch, invariants, ("hilbert_value",))
         _, _, samples = degree_and_c2(candidate(P2, (0, 1), (0, 4)))
         assert len(samples) == 9
@@ -401,16 +403,16 @@ class TestRecord:
         assert record["statuses"]["deg"] == "not_applicable"
 
     def test_multiset_dual_and_tensor_give_identical_records(self, monkeypatch):
-        # the closed-form dual and tensor against the former multiset ones,
-        # patched wherever koszul and invariants look them up; koszul takes
-        # products only inside its Clebsch–Gordan–BWB kernel, so the oracle
-        # tensor stands in there, its cohomology read off bundle_cohomology
-        def oracle_tensor_dims(P, a, b):
-            return bundle_cohomology(P, oracle_tensor(P, a, b)).total_dims()
+        # the closed-form dual and the sl2 rule against multiset oracles,
+        # patched wherever koszul and invariants look them up: E1 columns
+        # split their weight products by peeling whole Levi strings, and the
+        # duals negate and re-decompose weight multisets
+        def peeled_terms(P, work):
+            return oracle_decompose(P, work).terms
 
         closed_form = [to_record(c) for c in all_rows()]
-        oracles = {"dual": oracle_dual, "_tensor_dims": oracle_tensor_dims}
-        in_koszul = count_calls(monkeypatch, koszul, ("dual", "_tensor_dims"), oracles)
+        oracles = {"dual": oracle_dual, "_levi_terms": peeled_terms}
+        in_koszul = count_calls(monkeypatch, koszul, ("_levi_terms",), oracles)
         in_invariants = count_calls(monkeypatch, invariants, ("dual",), oracles)
         assert [to_record(c) for c in all_rows()] == closed_form
-        assert in_koszul["dual"] and in_koszul["_tensor_dims"] and in_invariants["dual"]
+        assert in_koszul["_levi_terms"] and in_invariants["dual"]

@@ -1,6 +1,7 @@
 """Koszul terms, E1 pages, restricted cohomology, Hilbert values."""
 
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,9 @@ from g2cy import (CartanMatrix, KoszulInput, ParabolicData, RepSum, build_root_s
                   validate_candidate)
 from g2cy.errors import (InconsistentSpectralSequence, NotGloballyGenerated,
                          NotMaximalParabolic, TrivialSummand)
-from g2cy.koszul import _dual_powers, _limit_ranges, _restricted_cohomology, _tensor_dims
+from g2cy.koszul import _limit_ranges
+from g2cy.reps import _levi_terms
+from g2cy.root_system import wadd
 
 from conftest import koszul_sweep_inputs, p_dominant_box, rep_sums
 
@@ -190,14 +193,8 @@ class TestHilbertValue:
             assert hilbert_value(P, irrep(P, (2,)), i) == 2
 
 
-def tensor_cohomology(P, a, b):
-    """{q: dim} of a ⊗ b the way E1 columns were once built: the product as a
-    RepSum, then its cohomology table, reduced per degree."""
-    return bundle_cohomology(P, tensor(P, a, b)).total_dims()
-
-
 class TestTensorDims:
-    """The Clebsch–Gordan–BWB kernel against ``tensor`` + ``bundle_cohomology``."""
+    """E1 columns from weights against ``koszul_terms`` + ``bundle_cohomology``."""
 
     def test_sweep_pairs(self):
         inputs = koszul_sweep_inputs()
@@ -206,15 +203,13 @@ class TestTensorDims:
         assert all(inp in inputs for inp in koszul_sweep_inputs(records_only=True))
         for inp in inputs:
             P = inp.P
-            powers = _dual_powers(P, inp.E)
-            columns = [tensor_cohomology(P, power, inp.W) for power in powers]
-            for power, column in zip(powers, columns):
-                assert _tensor_dims(P, power, inp.W) == column
+            terms = koszul_terms(inp)
             page = e1_page(inp)
-            assert page.entries() == {(k, q): d for k, column in enumerate(columns)
-                                      for q, d in column.items()}
+            assert page.entries() == {
+                (k, q): d for k, term in enumerate(terms)
+                for q, d in bundle_cohomology(P, term).total_dims().items()}
             assert page.euler == sum((-1) ** k * euler_char(P, term)
-                                     for k, term in enumerate(koszul_terms(inp)))
+                                     for k, term in enumerate(terms))
 
     def test_hilbert_twists(self):
         # hilbert_value against the Koszul terms Λ^k E* ⊗ L^i, each taken
@@ -226,38 +221,55 @@ class TestTensorDims:
         for c in rows:
             P = c.P
             node = next(iter(P.crossed))
-            powers = _dual_powers(P, c.rep)
             for i in range(-6, 7):
                 line = irrep(P, tuple(i if j == node - 1 else 0 for j in range(P.rs.rank)))
-                for power in powers:
-                    assert _tensor_dims(P, power, line) == tensor_cohomology(P, power, line)
                 assert hilbert_value(P, c.rep, i) == sum(
-                    (-1) ** k * euler_char(P, tensor(P, power, line))
-                    for k, power in enumerate(powers))
+                    (-1) ** k * euler_char(P, term)
+                    for k, term in enumerate(koszul_terms(KoszulInput(P, c.rep, line))))
 
-    def test_every_term_goes_through_bwb(self, parabolics, monkeypatch):
-        # bwb_irrep checks each Clebsch–Gordan term for p-dominance
-        seen = []
-        original = koszul.bwb_irrep
+    def test_every_term_goes_through_bwb(self, monkeypatch):
+        # bwb_irrep checks each Levi summand of each column for p-dominance;
+        # a column starts with its _levi_terms call
+        columns = []
+        split, original = koszul._levi_terms, koszul.bwb_irrep
+
+        def new_column(P, work):
+            columns.append([])
+            return split(P, work)
 
         def recorded(P, lam):
-            seen.append(lam)
+            columns[-1].append(lam)
             return original(P, lam)
 
+        monkeypatch.setattr(koszul, "_levi_terms", new_column)
         monkeypatch.setattr(koszul, "bwb_irrep", recorded)
-        for P in parabolics:
-            box = [irrep(P, lam) for lam in p_dominant_box(P, 2)]
-            for a in box:
-                for b in box:
-                    seen.clear()
-                    _tensor_dims(P, a, b)
-                    assert sorted(seen) == sorted(tensor(P, a, b).terms)
+        for inp in koszul_sweep_inputs():
+            columns.clear()
+            e1_page(inp)
+            assert [sorted(column) for column in columns] == [
+                sorted(term.terms) for term in koszul_terms(inp)]
+
+    def test_wrong_column_rank_raises(self, P1, monkeypatch):
+        # a Levi split that loses a summand fails the column's rank check
+        def lossy(P, work):
+            terms = _levi_terms(P, work)
+            terms.pop(max(terms))
+            return terms
+
+        monkeypatch.setattr(koszul, "_levi_terms", lossy)
+        with pytest.raises(AssertionError, match="wrong rank"):
+            e1_page(KoszulInput(P1, irrep(P1, (1, 1)), trivial(P1)))
 
 
 @given(rep_sums(count=2))
-def test_tensor_dims_match_bundle_cohomology(case):
+def test_levi_terms_of_weight_products_match_tensor(case):
+    # the weight path of E1 columns against the Clebsch–Gordan rule
     P, a, b = case
-    assert _tensor_dims(P, a, b) == tensor_cohomology(P, a, b)
+    product = Counter()
+    for u, cu in a.weights().items():
+        for v, cv in b.weights().items():
+            product[wadd(u, v)] += cu * cv
+    assert _levi_terms(P, product) == tensor(P, a, b).terms
 
 
 # Reference solver: the exhaustive page-by-page rank search that the closed
@@ -531,7 +543,7 @@ class TestBitmaskAgainstSets:
         for page in sweep_pages:
             inp = page.input
             assert_same_ranges(page.entries(), inp.E.rank, vanishing(inp.dim_x, enforce))
-            rc = _restricted_cohomology(page, enforce)
+            rc = restricted_cohomology(page.input, enforce_vanishing=enforce)
             assert type(page.euler) is int and type(rc.euler) is int
             assert rc.euler == page.euler
         assert len(sweep_pages) == 486

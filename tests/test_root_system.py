@@ -1,13 +1,19 @@
 """Root system construction, reflections, pairings, dominant conjugates."""
 
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from g2cy import G2_CARTAN, CartanMatrix, build_root_system
-from g2cy.errors import InvalidCartan, NonFiniteType
+from g2cy.errors import InvalidCartan
 from g2cy.root_system import wscale, wsub
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def a_series(r):
@@ -76,11 +82,26 @@ class TestBuild:
         assert rs.simple_root(2).weight == (-1, 2)
 
     def test_non_finite_type(self):
-        for rows in ([[2, -2], [-2, 2]],                        # affine A1
-                     [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],   # affine A2
-                     [[2, -3], [-3, 2]]):                       # hyperbolic
-            with pytest.raises(NonFiniteType):
-                build_root_system(CartanMatrix.from_rows(rows))
+        # in a child interpreter with a timeout: a finiteness test that lets
+        # an infinite root system through makes the reflection closure loop
+        # forever, which must fail here instead of hanging the suite
+        code = textwrap.dedent("""
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            from g2cy import CartanMatrix, build_root_system
+            from g2cy.errors import NonFiniteType
+            for rows in ([[2, -2], [-2, 2]],                        # affine A1
+                         [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],   # affine A2
+                         [[2, -3], [-3, 2]]):                       # hyperbolic
+                try:
+                    build_root_system(CartanMatrix.from_rows(rows))
+                except NonFiniteType:
+                    print("NonFiniteType")
+        """)
+        proc = subprocess.run([sys.executable, "-c", code, SRC],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["NonFiniteType"] * 3
 
     def test_large_finite_type_builds(self):
         # A32 has 528 positive roots; finiteness is decided by the form, not a count
