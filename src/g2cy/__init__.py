@@ -18,7 +18,7 @@ from .invariants import (Candidate, HodgeRecord, degree_and_c2, hodge_numbers,
                          to_record, validate_candidate)
 from .koszul import (DimRange, E1Page, KoszulInput, RestrictedCohomology,
                      e1_page, hilbert_value, koszul_terms,
-                     restricted_cohomology, structure_sheaf_cohomology)
+                     restricted_cohomology)
 from .parabolic import ParabolicData, g2_parabolic, is_g_dominant
 from .reps import (RepSum, decompose, dual, exterior_power, irrep, irrep_det,
                    irrep_dim, irrep_weights, tensor, trivial)
@@ -37,7 +37,6 @@ __all__ = [
     "euler_char", "g_irrep", "weyl_dim",
     "DimRange", "E1Page", "KoszulInput", "RestrictedCohomology", "e1_page",
     "hilbert_value", "koszul_terms", "restricted_cohomology",
-    "structure_sheaf_cohomology",
     "Candidate", "HodgeRecord", "degree_and_c2", "hodge_numbers",
     "to_record", "validate_candidate",
     "TableRow", "diff_against_paper", "enumerate_all", "enumerate_candidates",

@@ -211,7 +211,8 @@ def diff_against_paper(dim_x: int) -> dict[str, list[TableRow]]:
     """Set-difference of the enumeration against the reference table.
 
     Missing reference rows are a hard failure (:class:`MissingPaperRow`);
-    extra computed rows are returned for audit, never suppressed.
+    extra computed rows are returned for audit, never suppressed.  The whole
+    enumeration it compared comes back as ``computed``.
     """
     table_no = DIM_TO_TABLE.get(dim_x)
     if table_no is None:
@@ -226,6 +227,7 @@ def diff_against_paper(dim_x: int) -> dict[str, list[TableRow]]:
             f"enumeration for dim X = {dim_x} missed reference rows: "
             f"{[(r.parabolic, r.summands) for r in missing]}")
     return {
+        "computed": computed,
         "matched": [row for row in computed if row in ref_set],
         "missing": [],
         "extra": [row for row in computed if row not in ref_set],

@@ -157,12 +157,14 @@ def _cmd_classify(args):
         raise G2CYError("--check-paper compares whole tables; drop --parabolic")
     if args.parabolic:
         rows = classify.enumerate_candidates(g2_parabolic(args.parabolic), dim)
+    elif args.check_paper:
+        diff = classify.diff_against_paper(dim)
+        rows = diff["computed"]
     else:
         rows = classify.enumerate_all(dim)
     items, text, md = _numbered(f"candidates with dim X = {dim}:", rows, split=True)
     payload = {"dim_X": dim, "rows": items}
     if args.check_paper:
-        diff = classify.diff_against_paper(dim)
         extra = diff["extra"]
         payload["check"] = {"matched": len(diff["matched"]), "missing": len(diff["missing"]),
                             "extra": [{"parabolic": row.parabolic,

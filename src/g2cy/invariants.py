@@ -5,13 +5,14 @@ Hodge numbers come from the conormal sequence
     0 -> E*|_X -> Ω^1_F|_X -> Ω^1_X -> 0
 
 whose outer terms are computed by the Koszul machinery, in any dimension
-n = dim X.  Where a page is only bounded, its exact Euler characteristic
-ties the bounded degrees together, leaving few per-degree vectors A
-(conormal) and B (cotangent).  Each pair is solved in closed form over the
+n = dim X.  Their pages vanish outside degrees 0..n, so the sequence is
+solved on q = 0..n, and the vanishing of H^q(Ω^1_X) for q > n holds by
+itself.  Where a page is only bounded, its exact Euler characteristic ties
+the bounded degrees together, leaving few per-degree vectors A (conormal)
+and B (cotangent).  Each pair is solved in closed form over the
 connecting-map ranks, subject to
 
 * exactness and left exactness at the first term,
-* vanishing of coherent cohomology of Ω^1_X outside 0..n,
 * with trivial canonical bundle, Serre duality and Hodge symmetry:
   h^{1,0} = h^{0,1} and h^{1,n} = h^{n-1,0} = h^{0,n-1}.
 
@@ -104,19 +105,19 @@ class HodgeRecord(namedtuple("HodgeRecord", "h0q h1q chi_omega1")):
         return self.h1q[2]
 
 
-def _page_vectors(rc: RestrictedCohomology, span: range) -> list[tuple[int, ...]]:
-    """Per-degree dimension vectors inside ``rc``'s ranges with its exact Euler characteristic."""
-    return [v for v in product(*(range(r.lower, r.upper + 1) for r in map(rc.h, span)))
+def _page_vectors(rc: RestrictedCohomology) -> list[tuple[int, ...]]:
+    """Vectors over degrees 0..dim X inside ``rc``'s ranges with its exact Euler characteristic."""
+    return [v for v in product(*(range(r.lower, r.upper + 1) for r in rc.hodge_vector()))
             if sum(v[0::2]) - sum(v[1::2]) == rc.euler]
 
 
-def _les_ranges(A, B, pins: dict[int, int], dim_x: int) -> list[tuple[int, int]] | None:
-    """Per-q (min, max) of C^q in 0 -> A^0 -> B^0 -> C^0 -> A^1 -> ..., q <= dim_x.
+def _les_ranges(A, B, pins: dict[int, int]) -> list[tuple[int, int]] | None:
+    """Per-q (min, max) of C^q in 0 -> A^0 -> B^0 -> C^0 -> A^1 -> ..., q < Q = len(A).
 
     With r_q the rank of A^q -> B^q, C^q = B^q + A^{q+1} - r_q - r_{q+1},
     where r_q lies in [0, min(A^q, B^q)], r_0 = A^0 (left exactness) and
-    r_Q = 0 past the end.  A pinned C^q (from ``pins``, and C^q = 0 for
-    q > dim_x) fixes r_q + r_{q+1}, so the pins chain ranks along a path: one
+    r_Q = 0 past the end, where the pages vanish.  A pinned C^q (from
+    ``pins``) fixes r_q + r_{q+1}, so the pins chain ranks along a path: one
     sweep down and one up narrow every r_q to its exact interval.  An unpinned
     C^q is the sum of two independent ranks.  None if no ranks fit.
     """
@@ -125,9 +126,6 @@ def _les_ranges(A, B, pins: dict[int, int], dim_x: int) -> list[tuple[int, int]]
     lo, hi = [A[0]] + [0] * Q, [min(a, b) for a, b in zip(A, B)] + [0]
     total = [B[q] + A[q + 1] for q in range(Q)]
     fixed = {q: total[q] - v for q, v in pins.items()}    # r_q + r_{q+1}
-    for q in range(dim_x + 1, Q):
-        if fixed.setdefault(q, total[q]) != total[q]:
-            return None
     for q, s in sorted(fixed.items()):                 # down: the pins below r_{q+1}
         lo[q + 1], hi[q + 1] = max(lo[q + 1], s - hi[q]), min(hi[q + 1], s - lo[q])
     for q, s in sorted(fixed.items(), reverse=True):   # up: the pins above r_q
@@ -136,36 +134,31 @@ def _les_ranges(A, B, pins: dict[int, int], dim_x: int) -> list[tuple[int, int]]
         return None
     return [(total[q] - fixed[q],) * 2 if q in fixed else
             (total[q] - hi[q] - hi[q + 1], total[q] - lo[q] - lo[q + 1])
-            for q in range(dim_x + 1)]
+            for q in range(Q)]
 
 
-def hodge_numbers(c: Candidate, enforce_vanishing: bool = True) -> HodgeRecord:
+def hodge_numbers(c: Candidate) -> HodgeRecord:
     """Hodge numbers of X via the conormal sequence and Koszul pages.
 
     ``h0q`` comes from the structure sheaf and ``h1q`` from the long exact
-    sequence, as documented in the module docstring.  Undetermined entries
-    keep their bounds; nothing is guessed.
+    sequence on q = 0..dim X with its Serre/Hodge pins, as documented in the
+    module docstring.  Undetermined entries keep their bounds; nothing is
+    guessed.
     """
     P, E = c.P, c.rep
     # the pages of W = O, the conormal E* and Ω_F = (g/p)*
     rc0, rc_conormal, rc_cotangent = (
-        restricted_cohomology(KoszulInput(P, E, W), enforce_vanishing)
+        restricted_cohomology(KoszulInput(P, E, W))
         for W in (trivial(P), dual(P, E), dual(P, P.tangent)))
     h0q = rc0.hodge_vector()
     # additivity of χ on 0 -> E*|_X -> Ω^1_F|_X -> Ω^1_X -> 0
     chi_omega1 = rc_cotangent.euler - rc_conormal.euler
 
     n = c.dim_x
-    pins: dict[int, int] = {}
-    if enforce_vanishing:
-        # h^{1,0} = h^{0,1} and h^{1,n} = h^{n-1,0} = h^{0,n-1}
-        for q, h in ((0, h0q[1]), (n, h0q[n - 1])):
-            if h.determined:
-                pins[q] = h.value
-    span = range(P.dim + 2)
-    solved = [s for A, B in product(_page_vectors(rc_conormal, span),
-                                    _page_vectors(rc_cotangent, span))
-              if (s := _les_ranges(A, B, pins, n)) is not None]
+    # h^{1,0} = h^{0,1} and h^{1,n} = h^{n-1,0} = h^{0,n-1}
+    pins = {q: h.value for q, h in ((0, h0q[1]), (n, h0q[n - 1])) if h.determined}
+    solved = [s for A, B in product(_page_vectors(rc_conormal), _page_vectors(rc_cotangent))
+              if (s := _les_ranges(A, B, pins)) is not None]
     if not solved:
         raise InconsistentLongExactSequence(
             "no connecting-map ranks make the conormal long exact sequence "

@@ -31,10 +31,9 @@ whose sides are the positions of even and of odd total degree.
 ``restricted_cohomology`` solves each connected component in closed form.
 Let ν(X→Z) = min over Y ⊆ X of D(X∖Y) + D(N(Y) ∩ Z) be the largest
 b-matching from X into Z (capacitated König–Ore), and S the positions in
-forbidden degrees (none when vanishing is not enforced).  The component is
-consistent iff ν(S∩A → B) = D(S∩A) for both choices of sides A, B
-(Mendelsohn–Dulmage), and a degree n whose layer L lies on side A then
-ranges over
+forbidden degrees.  The component is consistent iff ν(S∩A → B) = D(S∩A)
+for both choices of sides A, B (Mendelsohn–Dulmage), and a degree n whose
+layer L lies on side A then ranges over
 
     [0, 0]                                                 if L ⊆ S,
     [D(L) - ν((S∩A) ∪ L → B) + D(S∩A),  D(L) - D(S∩B) + ν(S∩B → A∖L)]
@@ -59,7 +58,7 @@ from .cohomology import _weyl_dim, bwb_irrep, weyl_dim
 from .errors import (InconsistentSpectralSequence, NotGloballyGenerated,
                      NotMaximalParabolic, TrivialSummand)
 from .parabolic import ParabolicData, is_g_dominant
-from .reps import RepSum, _levi_terms, dual, exterior_power, tensor, trivial
+from .reps import RepSum, _levi_terms, dual, exterior_power, tensor
 from .root_system import Weight, wadd, weight_str, wsub, wzero
 
 
@@ -67,13 +66,16 @@ class KoszulInput(namedtuple("KoszulInput", "P E W")):
     """The data of a complete intersection: ambient parabolic ``P``, ``E`` and ``W``.
 
     ``E`` (the bundle cut by a section) and ``W`` (the bundle restricted to
-    X) are :class:`RepSum` over ``P``.  Construction rejects an ``E`` with a
-    trivial or a not globally generated summand.
+    X) are :class:`RepSum` over ``P``.  Construction rejects an ``E`` or a
+    ``W`` over another parabolic, and an ``E`` with a trivial or a not
+    globally generated summand.
     """
 
     __slots__ = ()
 
     def __new__(cls, P, E, W):
+        if E.parabolic != P or W.parabolic != P:
+            raise ValueError("E and W must live over the given parabolic")
         zero = wzero(P.rs.rank)
         for lam in E.terms:
             if lam == zero:
@@ -294,25 +296,17 @@ class RestrictedCohomology:
         return tuple(self.h(n) for n in range(self.dim_x + 1))
 
 
-def restricted_cohomology(inp: KoszulInput, enforce_vanishing: bool = True) -> RestrictedCohomology:
+def restricted_cohomology(inp: KoszulInput) -> RestrictedCohomology:
     """Resolve the Koszul spectral sequence as far as dimensions force it.
 
-    With ``enforce_vanishing`` (the default), limit entries in total degrees
-    outside 0..dim X are required to vanish; disabling it gives the purely
-    formal analysis, which can only be less determined (useful as an audit).
+    Limit entries in total degrees outside 0..dim X must vanish, so
+    ``by_degree`` holds exactly the degrees 0..dim X; a degree with no E1
+    entry is a determined zero.
     """
     page = e1_page(inp)
     dim_x = inp.dim_x
-
-    def allowed(n: int) -> bool:
-        return 0 <= n <= dim_x
-
-    ranges = _limit_ranges(page.entries(), inp.E.rank,
-                           allowed if enforce_vanishing else lambda n: True)
-    by_degree = {n: DimRange(lo, hi) for n, (lo, hi) in ranges.items()
-                 if hi > 0 or allowed(n)}
-    for n in range(dim_x + 1):
-        by_degree.setdefault(n, DimRange(0, 0))
+    ranges = _limit_ranges(page.entries(), inp.E.rank, lambda n: 0 <= n <= dim_x)
+    by_degree = {n: DimRange(*ranges.get(n, (0, 0))) for n in range(dim_x + 1)}
     return RestrictedCohomology(inp, by_degree, page.euler)
 
 
@@ -336,9 +330,3 @@ def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:
     line = tuple(i if j == node - 1 else 0 for j in range(P.rs.rank))
     return sum((-1) ** k * c * _weyl_dim(P.rs, wadd(mu, line))
                for k, layer in enumerate(_koszul_layers(P, E)) for mu, c in layer.items())
-
-
-def structure_sheaf_cohomology(P: ParabolicData, E: RepSum,
-                               enforce_vanishing: bool = True) -> RestrictedCohomology:
-    """Restricted cohomology of the trivial bundle: the h^{0,q} of X."""
-    return restricted_cohomology(KoszulInput(P, E, trivial(P)), enforce_vanishing)

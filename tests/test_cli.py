@@ -111,6 +111,18 @@ class TestClassify:
         assert (code, out) == (1, "")
         assert "drop --parabolic" in err
 
+    def test_check_paper_enumerates_each_table_once(self, capsys, monkeypatch):
+        calls = []
+        enumerate_candidates = classify.enumerate_candidates
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_candidates(*args)
+        monkeypatch.setattr(classify, "enumerate_candidates", counted)
+        code, out, _ = run(capsys, "classify", "--dim", "3", "--check-paper")
+        assert code == 0 and "8 matched, 0 missing, 0 extra" in out
+        assert len(calls) == 3
+
     def test_parabolic_filter(self, capsys):
         code, out, _ = run(capsys, "classify", "--dim", "3", "--parabolic", "P2",
                            "--format", "json")

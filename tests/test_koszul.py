@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from g2cy import (CartanMatrix, KoszulInput, ParabolicData, RepSum, build_root_system,
                   bundle_cohomology, dual, e1_page, enumerate_all,
                   euler_char, g2_parabolic, hilbert_value, irrep, koszul, koszul_terms,
-                  restricted_cohomology, structure_sheaf_cohomology, tensor, trivial,
-                  validate_candidate)
+                  restricted_cohomology, tensor, trivial, validate_candidate)
 from g2cy.errors import (InconsistentSpectralSequence, NotGloballyGenerated,
                          NotMaximalParabolic, TrivialSummand)
 from g2cy.koszul import _limit_ranges
@@ -54,6 +53,14 @@ class TestKoszulTerms:
         with pytest.raises(NotGloballyGenerated):
             KoszulInput(P1, irrep(P1, (-1, 3)), trivial(P1))
 
+    def test_rejects_e_over_another_parabolic(self, P1, P2):
+        with pytest.raises(ValueError, match="parabolic"):
+            KoszulInput(P1, irrep(P2, (1, 1)), trivial(P1))
+
+    def test_rejects_w_over_another_parabolic(self, P1, B):
+        with pytest.raises(ValueError, match="parabolic"):
+            KoszulInput(P1, irrep(P1, (1, 1)), irrep(B, (2, 0)))
+
 
 class TestE1Page:
     def test_main_threefolds_have_two_corner_entries(self, P1, P2):
@@ -90,13 +97,14 @@ class TestE1Page:
 
 class TestRestrictedCohomology:
     def test_main_threefold_structure_sheaf(self, P1):
-        rc = structure_sheaf_cohomology(P1, irrep(P1, (1, 1)))
+        rc = restricted_cohomology(KoszulInput(P1, irrep(P1, (1, 1)), trivial(P1)))
         assert [rc.h(n).value for n in range(4)] == [1, 0, 0, 1]
         assert rc.determined
         assert rc.euler == 0
 
     def test_k3_structure_sheaf(self, P1):
-        rc = structure_sheaf_cohomology(P1, bundle(P1, (1, 0), (1, 0), (1, 0)))
+        rc = restricted_cohomology(
+            KoszulInput(P1, bundle(P1, (1, 0), (1, 0), (1, 0)), trivial(P1)))
         assert [rc.h(n).value for n in range(3)] == [1, 0, 1]
         assert rc.euler == 2
 
@@ -113,24 +121,31 @@ class TestRestrictedCohomology:
         assert rc.h(4).value == 0
 
     def test_vanishing_toggle_only_adds_information(self, P1, P2):
+        # the public result against the solve that lets every degree live
         for P in (P1, P2):
             e = irrep(P, (1, 1))
             for w in (trivial(P), dual(P, e), dual(P, P.tangent)):
                 inp = KoszulInput(P, e, w)
-                strict = restricted_cohomology(inp, enforce_vanishing=True)
-                loose = restricted_cohomology(inp, enforce_vanishing=False)
-                for n, r in loose.by_degree.items():
-                    if r.determined:
-                        assert strict.h(n) == r
+                strict = restricted_cohomology(inp)
+                loose = _limit_ranges(e1_page(inp).entries(), inp.E.rank, lambda n: True)
+                for n, (lo, hi) in loose.items():
+                    got = strict.h(n)
+                    if lo == hi:
+                        assert got == (lo, hi)
                     else:
-                        got = strict.h(n)
-                        assert r.lower <= got.lower and got.upper <= r.upper
+                        assert lo <= got.lower and got.upper <= hi
 
     def test_audit_mode_leaves_forced_degree_open(self, P1):
+        # without vanishing nothing forces the differential out of degree 4
         e = irrep(P1, (1, 1))
-        rc = restricted_cohomology(KoszulInput(P1, e, dual(P1, e)),
-                                   enforce_vanishing=False)
-        assert not rc.h(4).determined
+        inp = KoszulInput(P1, e, dual(P1, e))
+        lo, hi = _limit_ranges(e1_page(inp).entries(), inp.E.rank, lambda n: True)[4]
+        assert lo < hi
+
+    def test_pages_live_on_degrees_zero_to_dim_x(self):
+        # the conormal long exact sequence relies on this to stop at dim X
+        for inp in koszul_sweep_inputs():
+            assert list(restricted_cohomology(inp).by_degree) == list(range(inp.dim_x + 1))
 
 
 class TestHilbertValue:
@@ -543,7 +558,7 @@ class TestBitmaskAgainstSets:
         for page in sweep_pages:
             inp = page.input
             assert_same_ranges(page.entries(), inp.E.rank, vanishing(inp.dim_x, enforce))
-            rc = restricted_cohomology(page.input, enforce_vanishing=enforce)
+            rc = restricted_cohomology(page.input)
             assert type(page.euler) is int and type(rc.euler) is int
             assert rc.euler == page.euler
         assert len(sweep_pages) == 486
