@@ -244,6 +244,7 @@ class TestLongExactSequence:
 
     @pytest.mark.parametrize("case", [
         ([3, 0], [2, 5], {}),               # A^0 does not inject into B^0
+        ([0, 0, 4], [0, 1, 1], {1: 0}),     # ker(A^2 -> B^2) is too large for C^1 = 0
         ([1, 2, 0], [1, 2, 1], {0: 3})])    # a pin that no rank reaches
     def test_no_solution_matches_rank_search(self, case):
         assert oracle_on_degrees(*case) is None
