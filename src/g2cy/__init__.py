@@ -11,8 +11,8 @@ integer arithmetic.
 from .classify import (TableRow, diff_against_paper, enumerate_all,
                        enumerate_candidates, published_invariants,
                        reference_tables, verify_theorem)
-from .cohomology import (CohomologyTable, GIrrep, bundle_cohomology, bwb_irrep,
-                         euler_char, g_irrep, weyl_dim)
+from .cohomology import (CohomologyTable, bundle_cohomology, bwb_irrep,
+                         euler_char, weyl_dim)
 from .errors import G2CYError
 from .invariants import (Candidate, HodgeRecord, degree_and_c2, hodge_numbers,
                          to_record, validate_candidate)
@@ -33,8 +33,8 @@ __all__ = [
     "ParabolicData", "g2_parabolic", "is_g_dominant",
     "RepSum", "decompose", "dual", "exterior_power", "irrep", "irrep_det",
     "irrep_dim", "irrep_weights", "tensor", "trivial",
-    "CohomologyTable", "GIrrep", "bundle_cohomology", "bwb_irrep",
-    "euler_char", "g_irrep", "weyl_dim",
+    "CohomologyTable", "bundle_cohomology", "bwb_irrep", "euler_char",
+    "weyl_dim",
     "DimRange", "E1Page", "KoszulInput", "RestrictedCohomology", "e1_page",
     "hilbert_value", "koszul_terms", "restricted_cohomology",
     "Candidate", "HodgeRecord", "degree_and_c2", "hodge_numbers",

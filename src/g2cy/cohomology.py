@@ -16,7 +16,7 @@ automatically a minimal coset representative, so l(w) <= dim G/P.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from functools import lru_cache
 
 from .errors import NotGDominant, NotPDominant
@@ -52,16 +52,6 @@ def _weyl_dim(rs: RootSystem, mu: Weight) -> int:
     if num % den:
         raise AssertionError("Weyl dimension product is not integral")
     return num // den
-
-
-class GIrrep(namedtuple("GIrrep", "highest dim")):
-    """A G-irreducible: dominant ``highest`` weight plus its exact ``dim``."""
-
-    __slots__ = ()
-
-
-def g_irrep(rs: RootSystem, mu: Weight) -> GIrrep:
-    return GIrrep(tuple(mu), weyl_dim(rs, mu))
 
 
 def bwb_irrep(P: ParabolicData, lam: Weight) -> tuple[int, Weight] | None:

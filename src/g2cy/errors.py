@@ -10,8 +10,8 @@ class InvalidCartan(G2CYError):
 
 
 class NonFiniteType(G2CYError):
-    """Cartan matrix not of finite type (its symmetrised form is not positive
-    definite), or a Weyl group enumeration past its bound."""
+    """Cartan matrix not of finite type: its symmetrised form is not positive
+    definite."""
 
 
 class NotPDominant(G2CYError):
@@ -27,7 +27,8 @@ class NotARepresentation(G2CYError):
 
 
 class OutOfRange(G2CYError):
-    """Numerical argument outside its admissible range."""
+    """Numerical argument outside its admissible range, or a Weyl group too
+    large to enumerate, as told by its exact order."""
 
 
 class UnsupportedLevi(G2CYError):

@@ -41,19 +41,16 @@ from .reps import RepSum, dual, trivial
 from .root_system import wzero, weight_str
 
 
-class Candidate(namedtuple("Candidate", "P summands rank dim_x det")):
+class Candidate(namedtuple("Candidate", "P summands rank dim_x det rep")):
     """A validated bundle: parabolic ``P`` plus dominant highest weights.
 
     ``summands`` holds the weights in canonical order (descending irreducible
-    rank, then weight); ``rank`` and ``det`` are those of the bundle, and
-    ``dim_x`` is dim G/P - rank.
+    rank, then weight); ``rank`` and ``det`` are those of the bundle, ``dim_x``
+    is dim G/P - rank, and ``rep`` is the bundle as the :class:`RepSum` that
+    validation built.
     """
 
     __slots__ = ()
-
-    @property
-    def rep(self) -> RepSum:
-        return RepSum(self.P, Counter(self.summands))
 
     def __str__(self) -> str:
         return f"{self.P.label}: {self.rep}"
@@ -84,7 +81,7 @@ def validate_candidate(P: ParabolicData, summands) -> Candidate:
             f"det E = {weight_str(det)} differs from the anticanonical "
             f"{weight_str(P.anticanonical)}")
     ordered = tuple(w for w, m in rep.sorted_terms() for _ in range(m))
-    return Candidate(P=P, summands=ordered, rank=rank, dim_x=P.dim - rank, det=det)
+    return Candidate(P=P, summands=ordered, rank=rank, dim_x=P.dim - rank, det=det, rep=rep)
 
 
 class HodgeRecord(namedtuple("HodgeRecord", "h0q h1q chi_omega1")):

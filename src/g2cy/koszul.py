@@ -121,9 +121,6 @@ class E1Page:
         self.input = inp
         self._dims = dims
 
-    def dim(self, k: int, q: int) -> int:
-        return self._dims.get((k, q), 0)
-
     def entries(self) -> dict[tuple[int, int], int]:
         """Nonzero entries as {(k, q): dim}."""
         return dict(self._dims)

@@ -119,6 +119,9 @@ class RepSum:
         return (isinstance(other, RepSum) and self.parabolic == other.parabolic
                 and self.terms == other.terms)
 
+    def __hash__(self) -> int:
+        return hash((self.parabolic, frozenset(self.terms.items())))
+
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -24,9 +24,12 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add, sub
 
-from .errors import InvalidCartan, NonFiniteType
+from .errors import InvalidCartan, NonFiniteType, OutOfRange
 
 Weight = tuple[int, ...]
+
+#: Largest Weyl group that :meth:`RootSystem.weyl_elements` enumerates.
+_WEYL_WALK_LIMIT = 1_000_000
 
 
 def wadd(u: Weight, v: Weight) -> Weight:
@@ -101,14 +104,13 @@ class CartanMatrix(namedtuple("CartanMatrix", "entries")):
 G2_CARTAN = CartanMatrix.from_rows([[2, -3], [-1, 2]])
 
 
-class Root(namedtuple("Root", "weight simple_coords coroot_coords norm_half long")):
+class Root(namedtuple("Root", "weight simple_coords coroot_coords long")):
     """A root, stored in every coordinate system the package needs.
 
     ``weight`` is the root in fundamental-weight coordinates, ``simple_coords``
     its expansion over the simple roots, and ``coroot_coords`` the expansion of
-    the coroot ``2*alpha/(alpha,alpha)`` over simple coroots.  ``norm_half`` is
-    ``(alpha, alpha)/2`` with short roots normalised to 1 by the symmetrizer;
-    ``long`` marks roots of maximal length.
+    the coroot ``2*alpha/(alpha,alpha)`` over simple coroots; ``long`` marks
+    roots of maximal length.
     """
 
     __slots__ = ()
@@ -169,8 +171,9 @@ def _symmetrizer(cartan: CartanMatrix) -> tuple[int, ...]:
 class RootSystem:
     """A finite root system with its Weyl combinatorics.
 
-    Immutable after construction; all operations are pure functions of their
-    arguments, so instances can be shared freely across threads.
+    Immutable after construction: no method caches or changes state, and all
+    operations are pure functions of their arguments, so instances can be
+    shared freely across threads.
     """
 
     def __init__(self, cartan: CartanMatrix, symmetrizer: tuple[int, ...],
@@ -183,7 +186,6 @@ class RootSystem:
                                 if r.simple_coords == tuple(int(k == i - 1)
                                                             for k in range(cartan.rank)))
                         for i in range(1, cartan.rank + 1)}
-        self._weyl_cache: tuple[WeylElement, ...] | None = None
 
     @property
     def rank(self) -> int:
@@ -247,30 +249,31 @@ class RootSystem:
             return None
         return length, cur
 
-    def weyl_elements(self, bound: int = 1_000_000) -> tuple[WeylElement, ...]:
-        """Enumerate the whole Weyl group as reduced words (breadth first)."""
-        if self._weyl_cache is not None:
-            return self._weyl_cache
-        n = self.rank
-        identity = tuple(tuple(int(k == j) for k in range(n)) for j in range(n))
-        seen: dict[tuple[Weight, ...], tuple[int, ...]] = {identity: ()}
-        frontier = [identity]
+    def weyl_elements(self) -> tuple[WeylElement, ...]:
+        """The whole Weyl group as reduced words, ordered by (length, word).
+
+        w -> w(rho) is a bijection from W onto the orbit of rho, and s_i w is
+        longer than w exactly when w(rho) has a positive i-th coordinate.  So
+        a breadth-first walk over that orbit, one weight per element, reaches
+        each element first along a reduced word ``(i,) + word``.  A group of
+        more than a million elements is refused with :class:`OutOfRange`
+        before any walk, from its exact :meth:`weyl_order`.
+        """
+        order = self.weyl_order()
+        if order > _WEYL_WALK_LIMIT:
+            raise OutOfRange(f"the Weyl group has {order} elements; at most "
+                             f"{_WEYL_WALK_LIMIT} are enumerated")
+        words: dict[Weight, tuple[int, ...]] = {self.weyl_vector: ()}
+        frontier = [self.weyl_vector]
         while frontier:
             nxt = []
-            for cols in frontier:
-                word = seen[cols]
-                for i in range(1, n + 1):
-                    ncols = tuple(self.reflect(i, c) for c in cols)
-                    if ncols not in seen:
-                        seen[ncols] = (i,) + word
-                        nxt.append(ncols)
-                        if len(seen) > bound:
-                            raise NonFiniteType("Weyl group enumeration exceeded bound")
+            for mu in frontier:
+                for i, c in enumerate(mu, 1):
+                    if c > 0 and (nu := self.reflect(i, mu)) not in words:
+                        words[nu] = (i,) + words[mu]
+                        nxt.append(nu)
             frontier = nxt
-        elements = tuple(WeylElement(w) for w in
-                         sorted(seen.values(), key=lambda w: (len(w), w)))
-        self._weyl_cache = elements
-        return elements
+        return tuple(WeylElement(w) for w in sorted(words.values(), key=lambda w: (len(w), w)))
 
     def weyl_order(self) -> int:
         """|W| = Π (ht a + 1) / Π ht a over the positive roots a, exactly."""
@@ -322,9 +325,6 @@ def build_root_system(cartan: CartanMatrix) -> RootSystem:
     def unit(i: int) -> tuple[int, ...]:
         return tuple(int(k == i) for k in range(n))
 
-    def to_weight(sc: tuple[int, ...]) -> Weight:
-        return tuple(sum(sc[i] * C[i][j] for i in range(n)) for j in range(n))
-
     known: dict[tuple[int, ...], Weight] = {unit(i): cartan.row(i + 1) for i in range(n)}
     frontier = list(known)
     while frontier:
@@ -339,7 +339,8 @@ def build_root_system(cartan: CartanMatrix) -> RootSystem:
                 if any(x < 0 for x in nsc):
                     continue  # reflection left the positive cone
                 if nsc not in known:
-                    known[nsc] = to_weight(nsc)
+                    # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i
+                    known[nsc] = tuple([x - c * a for x, a in zip(w, C[i])])
                     nxt.append(nsc)
         frontier = nxt
 
@@ -360,7 +361,7 @@ def build_root_system(cartan: CartanMatrix) -> RootSystem:
                 raise InvalidCartan("coroot expansion is not integral")
             cv.append(num // nh)
         roots.append(Root(weight=w, simple_coords=sc, coroot_coords=tuple(cv),
-                          norm_half=nh, long=(nh == max_norm)))
+                          long=(nh == max_norm)))
     roots.sort(key=lambda r: (r.height, r.simple_coords))
 
     rs = RootSystem(cartan, d, tuple(roots))

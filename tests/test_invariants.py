@@ -209,6 +209,17 @@ class TestHodgeNumbers:
         assert not weights
         assert calls_here == {"dual": 2}
 
+    def test_pages_take_the_candidate_rep_itself(self, P2, monkeypatch):
+        # E is the RepSum that validation built, not a rebuild per access
+        c = candidate(P2, (0, 1), (0, 4))
+        inputs = []
+        solve = invariants.restricted_cohomology
+        monkeypatch.setattr(invariants, "restricted_cohomology",
+                            lambda inp: inputs.append(inp) or solve(inp))
+        hodge_numbers(c)
+        assert len(inputs) == 3
+        assert all(inp.E is c.rep for inp in inputs)
+
 
 @st.composite
 def les_inputs(draw):
@@ -360,6 +371,16 @@ class TestDegreeAndC2:
         assert len(samples) == 9
         assert not calls
         assert hilbert == {"hilbert_value": 9}
+
+    def test_samples_take_the_candidate_rep_itself(self, P2, monkeypatch):
+        c = candidate(P2, (0, 1), (0, 4))
+        bundles = []
+        sample = invariants.hilbert_value
+        monkeypatch.setattr(invariants, "hilbert_value",
+                            lambda P, E, i: bundles.append(E) or sample(P, E, i))
+        degree_and_c2(c)
+        assert len(bundles) == 9
+        assert all(E is c.rep for E in bundles)
 
 
 class TestEulerNumber:

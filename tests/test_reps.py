@@ -242,6 +242,12 @@ class TestDecompose:
         assert (a + b).rank == a.rank + b.rank
         assert (a + b).det == wadd(a.det, b.det)
 
+    def test_hash_follows_equality(self, P1, P2):
+        a = RepSum(P2, [((2, 1), 1), ((0, 3), 2)])
+        b = irrep(P2, (0, 3)) + irrep(P2, (2, 1)) + irrep(P2, (0, 3))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, irrep(P2, (2, 1)), irrep(P1, (2, 1))}) == 3
+
 
 # The former peeling implementation of ``decompose``, kept verbatim as the
 # oracle: repeatedly extract a maximal weight in the Levi dominance order and

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from g2cy import G2_CARTAN, CartanMatrix, build_root_system
-from g2cy.errors import InvalidCartan
-from g2cy.root_system import wscale, wsub
+from g2cy import G2_CARTAN, CartanMatrix, WeylElement, build_root_system
+from g2cy.errors import InvalidCartan, NonFiniteType
+from g2cy.root_system import Weight, wscale, wsub
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -20,6 +20,40 @@ def a_series(r):
     rows = [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(r)]
             for i in range(r)]
     return CartanMatrix.from_rows(rows)
+
+
+def e_series(r):
+    """E_r in Bourbaki numbering: the chain 1-3-4-...-r with node 2 on node 4."""
+    rows = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
+    for i, j in [(1, 3), (2, 4)] + [(k, k + 1) for k in range(3, r)]:
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = -1
+    return CartanMatrix.from_rows(rows)
+
+
+# The former Weyl walk, kept verbatim (less its cache) as the oracle: a
+# breadth-first search over the images of the n basis vectors, under a cap on
+# the number of elements.
+
+def oracle_weyl_elements(self, bound: int = 1_000_000) -> tuple[WeylElement, ...]:
+    """Enumerate the whole Weyl group as reduced words (breadth first)."""
+    n = self.rank
+    identity = tuple(tuple(int(k == j) for k in range(n)) for j in range(n))
+    seen: dict[tuple[Weight, ...], tuple[int, ...]] = {identity: ()}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for cols in frontier:
+            word = seen[cols]
+            for i in range(1, n + 1):
+                ncols = tuple(self.reflect(i, c) for c in cols)
+                if ncols not in seen:
+                    seen[ncols] = (i,) + word
+                    nxt.append(ncols)
+                    if len(seen) > bound:
+                        raise NonFiniteType("Weyl group enumeration exceeded bound")
+        frontier = nxt
+    return tuple(WeylElement(w) for w in
+                 sorted(seen.values(), key=lambda w: (len(w), w)))
 
 
 class TestBuild:
@@ -117,11 +151,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("r, order", [(6, 51_840), (8, 696_729_600)])
     def test_weyl_order_of_e_series(self, r, order):
-        # Bourbaki numbering: the chain 1-3-4-...-r with node 2 on node 4
-        rows = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
-        for i, j in [(1, 3), (2, 4)] + [(k, k + 1) for k in range(3, r)]:
-            rows[i - 1][j - 1] = rows[j - 1][i - 1] = -1
-        assert build_root_system(CartanMatrix.from_rows(rows)).weyl_order() == order
+        assert build_root_system(e_series(r)).weyl_order() == order
 
     @pytest.mark.parametrize("rows", [
         [[1]],                      # bad diagonal
@@ -245,6 +275,42 @@ class TestDominantConjugate:
 
 
 class TestWeylElements:
+    @pytest.mark.parametrize("rows", [
+        a_series(1).entries, a_series(2).entries, a_series(3).entries, a_series(4).entries,
+        [[2, -2], [-1, 2]],
+        [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+        [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+        G2_CARTAN.entries,
+        [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+        [[2, 0], [0, 2]],
+    ], ids=["A1", "A2", "A3", "A4", "B2", "C3", "D4", "G2", "F4", "A1xA1"])
+    def test_orbit_walk_matches_matrix_walk(self, rows):
+        rs = build_root_system(CartanMatrix.from_rows(rows))
+        assert rs.weyl_elements() == oracle_weyl_elements(rs)
+
+    def test_large_groups_refused_from_their_order(self):
+        # in a child interpreter with a timeout and a memory cap: a walk that
+        # starts on E7 (2,903,040 elements) must fail here, not exhaust the host
+        code = textwrap.dedent("""
+            import ast, resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+            sys.path.insert(0, sys.argv[1])
+            from g2cy import CartanMatrix, build_root_system
+            from g2cy.errors import OutOfRange
+            for rows in ast.literal_eval(sys.argv[2]):
+                try:
+                    build_root_system(CartanMatrix(rows)).weyl_elements()
+                except OutOfRange as exc:
+                    print(exc)
+        """)
+        cartans = repr([e_series(7).entries, e_series(8).entries])
+        proc = subprocess.run([sys.executable, "-c", code, SRC, cartans],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        e7, e8 = proc.stdout.splitlines()
+        assert "2903040 elements" in e7
+        assert "696729600 elements" in e8
+
     def test_words_are_reduced(self, rs):
         lengths = sorted(w.length for w in rs.weyl_elements())
         # dihedral of order 12: one element per length except two in 1..5
