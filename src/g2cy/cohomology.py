@@ -29,11 +29,15 @@ def weyl_dim(rs: RootSystem, mu: Weight) -> int:
     """Dimension of the G-irreducible with dominant highest weight mu.
 
     Product over positive roots of <mu+rho, a^vee>/<rho, a^vee>, evaluated as
-    one exact integer division at the end.
+    one exact integer division at the end.  A non-``int`` coordinate raises
+    ``ValueError`` before the cache sees it, since ``1.0 == 1``.
     """
     mu = tuple(mu)
-    if any(c < 0 for c in mu):
-        raise NotGDominant(f"{weight_str(mu)} is not dominant")
+    for c in mu:
+        if not isinstance(c, int):
+            raise ValueError(f"weight coordinate {c!r} is not an integer")
+        if c < 0:
+            raise NotGDominant(f"{weight_str(mu)} is not dominant")
     return _weyl_dim(rs, mu)
 
 

@@ -8,9 +8,9 @@ dimension dim F - rank E, and the structure sheaf of X is resolved by
 Tensoring the resolution with a bundle W and taking cohomology termwise gives
 the first page E1(k, q) = H^q(F, Λ^k E* ⊗ W) of a spectral sequence
 converging to H^{q-k}(X, W|_X).  The weight multisets of Λ^k E*
-(``_koszul_layers``) feed both E1 columns, times the weights of W and split
-into Levi irreducibles for Borel–Weil–Bott, and Hilbert samples, as Weyl's
-product summed over them (``hilbert_value``).
+(``_koszul_layers``, by the kernels in :mod:`~g2cy.reps`) feed both E1
+columns, times the weights of W and split into Levi irreducibles for
+Borel–Weil–Bott, and Hilbert samples, as Weyl's product summed over them.
 
 The differentials depend on the chosen section (they are contractions with
 it), so they are not equivariant maps and cannot be dismissed by comparing
@@ -58,8 +58,8 @@ from .cohomology import _weyl_dim, bwb_irrep, weyl_dim
 from .errors import (InconsistentSpectralSequence, NotGloballyGenerated,
                      NotMaximalParabolic, TrivialSummand)
 from .parabolic import ParabolicData, is_g_dominant
-from .reps import RepSum, _levi_terms, dual, exterior_power, tensor
-from .root_system import Weight, wadd, weight_str, wsub, wzero
+from .reps import RepSum, _exterior_layers, _levi_terms, _product, dual, exterior_power, tensor
+from .root_system import Weight, wadd, weight_str, wneg, wzero
 
 
 class KoszulInput(namedtuple("KoszulInput", "P E W")):
@@ -91,23 +91,14 @@ class KoszulInput(namedtuple("KoszulInput", "P E W")):
 
 
 def _koszul_layers(P: ParabolicData, E: RepSum) -> list[dict[Weight, int]]:
-    """Weight multisets of Λ^k E* for k = 0..rank E: the sums of the k-element
-    sub-multisets of the negated weights of E, equal sums merged, built by the
-    elementary-symmetric recurrence in one pass over the weights."""
-    layers: list[dict[Weight, int]] = [{wzero(P.rs.rank): 1}]
-    for eps in E.weights().elements():
-        layers.append({})
-        for k in range(len(layers) - 1, 0, -1):
-            layer = layers[k]
-            for mu, c in layers[k - 1].items():
-                nu = wsub(mu, eps)
-                layer[nu] = layer.get(nu, 0) + c
-    return layers
+    """Weight multisets of Λ^k E* for k = 0..rank E."""
+    return _exterior_layers(P, map(wneg, E.weights().elements()))
 
 
 def koszul_terms(inp: KoszulInput) -> list[RepSum]:
-    """Terms Λ^k E* ⊗ W of the twisted resolution, k = 0..rank E, each product
-    with W taken by the Clebsch–Gordan rule of :func:`~g2cy.reps.tensor`."""
+    """Terms Λ^k E* ⊗ W of the twisted resolution, k = 0..rank E, through the
+    public ``dual``, ``exterior_power`` and ``tensor``: the oracle path to the
+    characters that :func:`e1_page` builds from weights."""
     P, E = inp.P, inp.E
     e_dual = dual(P, E)
     return [tensor(P, exterior_power(P, e_dual, k), inp.W) for k in range(E.rank + 1)]
@@ -137,16 +128,11 @@ def e1_page(inp: KoszulInput) -> E1Page:
     rank W, each sent to :func:`bwb_irrep` (which checks p-dominance) and
     :func:`weyl_dim`."""
     P, W = inp.P, inp.W
-    w_weights = W.weights().items()
+    w_weights = W.weights()
     dims: dict[tuple[int, int], int] = {}
     for k, layer in enumerate(_koszul_layers(P, inp.E)):
-        column: dict[Weight, int] = {}
-        for mu, c in layer.items():
-            for nu, d in w_weights:
-                lam = wadd(mu, nu)
-                column[lam] = column.get(lam, 0) + c * d
         rank = comb(inp.E.rank, k) * W.rank
-        for lam, mult in _levi_terms(P, column).items():
+        for lam, mult in _levi_terms(P, _product(layer, w_weights)).items():
             rank -= mult * P.string_length(lam)     # counts the column's rank down to 0
             res = bwb_irrep(P, lam)
             if res is not None:
@@ -316,13 +302,16 @@ def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:
     product W(mu) for every weight mu, so the Koszul resolution gives
     χ(O_X(i)) = Σ_S (-1)^|S| W(i omega - ε_S), S running over the
     sub-multisets of the weights ε of E: the layers of
-    :func:`_koszul_layers` with sign (-1)^k, and no spectral sequence involved.
+    :func:`_koszul_layers` with sign (-1)^k, as in the E1 columns, and no
+    spectral sequence involved.  A non-``int`` twist raises ``ValueError``.
     """
     if len(P.crossed) != 1:
         raise NotMaximalParabolic(
             f"{P.label} has Picard rank {len(P.crossed)}; a single twist is undefined")
     if E.parabolic != P:
         raise ValueError("E must live over the given parabolic")
+    if not isinstance(i, int):
+        raise ValueError(f"twist {i!r} is not an integer")
     node = next(iter(P.crossed))
     line = tuple(i if j == node - 1 else 0 for j in range(P.rs.rank))
     return sum((-1) ** k * c * _weyl_dim(P.rs, wadd(mu, line))

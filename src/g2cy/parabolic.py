@@ -124,4 +124,4 @@ def _g2_parabolic(name: str) -> ParabolicData:
 
 def g2_parabolic(name: str) -> ParabolicData:
     """One of the three G2 parabolics by name: P1, P2 or B."""
-    return _g2_parabolic(name.upper())
+    return _g2_parabolic(name.upper() if isinstance(name, str) else name)

@@ -5,15 +5,14 @@ labelled by p-dominant highest weights.  :class:`ParabolicData` accepts only
 Levis of semisimple rank at most one and holds their one model: the weights
 of V(lam) are the string lam - j levi_root, j < n = ``P.string_length(lam)``,
 where levi_root is the uncrossed simple root, or zero on a torus (n = 1).
-Each operation here is one formula in that model: det V(lam) =
-n lam - n(n-1)/2 levi_root, V(lam)* = V((n-1) levi_root - lam), and
-V(lam) ⊗ V(mu) = ⊕ V(lam + mu - j levi_root) over j < min(n_lam, n_mu)
-(Clebsch–Gordan).  Exterior powers are computed on weight multisets and split
-by the sl2 rule of :func:`_levi_terms`, the irreducible with highest weight
-lam occurring m(lam) - m(lam + levi_root) times, which needs a nonzero root,
-so that rule alone treats the torus apart; :func:`decompose` expands the
-result again and compares it with the input, so a multiset that is not a
-character is rejected.
+Weights, determinants and duals are closed forms in that model: det V(lam) =
+n lam - n(n-1)/2 levi_root and V(lam)* = V((n-1) levi_root - lam).  Tensor
+products and exterior powers, like the Koszul pages, are weight multisets
+built by the two kernels :func:`_product` and :func:`_exterior_layers` and
+split by the sl2 rule of :func:`_levi_terms`, the irreducible with highest
+weight lam occurring m(lam) - m(lam + levi_root) times (the torus, with no
+root, apart); :func:`decompose` expands the result again and compares it with
+the input, so a multiset that is not a character is rejected.
 
 A :class:`RepSum` is a formal non-negative combination of irreducibles over a
 fixed parabolic.  It models every bundle in the package: bundles on G/P
@@ -36,8 +35,9 @@ def _collect(P: "ParabolicData", pairs: Mapping[Weight, int] | Iterable) -> dict
 
     Zero multiplicities are dropped.  A multiplicity that is negative or not
     an ``int`` raises :class:`NotARepresentation`; a weight whose length is not
-    the rank raises ``ValueError``.  Every weight past this point has rank
-    length, which the weight kernels rely on.
+    the rank or with a non-``int`` coordinate raises ``ValueError``.  Every
+    weight past this point is a rank-length tuple of ints, which the weight
+    kernels and the caches keyed by weights rely on (``1.0 == 1``).
     """
     rank = P.rs.rank
     out: dict[Weight, int] = {}
@@ -45,6 +45,9 @@ def _collect(P: "ParabolicData", pairs: Mapping[Weight, int] | Iterable) -> dict
         lam = tuple(lam)
         if len(lam) != rank:
             raise ValueError(f"weight {weight_str(lam)} does not have length {rank}")
+        for x in lam:
+            if not isinstance(x, int):
+                raise ValueError(f"weight coordinate {x!r} is not an integer")
         if not isinstance(mult, int):
             raise NotARepresentation(f"multiplicity {mult!r} of {weight_str(lam)} "
                                      "is not an integer")
@@ -216,46 +219,47 @@ def dual(P: "ParabolicData", r: RepSum) -> RepSum:
     return result
 
 
+def _product(u: Mapping[Weight, int], v: Mapping[Weight, int]) -> dict[Weight, int]:
+    """Weight multiset of a tensor product: every sum of a weight of ``u`` and a
+    weight of ``v``, multiplicities multiplied and equal sums merged."""
+    out: dict[Weight, int] = {}
+    for mu, c in u.items():
+        for nu, d in v.items():
+            lam = wadd(mu, nu)
+            out[lam] = out.get(lam, 0) + c * d
+    return out
+
+
+def _exterior_layers(P: "ParabolicData", weights: Iterable[Weight]) -> list[dict[Weight, int]]:
+    """Weight multisets of Λ^k, k = 0..len(weights): the k-element sub-multiset
+    sums, equal sums merged, by the elementary-symmetric recurrence in one pass."""
+    layers: list[dict[Weight, int]] = [{wzero(P.rs.rank): 1}]
+    for eps in weights:
+        layers.append({})
+        for k in range(len(layers) - 1, 0, -1):
+            layer = layers[k]
+            for mu, c in layers[k - 1].items():
+                nu = wadd(mu, eps)
+                layer[nu] = layer.get(nu, 0) + c
+    return layers
+
+
 def tensor(P: "ParabolicData", a: RepSum, b: RepSum) -> RepSum:
-    """Tensor product by Clebsch–Gordan on the Levi, summand by summand:
-    V(lam) ⊗ V(mu) = ⊕ V(lam + mu - j levi_root), j = 0..min(n_lam, n_mu) - 1
-    for string lengths n (V(lam + mu) alone on a torus).  The rank is checked
-    to be multiplicative.
-    """
+    """Tensor product: :func:`decompose` of the weight product of the factors."""
     if a.parabolic != P or b.parabolic != P:
         raise ValueError("tensor factors must live over the given parabolic")
-    terms: dict[Weight, int] = {}
-    for lam, m in a.terms.items():
-        for mu, n in b.terms.items():
-            top = wadd(lam, mu)
-            for _ in range(min(P.string_length(lam), P.string_length(mu))):
-                terms[top] = terms.get(top, 0) + m * n
-                top = wsub(top, P.levi_root)
-    result = RepSum(P, terms)
-    if result.rank != a.rank * b.rank:
-        raise AssertionError("tensor product has the wrong rank")
-    return result
+    return decompose(P, _product(a.weights(), b.weights()))
 
 
 def exterior_power(P: "ParabolicData", r: RepSum, k: int) -> RepSum:
-    """k-th exterior power: all k-element sub-multiset sums of the weights.
-
-    Computed by the elementary-symmetric recurrence over the weight list, not
-    by enumerating subsets.
-    """
+    """k-th exterior power: :func:`decompose` of layer k of
+    :func:`_exterior_layers`, the k-element sub-multiset sums of the weights."""
     if r.parabolic != P:
         raise ValueError("the exterior power's argument must live over the given parabolic")
     n = r.rank
     if not 0 <= k <= n:
         raise OutOfRange(f"exterior power {k} outside 0..{n}")
-    elements = sorted(r.weights().elements())
-    zero = wzero(P.rs.rank)
-    layers: list[Counter] = [Counter({zero: 1})] + [Counter() for _ in range(k)]
-    for x in elements:
-        for j in range(k, 0, -1):
-            for w, c in layers[j - 1].items():
-                layers[j][wadd(w, x)] += c
-    total = sum(layers[k].values())
-    if total != comb(n, k):
+    layer = _exterior_layers(P, r.weights().elements())[k]
+    if sum(layer.values()) != comb(n, k):
         raise AssertionError("exterior power has wrong cardinality")
-    return decompose(P, layers[k])
+    return decompose(P, layer)

@@ -1,7 +1,11 @@
 """Single-degree cohomology, Weyl dimensions, Euler characteristics."""
 
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,8 @@ from g2cy.errors import NotGDominant, NotPDominant
 from g2cy.root_system import wadd, wneg, wsub
 
 from conftest import p_dominant_box
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def weyl_dim_oracle(rs, mu):
@@ -78,6 +84,39 @@ class TestWeylDim:
         info = _weyl_dim.cache_info()
         assert isinstance(info.maxsize, int)
         assert info.currsize <= info.maxsize
+
+    def test_float_weights_cannot_poison_the_cache(self):
+        # in a child interpreter, so that a float key left in the cache
+        # cannot reach the rest of the session: 1.0 == 1 and both hash alike,
+        # so one cached float result would be served to every integer caller
+        code = textwrap.dedent("""
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            from g2cy import g2_parabolic, hilbert_value, irrep, validate_candidate, weyl_dim
+            from g2cy.invariants import to_record
+            P1 = g2_parabolic("P1")
+            for call in (lambda: weyl_dim(P1.rs, (0.0, 1)),
+                         lambda: (weyl_dim(P1.rs, (1, 0)), weyl_dim(P1.rs, (1.0, 0))),
+                         lambda: hilbert_value(P1, irrep(P1, (1, 1)), 1.0)):
+                try:
+                    print("returned", call())
+                except ValueError:
+                    print("ValueError")
+
+            def numbers(x):
+                if isinstance(x, dict):
+                    x = list(x.values())
+                if isinstance(x, list):
+                    return [n for item in x for n in numbers(item)]
+                return [x] if isinstance(x, (int, float)) else []
+
+            record = to_record(validate_candidate(P1, [(1, 1)]))
+            print(sorted({type(n).__name__ for n in numbers(record)}), record["deg"])
+        """)
+        proc = subprocess.run([sys.executable, "-c", code, SRC],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["ValueError"] * 3 + ["['int'] 42"]
 
 
 class TestBwbIrrep:

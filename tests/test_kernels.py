@@ -5,18 +5,24 @@
 The former versions are kept below verbatim as oracles (methods turned into
 functions of their instance), and every kernel must agree with its oracle on
 whole boxes of weights, over G2 and the other rank-two root systems.
+``tensor`` and ``exterior_power`` are checked the same way on every parabolic
+below, against the Clebsch–Gordan oracle of ``test_reps`` and brute-force
+subset sums.
 """
 
+import re
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from g2cy import decompose, irrep
+from g2cy import decompose, exterior_power, irrep, tensor
 from g2cy.errors import NotARepresentation, NotPDominant
 from g2cy.parabolic import ParabolicData
 from g2cy.reps import RepSum
 from g2cy.root_system import CartanMatrix, build_root_system, wadd, wscale, wsub, wzero
+
+from test_reps import oracle_tensor
 
 
 def oracle_wadd(u, v):
@@ -151,6 +157,35 @@ def test_is_p_dominant_and_det_match_oracles(P):
     assert RepSum(P).det == oracle_det(RepSum(P)) == wzero(P.rs.rank)
 
 
+def sample_sums(P):
+    """Irreducibles with coordinates in [-2, 2], and sums of two of them."""
+    dominant = [lam for lam in box(P.rs.rank, 2) if P.is_p_dominant(lam)]
+    return [irrep(P, lam) for lam in dominant] + [
+        RepSum(P, {dominant[k]: 1, dominant[k + 4]: 2}) for k in range(0, len(dominant) - 4, 5)]
+
+
+@pytest.mark.parametrize("P", parabolics(), ids=lambda P: f"{P.label}-rank{P.rs.rank}")
+def test_tensor_matches_clebsch_gordan(P):
+    sums = sample_sums(P)
+    for a in sums:
+        for b in sums:
+            assert tensor(P, a, b) == oracle_tensor(P, a, b)
+
+
+@pytest.mark.parametrize("P", parabolics(), ids=lambda P: f"{P.label}-rank{P.rs.rank}")
+def test_exterior_power_matches_subset_sums(P):
+    for r in sample_sums(P):
+        elements = sorted(r.weights().elements())
+        for k in range(len(elements) + 1):
+            expected = Counter()
+            for subset in combinations(elements, k):
+                total = wzero(P.rs.rank)
+                for w in subset:
+                    total = oracle_wadd(total, w)
+                expected[total] += 1
+            assert exterior_power(P, r, k).weights() == expected
+
+
 class TestRepSumInput:
     """``RepSum`` and ``decompose`` are where weights enter the package."""
 
@@ -173,6 +208,16 @@ class TestRepSumInput:
             RepSum(P1, {lam: 1})
         with pytest.raises(ValueError):
             irrep(P1, lam)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", None])
+    def test_non_integer_coordinate(self, P1, bad):
+        # 1.0 == 1 and both hash alike, so a float weight would share cache
+        # keys with its integer twin; the message shows the coordinate's repr
+        for lam in ((bad, 0), (0, bad)):
+            for build in (lambda: RepSum(P1, {lam: 1}), lambda: irrep(P1, lam),
+                          lambda: decompose(P1, {lam: 1})):
+                with pytest.raises(ValueError, match=re.escape(f"coordinate {bad!r}")):
+                    build()
 
     def test_p_dominance_is_still_checked(self, P1):
         with pytest.raises(NotPDominant):

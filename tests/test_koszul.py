@@ -1,7 +1,6 @@
 """Koszul terms, E1 pages, restricted cohomology, Hilbert values."""
 
 import tracemalloc
-from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -10,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from g2cy import (CartanMatrix, KoszulInput, ParabolicData, RepSum, build_root_system,
                   bundle_cohomology, dual, e1_page, enumerate_all,
                   euler_char, g2_parabolic, hilbert_value, irrep, koszul, koszul_terms,
-                  restricted_cohomology, tensor, trivial, validate_candidate)
+                  restricted_cohomology, trivial, validate_candidate)
 from g2cy.errors import (InconsistentSpectralSequence, NotGloballyGenerated,
                          NotMaximalParabolic, TrivialSummand)
 from g2cy.koszul import _limit_ranges
-from g2cy.reps import _levi_terms
-from g2cy.root_system import wadd
+from g2cy.reps import _levi_terms, _product
 
 from conftest import koszul_sweep_inputs, p_dominant_box, rep_sums
+from test_reps import oracle_tensor
 
 
 def bundle(P, *summands):
@@ -280,11 +279,7 @@ class TestTensorDims:
 def test_levi_terms_of_weight_products_match_tensor(case):
     # the weight path of E1 columns against the Clebsch–Gordan rule
     P, a, b = case
-    product = Counter()
-    for u, cu in a.weights().items():
-        for v, cv in b.weights().items():
-            product[wadd(u, v)] += cu * cv
-    assert _levi_terms(P, product) == tensor(P, a, b).terms
+    assert _levi_terms(P, _product(a.weights(), b.weights())) == oracle_tensor(P, a, b).terms
 
 
 # Reference solver: the exhaustive page-by-page rank search that the closed

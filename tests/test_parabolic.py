@@ -2,7 +2,7 @@
 
 import pytest
 
-from g2cy import CartanMatrix, ParabolicData, build_root_system, is_g_dominant
+from g2cy import CartanMatrix, ParabolicData, build_root_system, g2_parabolic, is_g_dominant
 from g2cy.errors import UnsupportedLevi
 from g2cy.reps import RepSum
 
@@ -82,6 +82,11 @@ class TestMakeParabolic:
 
     def test_labels(self, P1, P2, B):
         assert (P1.label, P2.label, B.label) == ("P1", "P2", "B")
+
+    @pytest.mark.parametrize("name", ["P3", "", 1, None])
+    def test_g2_parabolic_rejects_unknown_names(self, name):
+        with pytest.raises(ValueError, match="unknown parabolic"):
+            g2_parabolic(name)
 
     def test_rejects_empty_crossing(self, rs):
         with pytest.raises(ValueError):

@@ -309,9 +309,12 @@ def outcome(decomposer, P, multiset):
         return NotARepresentation
 
 
-# The former multiset implementations of ``dual`` and ``tensor``, kept as
-# oracles for the closed forms.  Verbatim, except that ``decompose`` is looked
-# up in its module, so that patching it there reaches them too.
+# Oracles for the two ways ``reps`` builds representations.  ``oracle_dual`` is
+# the former multiset implementation of the closed-form ``dual``, verbatim
+# except that ``decompose`` is looked up in its module, so that patching it
+# there reaches it too.  ``oracle_tensor`` is the former closed-form
+# Clebsch–Gordan ``tensor``, verbatim, now that ``tensor`` is ``decompose`` of
+# the weight product; it calls no ``decompose``.
 
 def oracle_dual(P: "ParabolicData", r: RepSum) -> RepSum:
     """Dual representation: the weight multiset is negated, then re-decomposed."""
@@ -319,19 +322,30 @@ def oracle_dual(P: "ParabolicData", r: RepSum) -> RepSum:
 
 
 def oracle_tensor(P: "ParabolicData", a: RepSum, b: RepSum) -> RepSum:
-    """Tensor product via convolution of weight multisets."""
+    """Tensor product by Clebsch–Gordan on the Levi, summand by summand:
+    V(lam) ⊗ V(mu) = ⊕ V(lam + mu - j levi_root), j = 0..min(n_lam, n_mu) - 1
+    for string lengths n (V(lam + mu) alone on a torus).  The rank is checked
+    to be multiplicative.
+    """
     if a.parabolic != P or b.parabolic != P:
         raise ValueError("tensor factors must live over the given parabolic")
-    conv: Counter = Counter()
-    for u, cu in a.weights().items():
-        for v, cv in b.weights().items():
-            conv[wadd(u, v)] += cu * cv
-    return reps.decompose(P, conv)
+    terms: dict[Weight, int] = {}
+    for lam, m in a.terms.items():
+        for mu, n in b.terms.items():
+            top = wadd(lam, mu)
+            for _ in range(min(P.string_length(lam), P.string_length(mu))):
+                terms[top] = terms.get(top, 0) + m * n
+                top = wsub(top, P.levi_root)
+    result = RepSum(P, terms)
+    if result.rank != a.rank * b.rank:
+        raise AssertionError("tensor product has the wrong rank")
+    return result
 
 
 def test_dual_tensor_exterior_power_match_peeling(parabolics, monkeypatch):
-    # exterior_power and the two oracles look ``decompose`` up in its module,
-    # so patching it there gives their peeling-based versions
+    # exterior_power and oracle_dual look ``decompose`` up in its module, so
+    # patching it there gives their peeling-based versions; the weight-product
+    # tensor, computed before the patch, meets the Clebsch–Gordan oracle
     def everything(dual, tensor):
         out = []
         for P in parabolics:
