@@ -19,6 +19,7 @@ Layout (the text above is the ``--help`` description): each ``_cmd_*`` returns
 ``(payload, text_lines, md_lines)``; ``main`` alone prints, and exits 2 exactly
 when ``payload["check"]["extra"]`` is non-empty.  ``--format`` and ``--seed``
 may come before or after the command (after wins).  A closed stdout exits 1.
+Each handler imports ``classify``, ``cohomology`` or ``invariants`` itself.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ import re
 import sys
 from collections import Counter
 
-from . import classify, invariants
-from .cohomology import bundle_cohomology
 from .errors import G2CYError
 from .parabolic import g2_parabolic, g2_root_system
 from .reps import RepSum, irrep_dim
@@ -142,6 +141,7 @@ def _cmd_bundle(args):
 
 
 def _cmd_cohomology(args):
+    from .cohomology import bundle_cohomology
     r = _bundle(args.parabolic, args.summands)
     table = bundle_cohomology(r.parabolic, r)
     payload = table.to_json()
@@ -152,6 +152,7 @@ def _cmd_cohomology(args):
 
 
 def _cmd_classify(args):
+    from . import classify
     dim = args.dim
     if args.check_paper and args.parabolic:
         raise G2CYError("--check-paper compares whole tables; drop --parabolic")
@@ -180,6 +181,7 @@ def _cmd_classify(args):
 
 
 def _cmd_invariants(args):
+    from . import classify, invariants
     r = _bundle(args.parabolic, args.summands)
     cand = invariants.validate_candidate(
         r.parabolic, [w for w, m in r.terms.items() for _ in range(m)])
@@ -201,6 +203,7 @@ def _cmd_invariants(args):
 
 
 def _cmd_table(args):
+    from . import classify
     dim = {v: k for k, v in classify.DIM_TO_TABLE.items()}[args.number]
     items, text, md = _numbered(f"reference table {args.number} (dim X = {dim}):",
                                 classify._reference_table(args.number))

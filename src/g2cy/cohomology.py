@@ -63,8 +63,12 @@ def bwb_irrep(P: ParabolicData, lam: Weight) -> tuple[int, Weight] | None:
 
     Returns ``None`` when lam + rho is singular (all cohomology vanishes),
     else ``(degree, mu)`` with mu the dominant conjugate shifted back by rho.
+    A non-``int`` coordinate raises ``ValueError``, as in :func:`weyl_dim`.
     """
     lam = tuple(lam)
+    for c in lam:
+        if not isinstance(c, int):
+            raise ValueError(f"weight coordinate {c!r} is not an integer")
     if not P.is_p_dominant(lam):
         raise NotPDominant(f"{weight_str(lam)} is not p-dominant for {P.label}")
     rho = P.rs.weyl_vector

@@ -115,13 +115,14 @@ def is_g_dominant(lam: Weight) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _g2_parabolic(name: str) -> ParabolicData:
-    crossed = {"P1": (1,), "P2": (2,), "B": (1, 2)}.get(name)
-    if crossed is None:
-        raise ValueError(f"unknown parabolic {name!r}; expected one of P1, P2, B")
+def _g2_parabolic(crossed: tuple[int, ...]) -> ParabolicData:
     return ParabolicData(g2_root_system(), crossed)
 
 
 def g2_parabolic(name: str) -> ParabolicData:
     """One of the three G2 parabolics by name: P1, P2 or B."""
-    return _g2_parabolic(name.upper() if isinstance(name, str) else name)
+    key = name.upper() if isinstance(name, str) else None
+    crossed = {"P1": (1,), "P2": (2,), "B": (1, 2)}.get(key)
+    if crossed is None:
+        raise ValueError(f"unknown parabolic {name!r}; expected one of P1, P2, B")
+    return _g2_parabolic(crossed)

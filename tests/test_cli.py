@@ -250,3 +250,79 @@ class TestImportWeight:
         loaded, _, out = proc.stdout.partition("\n")
         assert loaded == ""
         assert json.loads(out)["count"] == 6
+
+
+def _child(code, *args):
+    """Run ``code`` in a fresh ``python -S`` with ``src`` first on the path."""
+    proc = subprocess.run([sys.executable, "-S", "-c",
+                           "import sys; sys.path.insert(0, sys.argv[1]); " + code, SRC, *args],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestImportOnDemand:
+    #: every public name of the package, by the module that defines it
+    API = {
+        "errors": "G2CYError",
+        "root_system": "G2_CARTAN CartanMatrix Root RootSystem Weight WeylElement "
+                       "build_root_system g2_root_system",
+        "parabolic": "ParabolicData g2_parabolic is_g_dominant",
+        "reps": "RepSum decompose dual exterior_power irrep irrep_det irrep_dim "
+                "irrep_weights tensor trivial",
+        "cohomology": "CohomologyTable bundle_cohomology bwb_irrep euler_char weyl_dim",
+        "koszul": "DimRange E1Page KoszulInput RestrictedCohomology e1_page hilbert_value "
+                  "koszul_terms restricted_cohomology",
+        "invariants": "Candidate HodgeRecord degree_and_c2 hodge_numbers to_record "
+                      "validate_candidate",
+        "classify": "TableRow diff_against_paper enumerate_all enumerate_candidates "
+                    "published_invariants reference_tables verify_theorem",
+    }
+    #: the layers each command must leave unloaded
+    UNLOADED = {
+        "roots": "classify cohomology invariants koszul",
+        "parabolic P1": "classify cohomology invariants koszul",
+        "bundle P2 (0,1)+(0,4)": "classify cohomology invariants koszul",
+        "table 2": "cohomology invariants koszul",
+        "cohomology P1 (-3,0)": "classify invariants koszul",
+    }
+    LOADED = "print(' '.join(sorted(m for m in sys.modules if m.startswith('g2cy.'))))"
+
+    def test_package_import_loads_no_module(self):
+        assert _child("import g2cy; " + self.LOADED) == "\n"
+
+    @pytest.mark.parametrize("command", UNLOADED)
+    def test_command_loads_only_its_layers(self, command):
+        # the command's own output comes first; the loaded modules are the
+        # last line
+        out = _child("import g2cy.cli; code = g2cy.cli.main(sys.argv[2:]); "
+                     + self.LOADED + "; sys.exit(code)", *command.split())
+        loaded = set(out.splitlines()[-1].split())
+        assert {"g2cy.cli", "g2cy.errors", "g2cy.parabolic", "g2cy.reps",
+                "g2cy.root_system"} <= loaded
+        assert not loaded & {f"g2cy.{m}" for m in self.UNLOADED[command].split()}
+
+    def test_every_public_name_is_its_home_modules_object(self):
+        out = _child("import importlib, json, g2cy; api = {n: m for m, names in "
+                     "json.loads(sys.argv[2]).items() for n in names.split()}; "
+                     "print(sorted(g2cy.__all__) == sorted(api)); "
+                     "print(all(getattr(g2cy, n) is getattr(importlib.import_module('g2cy.' + m), n)"
+                     " for n, m in api.items()))", json.dumps(self.API))
+        assert out.split() == ["True", "True"]
+
+    def test_dir_and_star_import_cover_all(self):
+        out = _child("import g2cy; ns = {}; exec('from g2cy import *', ns); "
+                     "print(set(g2cy.__all__) <= set(dir(g2cy))); "
+                     "print(sorted(set(ns) - {'__builtins__'}) == sorted(g2cy.__all__))")
+        assert out.split() == ["True", "True"]
+
+    def test_modules_resolve_by_name(self):
+        out = _child("import g2cy; print(g2cy.koszul.e1_page is g2cy.e1_page); " + self.LOADED)
+        assert out.split() == ["True", "g2cy.cohomology", "g2cy.errors", "g2cy.koszul",
+                               "g2cy.parabolic", "g2cy.reps", "g2cy.root_system"]
+
+    def test_unknown_name_raises_attribute_error(self):
+        out = _child("import g2cy\n"
+                     "try:\n    g2cy.nope\nexcept AttributeError as exc:\n    print(exc)\n"
+                     "print(hasattr(g2cy, 'nope'))")
+        assert out.splitlines() == ["module 'g2cy' has no attribute 'nope'", "False"]

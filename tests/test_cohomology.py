@@ -1,5 +1,6 @@
 """Single-degree cohomology, Weyl dimensions, Euler characteristics."""
 
+import re
 import subprocess
 import sys
 import textwrap
@@ -142,6 +143,13 @@ class TestBwbIrrep:
     def test_rejects_non_p_dominant(self, P1):
         with pytest.raises(NotPDominant):
             bwb_irrep(P1, (0, -1))
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", None])
+    def test_rejects_non_integer_coordinate(self, P1, bad):
+        # a float weight would come back as a fake Borel-Weil-Bott result
+        for lam in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError, match=re.escape(f"coordinate {bad!r}")):
+                bwb_irrep(P1, lam)
 
     def test_degree_bound(self, parabolics):
         for P in parabolics:

@@ -83,7 +83,7 @@ class TestMakeParabolic:
     def test_labels(self, P1, P2, B):
         assert (P1.label, P2.label, B.label) == ("P1", "P2", "B")
 
-    @pytest.mark.parametrize("name", ["P3", "", 1, None])
+    @pytest.mark.parametrize("name", ["P3", "", 1, None, [1], {}])
     def test_g2_parabolic_rejects_unknown_names(self, name):
         with pytest.raises(ValueError, match="unknown parabolic"):
             g2_parabolic(name)
