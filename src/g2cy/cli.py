@@ -141,14 +141,24 @@ def _cmd_bundle(args):
 
 
 def _cmd_cohomology(args):
-    from .cohomology import bundle_cohomology
+    from .cohomology import bundle_cohomology, weyl_dim
     r = _bundle(args.parabolic, args.summands)
-    table = bundle_cohomology(r.parabolic, r)
-    payload = table.to_json()
-    payload["bundle"] = str(r)
-    shown = table.render()
-    return (payload, [f"H^*(G/{r.parabolic.label}, {r}):", shown],
-            [f"cohomology of {r} on G/{r.parabolic.label}:", "```", shown, "```"])
+    P = r.parabolic
+    groups = {}
+    for q, group in bundle_cohomology(P, r).items():
+        irreps = [{"weight": list(mu), "mult": m, "dim": weyl_dim(P.rs, mu)}
+                  for mu, m in group.items()]
+        groups[str(q)] = {"dim": sum(i["mult"] * i["dim"] for i in irreps), "irreps": irreps}
+    payload = {"parabolic": P.label, "bundle": str(r), "groups": groups,
+               "euler": sum((-1) ** int(q) * g["dim"] for q, g in groups.items())}
+    shown = []
+    for q, g in groups.items():
+        terms = " + ".join((f"{i['mult']}·" if i["mult"] > 1 else "")
+                           + "V" + weight_str(i["weight"]) for i in g["irreps"])
+        shown.append(f"H^{q} = {terms}, dim {g['dim']}")
+    shown = shown or ["all cohomology vanishes"]
+    return (payload, [f"H^*(G/{P.label}, {r}):", *shown],
+            [f"cohomology of {r} on G/{P.label}:", "```", *shown, "```"])
 
 
 def _cmd_classify(args):

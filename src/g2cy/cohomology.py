@@ -7,37 +7,34 @@ element w with w.lam dominant and
 
     H^{l(w)}(G/P, E_lam)  ~  dual of the G-irreducible with highest weight w.lam.
 
-Tables below label groups by that dominant highest weight; the dualisation is
-dropped because only dimensions and irreducible labels feed later
-computations (dim V = dim V*).  The element w is searched in the full Weyl
-group; since lam + rho is strictly dominant on the Levi walls, w is
+:func:`bundle_cohomology` labels each group by that dominant highest weight;
+the dualisation is dropped because only dimensions and irreducible labels
+feed later computations (dim V = dim V*).  The element w is searched in the
+full Weyl group; since lam + rho is strictly dominant on the Levi walls, w is
 automatically a minimal coset representative, so l(w) <= dim G/P.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 
 from .errors import NotGDominant, NotPDominant
 from .parabolic import ParabolicData
 from .reps import RepSum
-from .root_system import RootSystem, Weight, wadd, wsub, weight_str
+from .root_system import RootSystem, Weight, check_weight, wadd, wsub, weight_str
 
 
 def weyl_dim(rs: RootSystem, mu: Weight) -> int:
     """Dimension of the G-irreducible with dominant highest weight mu.
 
     Product over positive roots of <mu+rho, a^vee>/<rho, a^vee>, evaluated as
-    one exact integer division at the end.  A non-``int`` coordinate raises
-    ``ValueError`` before the cache sees it, since ``1.0 == 1``.
+    one exact integer division at the end.  A weight that
+    :func:`~g2cy.root_system.check_weight` rejects raises ``ValueError``
+    before the cache sees it.
     """
-    mu = tuple(mu)
-    for c in mu:
-        if not isinstance(c, int):
-            raise ValueError(f"weight coordinate {c!r} is not an integer")
-        if c < 0:
-            raise NotGDominant(f"{weight_str(mu)} is not dominant")
+    mu = check_weight(mu, rs.rank)
+    if min(mu) < 0:
+        raise NotGDominant(f"{weight_str(mu)} is not dominant")
     return _weyl_dim(rs, mu)
 
 
@@ -63,12 +60,10 @@ def bwb_irrep(P: ParabolicData, lam: Weight) -> tuple[int, Weight] | None:
 
     Returns ``None`` when lam + rho is singular (all cohomology vanishes),
     else ``(degree, mu)`` with mu the dominant conjugate shifted back by rho.
-    A non-``int`` coordinate raises ``ValueError``, as in :func:`weyl_dim`.
+    A weight that :func:`~g2cy.root_system.check_weight` rejects raises
+    ``ValueError``, as in :func:`weyl_dim`.
     """
-    lam = tuple(lam)
-    for c in lam:
-        if not isinstance(c, int):
-            raise ValueError(f"weight coordinate {c!r} is not an integer")
+    lam = check_weight(lam, P.rs.rank)
     if not P.is_p_dominant(lam):
         raise NotPDominant(f"{weight_str(lam)} is not p-dominant for {P.label}")
     rho = P.rs.weyl_vector
@@ -81,83 +76,28 @@ def bwb_irrep(P: ParabolicData, lam: Weight) -> tuple[int, Weight] | None:
     return length, wsub(dom, rho)
 
 
-class CohomologyTable:
-    """Cohomology groups of a bundle, degree by degree.
+def bundle_cohomology(P: ParabolicData, r: RepSum) -> dict[int, dict[Weight, int]]:
+    """Cohomology of the bundle ``r`` as ``{q: {mu: m}}``, summand by summand.
 
-    Each irreducible summand of the bundle contributes to at most one degree,
-    so the table records, per summand, where it landed; helpers aggregate the
-    usual per-degree data.
+    H^q is the sum of m copies of the G-irreducible with dominant highest
+    weight mu; degrees ascend, the weights of each degree are sorted, and a
+    degree with no group is absent, so ``{}`` means all cohomology vanishes.
+    A bundle over another parabolic than ``P`` raises ``ValueError``.
     """
-
-    def __init__(self, P: ParabolicData):
-        self.parabolic = P
-        self.contributions: list[tuple[Weight, int, int, Weight]] = []
-        self.vanished: list[tuple[Weight, int]] = []
-
-    def add(self, source: Weight, mult: int, degree: int, mu: Weight) -> None:
-        self.contributions.append((source, mult, degree, mu))
-
-    def add_vanished(self, source: Weight, mult: int) -> None:
-        self.vanished.append((source, mult))
-
-    def irreps(self, q: int) -> Counter:
-        out: Counter = Counter()
-        for _, mult, degree, mu in self.contributions:
-            if degree == q:
-                out[mu] += mult
-        return out
-
-    def dim(self, q: int) -> int:
-        rs = self.parabolic.rs
-        return sum(m * weyl_dim(rs, mu) for mu, m in self.irreps(q).items())
-
-    def degrees(self) -> list[int]:
-        return sorted({degree for _, _, degree, _ in self.contributions})
-
-    def total_dims(self) -> dict[int, int]:
-        return {q: self.dim(q) for q in self.degrees()}
-
-    @property
-    def euler(self) -> int:
-        rs = self.parabolic.rs
-        return sum((-1) ** degree * mult * weyl_dim(rs, mu)
-                   for _, mult, degree, mu in self.contributions)
-
-    def render(self) -> str:
-        if not self.contributions:
-            return "all cohomology vanishes"
-        lines = []
-        for q in self.degrees():
-            terms = " + ".join(
-                (f"{m}·" if m > 1 else "") + f"V{weight_str(mu)}"
-                for mu, m in sorted(self.irreps(q).items()))
-            lines.append(f"H^{q} = {terms}, dim {self.dim(q)}")
-        return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        rs = self.parabolic.rs
-        groups = {}
-        for q in self.degrees():
-            groups[str(q)] = {
-                "dim": self.dim(q),
-                "irreps": [{"weight": list(mu), "mult": m, "dim": weyl_dim(rs, mu)}
-                           for mu, m in sorted(self.irreps(q).items())],
-            }
-        return {"parabolic": self.parabolic.label, "groups": groups, "euler": self.euler}
-
-
-def bundle_cohomology(P: ParabolicData, r: RepSum) -> CohomologyTable:
-    """Apply the single-degree computation summand by summand."""
-    table = CohomologyTable(P)
+    if r.parabolic != P:
+        raise ValueError("the bundle must live over the given parabolic")
+    groups: dict[int, dict[Weight, int]] = {}
     for lam, mult in r.terms.items():
         res = bwb_irrep(P, lam)
-        if res is None:
-            table.add_vanished(lam, mult)
-        else:
-            table.add(lam, mult, *res)
-    return table
+        if res is not None:
+            q, mu = res
+            group = groups.setdefault(q, {})
+            group[mu] = group.get(mu, 0) + mult
+    return {q: dict(sorted(groups[q].items())) for q in sorted(groups)}
 
 
 def euler_char(P: ParabolicData, r: RepSum) -> int:
-    """Euler characteristic of the bundle, an exact integer."""
-    return bundle_cohomology(P, r).euler
+    """Euler characteristic of the bundle, an exact integer: the alternating
+    sum of the dimensions in :func:`bundle_cohomology`."""
+    return sum((-1) ** q * m * weyl_dim(P.rs, mu)
+               for q, group in bundle_cohomology(P, r).items() for mu, m in group.items())

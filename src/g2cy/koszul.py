@@ -167,21 +167,21 @@ class DimRange(namedtuple("DimRange", "lower upper")):
         return {"lower": self.lower, "upper": self.upper}
 
 
-def _limit_ranges(dims: dict[tuple[int, int], int], max_page: int,
-                  allowed) -> dict[int, tuple[int, int]]:
+def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[int, int]]:
     """Per-degree (lower, upper) limit dimensions over all differential ranks.
 
-    ``dims`` maps E1 positions (k, q) to their dimensions; limit entries in
-    total degrees n with ``allowed(n)`` false must vanish.  Each component is
-    solved in closed form, as described in the module docstring; raises
+    ``dims`` maps E1 positions (k, q), k >= 0, to their dimensions; a page-r
+    differential from column k lands in column k - r, so r runs over 1..k.
+    Limit entries in total degrees n with ``allowed(n)`` false must vanish.
+    Each component is solved in closed form, as in the module docstring; raises
     :class:`InconsistentSpectralSequence` when the vanishing cannot hold.
     """
     bit_of = {p: 1 << i for i, p in enumerate(sorted(dims))}
     dim = {b: dims[p] for p, b in bit_of.items()}
-    adjacency = dict.fromkeys(dim, 0)    # positions joined on some page 1..max_page
+    adjacency = dict.fromkeys(dim, 0)    # positions joined on some page
     layers: dict[int, int] = {}          # positions by total degree
     for (k, q), b in bit_of.items():
-        for r in range(1, max_page + 1):
+        for r in range(1, k + 1):
             t = bit_of.get((k - r, q - r + 1))
             if t:
                 adjacency[b] |= t
@@ -288,7 +288,7 @@ def restricted_cohomology(inp: KoszulInput) -> RestrictedCohomology:
     """
     page = e1_page(inp)
     dim_x = inp.dim_x
-    ranges = _limit_ranges(page.entries(), inp.E.rank, lambda n: 0 <= n <= dim_x)
+    ranges = _limit_ranges(page.entries(), lambda n: 0 <= n <= dim_x)
     by_degree = {n: DimRange(*ranges.get(n, (0, 0))) for n in range(dim_x + 1)}
     return RestrictedCohomology(inp, by_degree, page.euler)
 
@@ -303,14 +303,14 @@ def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:
     χ(O_X(i)) = Σ_S (-1)^|S| W(i omega - ε_S), S running over the
     sub-multisets of the weights ε of E: the layers of
     :func:`_koszul_layers` with sign (-1)^k, as in the E1 columns, and no
-    spectral sequence involved.  A non-``int`` twist raises ``ValueError``.
+    spectral sequence involved.  A twist not of type ``int`` raises ``ValueError``.
     """
     if len(P.crossed) != 1:
         raise NotMaximalParabolic(
             f"{P.label} has Picard rank {len(P.crossed)}; a single twist is undefined")
     if E.parabolic != P:
         raise ValueError("E must live over the given parabolic")
-    if not isinstance(i, int):
+    if type(i) is not int:
         raise ValueError(f"twist {i!r} is not an integer")
     node = next(iter(P.crossed))
     line = tuple(i if j == node - 1 else 0 for j in range(P.rs.rank))

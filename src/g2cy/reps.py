@@ -27,27 +27,22 @@ from collections.abc import Iterable, Mapping
 from math import comb
 
 from .errors import NotARepresentation, NotPDominant, OutOfRange
-from .root_system import Weight, wadd, wneg, wscale, wsub, wzero, weight_str
+from .root_system import Weight, check_weight, wadd, wneg, wscale, wsub, wzero, weight_str
 
 
 def _collect(P: "ParabolicData", pairs: Mapping[Weight, int] | Iterable) -> dict[Weight, int]:
     """Add up (weight, multiplicity) pairs, from a mapping or an iterable of pairs.
 
     Zero multiplicities are dropped.  A multiplicity that is negative or not
-    an ``int`` raises :class:`NotARepresentation`; a weight whose length is not
-    the rank or with a non-``int`` coordinate raises ``ValueError``.  Every
-    weight past this point is a rank-length tuple of ints, which the weight
-    kernels and the caches keyed by weights rely on (``1.0 == 1``).
+    an ``int`` raises :class:`NotARepresentation`; a weight that
+    :func:`~g2cy.root_system.check_weight` rejects raises ``ValueError``.
+    Every weight past this point is a rank-length tuple of ints, which the
+    weight kernels and the caches keyed by weights rely on.
     """
     rank = P.rs.rank
     out: dict[Weight, int] = {}
     for lam, mult in (pairs.items() if isinstance(pairs, Mapping) else pairs):
-        lam = tuple(lam)
-        if len(lam) != rank:
-            raise ValueError(f"weight {weight_str(lam)} does not have length {rank}")
-        for x in lam:
-            if not isinstance(x, int):
-                raise ValueError(f"weight coordinate {x!r} is not an integer")
+        lam = check_weight(lam, rank)
         if not isinstance(mult, int):
             raise NotARepresentation(f"multiplicity {mult!r} of {weight_str(lam)} "
                                      "is not an integer")
@@ -253,9 +248,12 @@ def tensor(P: "ParabolicData", a: RepSum, b: RepSum) -> RepSum:
 
 def exterior_power(P: "ParabolicData", r: RepSum, k: int) -> RepSum:
     """k-th exterior power: :func:`decompose` of layer k of
-    :func:`_exterior_layers`, the k-element sub-multiset sums of the weights."""
+    :func:`_exterior_layers`, the k-element sub-multiset sums of the weights;
+    a ``k`` not of type ``int`` raises ``ValueError``."""
     if r.parabolic != P:
         raise ValueError("the exterior power's argument must live over the given parabolic")
+    if type(k) is not int:
+        raise ValueError(f"exterior power {k!r} is not an integer")
     n = r.rank
     if not 0 <= k <= n:
         raise OutOfRange(f"exterior power {k} outside 0..{n}")

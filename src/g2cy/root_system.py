@@ -12,9 +12,9 @@ Dynkin-diagram numbering.
 
 The weight helpers (``wadd``, ``wsub``, ...) and the Weyl kernels
 (``reflect``, ``dominant_conjugate``) take integer tuples of length ``rank``
-and build one tuple per call or step.  Lengths are checked once, where
-weights enter the package: ``RepSum`` raises ``ValueError`` on a weight of the
-wrong length, and so do ``wadd`` and ``wsub`` on operands of unequal length.
+and build one tuple per call or step.  :func:`check_weight` checks weights
+where they enter the package (``RepSum``, ``weyl_dim``, ``bwb_irrep``), and
+``wadd`` and ``wsub`` raise ``ValueError`` on operands of unequal length.
 """
 
 from __future__ import annotations
@@ -58,6 +58,18 @@ def wzero(rank: int) -> Weight:
 
 def weight_str(u: Weight) -> str:
     return "(" + ",".join(str(a) for a in u) + ")"
+
+
+def check_weight(lam, rank: int) -> Weight:
+    """``lam`` as a tuple, which must have ``rank`` coordinates of type exactly
+    ``int`` or raise ``ValueError``: ``1.0 == True == 1`` hash alike too."""
+    lam = tuple(lam)
+    if len(lam) != rank:
+        raise ValueError(f"weight {weight_str(lam)} does not have length {rank}")
+    for c in lam:
+        if type(c) is not int:
+            raise ValueError(f"weight coordinate {c!r} is not an integer")
+    return lam
 
 
 class CartanMatrix(namedtuple("CartanMatrix", "entries")):
@@ -181,15 +193,12 @@ class RootSystem:
         self.cartan = cartan
         self.symmetrizer = symmetrizer
         self.positive_roots = positive_roots
+        self.rank = cartan.rank          # a plain attribute: weight checks read it per call
         self.weyl_vector: Weight = (1,) * cartan.rank
         self._simple = {i: next(r for r in positive_roots
                                 if r.simple_coords == tuple(int(k == i - 1)
                                                             for k in range(cartan.rank)))
                         for i in range(1, cartan.rank + 1)}
-
-    @property
-    def rank(self) -> int:
-        return self.cartan.rank
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RootSystem) and self.cartan == other.cartan

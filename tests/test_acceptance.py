@@ -159,8 +159,9 @@ def test_criterion_8a_bwb_exclusivity_and_degree_bound():
                 degree, mu = res
                 assert 0 <= degree <= P.dim
                 assert all(c >= 0 for c in mu)
-            table = bundle_cohomology(P, irrep(P, lam))
-            assert len(table.contributions) + len(table.vanished) == 1
+            # the irreducible's cohomology is all in the one degree bwb_irrep names
+            groups = bundle_cohomology(P, irrep(P, lam))
+            assert groups == ({} if res is None else {res[0]: {res[1]: 1}})
             cases += 1
     assert cases >= 200
     _pass("8a", f"BWB exclusivity and degree bound on {cases} cases")

@@ -270,7 +270,7 @@ class TestImportOnDemand:
         "parabolic": "ParabolicData g2_parabolic is_g_dominant",
         "reps": "RepSum decompose dual exterior_power irrep irrep_det irrep_dim "
                 "irrep_weights tensor trivial",
-        "cohomology": "CohomologyTable bundle_cohomology bwb_irrep euler_char weyl_dim",
+        "cohomology": "bundle_cohomology bwb_irrep euler_char weyl_dim",
         "koszul": "DimRange E1Page KoszulInput RestrictedCohomology e1_page hilbert_value "
                   "koszul_terms restricted_cohomology",
         "invariants": "Candidate HodgeRecord degree_and_c2 hodge_numbers to_record "

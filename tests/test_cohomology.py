@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from g2cy import (G2_CARTAN, CartanMatrix, build_root_system, bundle_cohomology,
-                  bwb_irrep, dual, euler_char, hilbert_value, irrep, trivial, weyl_dim)
+from g2cy import (G2_CARTAN, CartanMatrix, RepSum, build_root_system, bundle_cohomology,
+                  bwb_irrep, dual, euler_char, g2_root_system, hilbert_value, irrep, trivial,
+                  weyl_dim)
 from g2cy.cohomology import _weyl_dim
 from g2cy.errors import NotGDominant, NotPDominant
 from g2cy.root_system import wadd, wneg, wsub
@@ -61,6 +62,11 @@ class TestWeylDim:
     def test_rejects_non_dominant(self, rs):
         with pytest.raises(NotGDominant):
             weyl_dim(rs, (-1, 3))
+
+    @pytest.mark.parametrize("mu", [(True, 0), (0, False), (1,), (1, 0, 0)])
+    def test_rejects_bools_and_wrong_lengths(self, rs, mu):
+        with pytest.raises(ValueError):
+            weyl_dim(rs, mu)
 
     @pytest.mark.parametrize("cartan", [G2_CARTAN, CartanMatrix.from_rows([[2, -1], [-1, 2]])],
                              ids=["G2", "A2"])
@@ -144,12 +150,18 @@ class TestBwbIrrep:
         with pytest.raises(NotPDominant):
             bwb_irrep(P1, (0, -1))
 
-    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", None])
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", None, True, False])
     def test_rejects_non_integer_coordinate(self, P1, bad):
         # a float weight would come back as a fake Borel-Weil-Bott result
         for lam in ((bad, 0), (0, bad)):
             with pytest.raises(ValueError, match=re.escape(f"coordinate {bad!r}")):
                 bwb_irrep(P1, lam)
+
+    @pytest.mark.parametrize("lam", [(1,), (1, 0, 0), ()])
+    def test_rejects_a_weight_of_the_wrong_length(self, parabolics, lam):
+        for P in parabolics:
+            with pytest.raises(ValueError, match="does not have length 2"):
+                bwb_irrep(P, lam)
 
     def test_degree_bound(self, parabolics):
         for P in parabolics:
@@ -159,44 +171,64 @@ class TestBwbIrrep:
                     assert 0 <= res[0] <= P.dim
 
 
+def total_dims(groups):
+    """{q: dim H^q} of a ``bundle_cohomology`` map."""
+    rs = g2_root_system()
+    return {q: sum(m * weyl_dim(rs, mu) for mu, m in group.items())
+            for q, group in groups.items()}
+
+
 class TestBundleCohomology:
     def test_trivial_bundle(self, parabolics):
         for P in parabolics:
-            table = bundle_cohomology(P, trivial(P))
-            assert table.total_dims() == {0: 1}
+            assert bundle_cohomology(P, trivial(P)) == {0: {(0, 0): 1}}
 
     def test_adjoint_sections(self, P1):
-        table = bundle_cohomology(P1, irrep(P1, (1, 0)))
-        assert table.total_dims() == {0: 14}
+        groups = bundle_cohomology(P1, irrep(P1, (1, 0)))
+        assert total_dims(groups) == {0: 14}
 
     def test_cotangent_has_one_h1(self, P1, P2):
         # h^{1,1} = 1 for both 5-folds: Picard rank one
         for P in (P1, P2):
             omega = dual(P, P.tangent)
-            table = bundle_cohomology(P, omega)
-            assert table.total_dims() == {1: 1}
-            assert table.irreps(1) == {(0, 0): 1}
+            assert bundle_cohomology(P, omega) == {1: {(0, 0): 1}}
 
     def test_cotangent_of_full_flag(self, B):
         # Picard rank two for G/B
-        table = bundle_cohomology(B, dual(B, B.tangent))
-        assert table.total_dims() == {1: 2}
+        groups = bundle_cohomology(B, dual(B, B.tangent))
+        assert groups == {1: {(0, 0): 2}}
+        assert total_dims(groups) == {1: 2}
 
     def test_sections_count_matches_weyl_dim(self, parabolics, rs):
         for P in parabolics:
             for lam in p_dominant_box(P, 5):
                 if all(c >= 0 for c in lam):
-                    table = bundle_cohomology(P, irrep(P, lam))
-                    assert table.dim(0) == weyl_dim(rs, lam)
+                    groups = bundle_cohomology(P, irrep(P, lam))
+                    assert total_dims(groups)[0] == weyl_dim(rs, lam)
 
     def test_exclusivity_per_summand(self, parabolics):
-        # each irreducible summand contributes to at most one degree
+        # each irreducible summand contributes to at most one degree, and
+        # the summands' maps add up to the bundle's
         for P in parabolics:
-            r = irrep(P, (1, 1) if P.label != "B" else (1, -1)) + trivial(P)
-            table = bundle_cohomology(P, r)
-            seen = {}
-            for source, _, degree, _ in table.contributions:
-                assert seen.setdefault(source, degree) == degree
+            r = RepSum(P, {lam: 1 + i % 3 for i, lam in enumerate(p_dominant_box(P, 3))})
+            added: dict = {}
+            for lam, mult in r.terms.items():
+                own = bundle_cohomology(P, RepSum(P, {lam: mult}))
+                assert len(own) <= 1
+                for q, group in own.items():
+                    for mu, m in group.items():
+                        added.setdefault(q, {})
+                        added[q][mu] = added[q].get(mu, 0) + m
+            groups = bundle_cohomology(P, r)
+            assert len(groups) > 1
+            assert groups == added
+            assert list(groups) == sorted(groups)
+            assert all(list(group) == sorted(group) for group in groups.values())
+
+    def test_rejects_a_bundle_over_another_parabolic(self, P1, P2):
+        for call in (bundle_cohomology, euler_char):
+            with pytest.raises(ValueError, match="given parabolic"):
+                call(P1, irrep(P2, (0, 1)))
 
 
 class TestEulerChar:

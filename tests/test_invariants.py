@@ -1,5 +1,6 @@
 """Candidate validation, Hodge numbers, degree and c2, Euler numbers."""
 
+import argparse
 from collections import Counter
 from itertools import product
 
@@ -11,9 +12,10 @@ from g2cy import (KoszulInput, bundle_cohomology, degree_and_c2, dual,
                   g2_parabolic, hodge_numbers, koszul_terms,
                   published_invariants, restricted_cohomology, tensor, to_record,
                   validate_candidate)
-from g2cy import invariants, koszul, reps
+from g2cy import cli, invariants, koszul, reps
 from g2cy.errors import (FitInconsistent, NotGloballyGenerated, RankTooLarge,
                          TrivialSummand, WrongDeterminant)
+from g2cy.root_system import weight_str
 
 from test_reps import oracle_decompose, oracle_dual
 
@@ -104,6 +106,12 @@ class TestValidate:
     def test_rank_too_large(self, P1):
         with pytest.raises(RankTooLarge):
             candidate(P1, (1, 0), (1, 0), (1, 0), (1, 0))
+
+    def test_bool_summands_are_rejected(self, P1):
+        # True == 1, so (True, True) would pass for (1, 1) and reach the JSON
+        # record as [true, true]
+        with pytest.raises(ValueError, match="coordinate True"):
+            candidate(P1, (True, True))
 
     def test_summands_are_canonically_sorted(self, B):
         c = candidate(B, (0, 2), (1, 0), (1, 0))
@@ -420,9 +428,18 @@ class TestRecord:
 
         for c in all_rows():
             payloads = [to_record(c)]
-            payloads += [bundle_cohomology(c.P, term).to_json()
-                         for term in koszul_terms(KoszulInput(c.P, c.rep, dual(c.P, c.rep)))]
-            payloads.append(bundle_cohomology(c.P, dual(c.P, c.P.tangent)).to_json())
+            bundles = koszul_terms(KoszulInput(c.P, c.rep, dual(c.P, c.rep)))
+            bundles.append(dual(c.P, c.P.tangent))
+            for r in bundles:
+                # the {q: {mu: m}} map, keys included, and the JSON payload
+                # of the cohomology command
+                groups = bundle_cohomology(c.P, r)
+                payloads.append([[q, list(mu), m] for q, group in groups.items()
+                                 for mu, m in group.items()])
+                summands = "+".join(weight_str(lam) for lam, m in r.terms.items()
+                                    for _ in range(m))
+                payloads.append(cli._cmd_cohomology(argparse.Namespace(
+                    parabolic=c.P.label, summands=summands))[0])
             for payload in payloads:
                 for x in numbers(payload):
                     assert type(x) is int, (c, x)

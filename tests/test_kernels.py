@@ -209,7 +209,7 @@ class TestRepSumInput:
         with pytest.raises(ValueError):
             irrep(P1, lam)
 
-    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", None])
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", None, True, False])
     def test_non_integer_coordinate(self, P1, bad):
         # 1.0 == 1 and both hash alike, so a float weight would share cache
         # keys with its integer twin; the message shows the coordinate's repr

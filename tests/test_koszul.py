@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from g2cy import (CartanMatrix, KoszulInput, ParabolicData, RepSum, build_root_system,
                   bundle_cohomology, dual, e1_page, enumerate_all,
                   euler_char, g2_parabolic, hilbert_value, irrep, koszul, koszul_terms,
-                  restricted_cohomology, trivial, validate_candidate)
+                  restricted_cohomology, trivial, validate_candidate, weyl_dim)
 from g2cy.errors import (InconsistentSpectralSequence, NotGloballyGenerated,
                          NotMaximalParabolic, TrivialSummand)
 from g2cy.koszul import _limit_ranges
@@ -126,7 +126,7 @@ class TestRestrictedCohomology:
             for w in (trivial(P), dual(P, e), dual(P, P.tangent)):
                 inp = KoszulInput(P, e, w)
                 strict = restricted_cohomology(inp)
-                loose = _limit_ranges(e1_page(inp).entries(), inp.E.rank, lambda n: True)
+                loose = _limit_ranges(e1_page(inp).entries(), lambda n: True)
                 for n, (lo, hi) in loose.items():
                     got = strict.h(n)
                     if lo == hi:
@@ -138,7 +138,7 @@ class TestRestrictedCohomology:
         # without vanishing nothing forces the differential out of degree 4
         e = irrep(P1, (1, 1))
         inp = KoszulInput(P1, e, dual(P1, e))
-        lo, hi = _limit_ranges(e1_page(inp).entries(), inp.E.rank, lambda n: True)[4]
+        lo, hi = _limit_ranges(e1_page(inp).entries(), lambda n: True)[4]
         assert lo < hi
 
     def test_pages_live_on_degrees_zero_to_dim_x(self):
@@ -188,6 +188,11 @@ class TestHilbertValue:
         with pytest.raises(ValueError, match="parabolic"):
             hilbert_value(P2, irrep(P1, (1, 1)), 1)
 
+    @pytest.mark.parametrize("twist", [True, False, 1.0, "1", None])
+    def test_twist_must_be_an_int(self, P1, twist):
+        with pytest.raises(ValueError, match="twist"):
+            hilbert_value(P1, irrep(P1, (1, 1)), twist)
+
     def test_projective_plane(self):
         # A2 with node 1 crossed is P^2 with L = O(1); the weight (3,0) has
         # string length 1, so it is the line bundle O(3)
@@ -220,8 +225,9 @@ class TestTensorDims:
             terms = koszul_terms(inp)
             page = e1_page(inp)
             assert page.entries() == {
-                (k, q): d for k, term in enumerate(terms)
-                for q, d in bundle_cohomology(P, term).total_dims().items()}
+                (k, q): sum(m * weyl_dim(P.rs, mu) for mu, m in group.items())
+                for k, term in enumerate(terms)
+                for q, group in bundle_cohomology(P, term).items()}
             assert page.euler == sum((-1) ** k * euler_char(P, term)
                                      for k, term in enumerate(terms))
 
@@ -452,13 +458,13 @@ def assert_same_ranges(dims, max_page, allowed):
         expected = _set_limit_ranges(dims, max_page, allowed)
     except InconsistentSpectralSequence:
         with pytest.raises(InconsistentSpectralSequence):
-            _limit_ranges(dims, max_page, allowed)
+            _limit_ranges(dims, allowed)
     else:
-        assert list(_limit_ranges(dims, max_page, allowed).items()) == list(expected.items())
+        assert list(_limit_ranges(dims, allowed).items()) == list(expected.items())
 
 
-def closed_form_ranges(dims, positions, max_page, allowed):
-    return _limit_ranges({p: dims[p] for p in positions}, max_page, allowed)
+def closed_form_ranges(dims, positions, allowed):
+    return _limit_ranges({p: dims[p] for p in positions}, allowed)
 
 
 def compare_components(dims, max_page, allowed, budget=_BRANCH_CAP):
@@ -472,9 +478,9 @@ def compare_components(dims, max_page, allowed, budget=_BRANCH_CAP):
             continue
         except InconsistentSpectralSequence:
             with pytest.raises(InconsistentSpectralSequence):
-                closed_form_ranges(dims, positions, max_page, allowed)
+                closed_form_ranges(dims, positions, allowed)
         else:
-            assert closed_form_ranges(dims, positions, max_page, allowed) == expected
+            assert closed_form_ranges(dims, positions, allowed) == expected
         finished += 1
     return finished, len(components)
 
@@ -570,7 +576,7 @@ class TestBitmaskAgainstSets:
         tracemalloc.start()
         try:
             try:
-                _limit_ranges(dims, 4, allowed)
+                _limit_ranges(dims, allowed)
             except InconsistentSpectralSequence:
                 pass
             peak = tracemalloc.get_traced_memory()[1]

@@ -203,6 +203,12 @@ class TestExteriorPower:
                         total = wadd(total, tuple(c * x for x in w))
                     assert total == tuple(comb(n - 1, k - 1) * x for x in r.det)
 
+    @pytest.mark.parametrize("k", [1.0, True, False, "1", None])
+    def test_power_must_be_an_int(self, P1, k):
+        # k indexes the list of layers, and True == 1 would pass as the first power
+        with pytest.raises(ValueError, match="not an integer"):
+            exterior_power(P1, irrep(P1, (1, 1)), k)
+
     def test_out_of_range(self, P1):
         with pytest.raises(OutOfRange):
             exterior_power(P1, irrep(P1, (1, 1)), 3)

@@ -1,5 +1,6 @@
 """Root system construction, reflections, pairings, dominant conjugates."""
 
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,7 +12,7 @@ import pytest
 
 from g2cy import G2_CARTAN, CartanMatrix, WeylElement, build_root_system
 from g2cy.errors import InvalidCartan, NonFiniteType
-from g2cy.root_system import Weight, wscale, wsub
+from g2cy.root_system import Weight, check_weight, wscale, wsub
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -335,3 +336,21 @@ class TestWeylElements:
             inverted = sum(1 for r in rs.positive_roots
                            if rs.act(w.word, r.weight) not in positive)
             assert inverted == w.length
+
+
+class TestCheckWeight:
+    def test_returns_a_tuple(self):
+        assert check_weight([1, -2], 2) == (1, -2)
+        assert check_weight(iter((0, 0, 3)), 3) == (0, 0, 3)
+
+    @pytest.mark.parametrize("lam", [(1,), (1, 0, 0), (), [1, 2, 3]])
+    def test_rejects_a_wrong_length(self, lam):
+        with pytest.raises(ValueError, match="does not have length 2"):
+            check_weight(lam, 2)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, "1", None])
+    def test_rejects_a_coordinate_not_of_type_int(self, bad):
+        # bool is a subclass of int and 1.0 == 1: neither may pass as a weight
+        for lam in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError, match=re.escape(f"coordinate {bad!r} is not")):
+                check_weight(lam, 2)
