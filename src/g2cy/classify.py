@@ -27,7 +27,7 @@ from itertools import product
 
 from .errors import MissingPaperRow, OutOfRange, TheoremViolated
 from .parabolic import G2_PARABOLIC_NAMES, ParabolicData, g2_parabolic
-from .reps import RepSum, irrep_det
+from .reps import RepSum, irrep
 from .root_system import Weight, wzero
 
 
@@ -65,7 +65,7 @@ def _candidate_pool(P: ParabolicData, rank_budget: int) -> dict[Weight, Weight]:
             continue
         if P.string_length(coords) > rank_budget:
             continue
-        det = irrep_det(P, coords)
+        det = irrep(P, coords).det
         if all(d <= a for d, a in zip(det, A)):
             pool[coords] = det
     return dict(sorted(pool.items()))

@@ -32,7 +32,7 @@ from collections import Counter
 
 from .errors import G2CYError
 from .parabolic import g2_parabolic, g2_root_system
-from .reps import RepSum, irrep_dim
+from .reps import RepSum
 from .root_system import weight_str
 
 _WEIGHT_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
@@ -65,7 +65,7 @@ def _display_summands(row) -> str:
     """The summands of a table row by descending rank, repeats as ``^⊕m``."""
     P = g2_parabolic(row.parabolic)
     counts = sorted(Counter(row.summands).items(),
-                    key=lambda wm: (-irrep_dim(P, wm[0]), wm[0]))
+                    key=lambda wm: (-P.string_length(wm[0]), wm[0]))
     return " ⊕ ".join(weight_str(w) + (f"^⊕{m}" if m > 1 else "") for w, m in counts)
 
 
@@ -115,7 +115,7 @@ def _cmd_parabolic(args):
     P = g2_parabolic(args.parabolic)
     payload = {"name": P.label, "crossed": sorted(P.crossed), "levi_rank": P.levi_rank,
                "dim": P.dim, "anticanonical": list(P.anticanonical),
-               "tangent": [{"highest": list(w), "mult": m, "dim": irrep_dim(P, w)}
+               "tangent": [{"highest": list(w), "mult": m, "dim": P.string_length(w)}
                            for w, m in P.tangent.sorted_terms()]}
     det = weight_str(P.anticanonical)
     text = [f"{P.label}: crossed nodes {sorted(P.crossed)}, dim G/P = {P.dim}",

@@ -104,7 +104,7 @@ class HodgeRecord(namedtuple("HodgeRecord", "h0q h1q chi_omega1")):
 
 def _page_vectors(rc: RestrictedCohomology) -> list[tuple[int, ...]]:
     """Vectors over degrees 0..dim X inside ``rc``'s ranges with its exact Euler characteristic."""
-    return [v for v in product(*(range(r.lower, r.upper + 1) for r in rc.hodge_vector()))
+    return [v for v in product(*(range(r.lower, r.upper + 1) for r in rc.by_degree.values()))
             if sum(v[0::2]) - sum(v[1::2]) == rc.euler]
 
 
@@ -147,7 +147,7 @@ def hodge_numbers(c: Candidate) -> HodgeRecord:
     rc0, rc_conormal, rc_cotangent = (
         restricted_cohomology(KoszulInput(P, E, W))
         for W in (trivial(P), dual(P, E), dual(P, P.tangent)))
-    h0q = rc0.hodge_vector()
+    h0q = tuple(rc0.by_degree.values())
     # additivity of χ on 0 -> E*|_X -> Ω^1_F|_X -> Ω^1_X -> 0
     chi_omega1 = rc_cotangent.euler - rc_conormal.euler
 

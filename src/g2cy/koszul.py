@@ -47,6 +47,9 @@ The solver works on bitmasks: each position is one bit of an ``int``, as
 are adjacency rows, components, sides, forbidden sets and degree layers.
 ν(X→Z) tabulates D(Y) and N(Y) over the subsets Y of X only: 2^|X| work,
 never 2 to the size of a component or of a side.
+
+Both results, :class:`E1Page` and :class:`RestrictedCohomology`, are named
+tuples of plain data; each holds a dict, so neither hashes.
 """
 
 from __future__ import annotations
@@ -104,29 +107,19 @@ def koszul_terms(inp: KoszulInput) -> list[RepSum]:
     return [tensor(P, exterior_power(P, e_dual, k), inp.W) for k in range(E.rank + 1)]
 
 
-class E1Page:
-    """First page of the Koszul spectral sequence: {(k, q): dim H^q(F, Λ^k E* ⊗ W)},
-    each column straight from its Levi irreducibles into Borel–Weil–Bott."""
+class E1Page(namedtuple("E1Page", "entries euler")):
+    """First page of the Koszul spectral sequence: ``entries`` maps (k, q) to
+    the nonzero dim H^q(F, Λ^k E* ⊗ W), and ``euler`` is the alternating sum
+    over the whole page, which no differential changes."""
 
-    def __init__(self, inp: KoszulInput, dims: dict[tuple[int, int], int]):
-        self.input = inp
-        self._dims = dims
-
-    def entries(self) -> dict[tuple[int, int], int]:
-        """Nonzero entries as {(k, q): dim}."""
-        return dict(self._dims)
-
-    @property
-    def euler(self) -> int:
-        """Alternating sum over the whole page; independent of differentials."""
-        return sum(-d if (q - k) % 2 else d for (k, q), d in self._dims.items())
+    __slots__ = ()
 
 
 def e1_page(inp: KoszulInput) -> E1Page:
     """Column k: layer k of :func:`_koszul_layers` times the weights of W, split
     by :func:`~g2cy.reps._levi_terms` into summands of total rank C(rank E, k) ·
     rank W, each sent to :func:`bwb_irrep` (which checks p-dominance) and
-    :func:`weyl_dim`."""
+    :func:`weyl_dim`.  The Euler number is summed once, over the finished page."""
     P, W = inp.P, inp.W
     w_weights = W.weights()
     dims: dict[tuple[int, int], int] = {}
@@ -140,7 +133,7 @@ def e1_page(inp: KoszulInput) -> E1Page:
                 dims[k, q] = dims.get((k, q), 0) + mult * weyl_dim(P.rs, mu)
         if rank:
             raise AssertionError(f"Koszul column {k} has the wrong rank")
-    return E1Page(inp, dims)
+    return E1Page(dims, sum(-d if (q - k) % 2 else d for (k, q), d in dims.items()))
 
 
 class DimRange(namedtuple("DimRange", "lower upper")):
@@ -256,27 +249,12 @@ def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[
     return ranges
 
 
-class RestrictedCohomology:
-    """Cohomology of W restricted to the zero locus X, degree by degree.
+class RestrictedCohomology(namedtuple("RestrictedCohomology", "by_degree euler")):
+    """Cohomology of W restricted to the zero locus X: ``by_degree`` maps each
+    degree 0..dim X, in order, to a :class:`DimRange`; ``euler`` is the exact
+    alternating sum."""
 
-    ``h(n)`` gives a :class:`DimRange` per total degree; ``euler`` is always
-    the exact alternating sum.
-    """
-
-    def __init__(self, inp: KoszulInput, by_degree: dict[int, DimRange], euler: int):
-        self.by_degree = by_degree
-        self.euler = euler
-        self.dim_x = inp.dim_x
-
-    def h(self, n: int) -> DimRange:
-        return self.by_degree.get(n, DimRange(0, 0))
-
-    @property
-    def determined(self) -> bool:
-        return all(r.determined for r in self.by_degree.values())
-
-    def hodge_vector(self) -> tuple[DimRange, ...]:
-        return tuple(self.h(n) for n in range(self.dim_x + 1))
+    __slots__ = ()
 
 
 def restricted_cohomology(inp: KoszulInput) -> RestrictedCohomology:
@@ -284,13 +262,13 @@ def restricted_cohomology(inp: KoszulInput) -> RestrictedCohomology:
 
     Limit entries in total degrees outside 0..dim X must vanish, so
     ``by_degree`` holds exactly the degrees 0..dim X; a degree with no E1
-    entry is a determined zero.
+    entry is a determined zero.  ``euler`` is the page's.
     """
     page = e1_page(inp)
     dim_x = inp.dim_x
-    ranges = _limit_ranges(page.entries(), lambda n: 0 <= n <= dim_x)
+    ranges = _limit_ranges(page.entries, lambda n: 0 <= n <= dim_x)
     by_degree = {n: DimRange(*ranges.get(n, (0, 0))) for n in range(dim_x + 1)}
-    return RestrictedCohomology(inp, by_degree, page.euler)
+    return RestrictedCohomology(by_degree, page.euler)
 
 
 def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:

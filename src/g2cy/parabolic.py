@@ -35,7 +35,8 @@ class ParabolicData:
     Attributes
     ----------
     crossed, uncrossed : frozenset[int]
-        Crossed nodes and their complement (the Levi simple roots).
+        Crossed nodes and their complement (the Levi simple roots); a crossed
+        node not of type exactly ``int`` raises ``ValueError``.
     dim : int
         dim G/P, the number of positive roots outside the Levi span.
     tangent : RepSum
@@ -51,7 +52,11 @@ class ParabolicData:
     """
 
     def __init__(self, rs: RootSystem, crossed: Iterable[int]):
-        crossed = frozenset(int(i) for i in crossed)
+        crossed = tuple(crossed)
+        for i in crossed:
+            if type(i) is not int:
+                raise ValueError(f"crossed node {i!r} is not an integer")
+        crossed = frozenset(crossed)
         nodes = frozenset(range(1, rs.rank + 1))
         if not crossed:
             raise ValueError("a proper parabolic needs at least one crossed node")

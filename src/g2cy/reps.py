@@ -141,24 +141,6 @@ def trivial(P: "ParabolicData") -> RepSum:
     return irrep(P, wzero(P.rs.rank))
 
 
-def irrep_weights(P: "ParabolicData", lam: Weight) -> Counter:
-    """Weight multiset of the irreducible with highest weight ``lam``.
-
-    The alpha-string ``lam, lam - alpha, ..., lam - <lam, alpha^vee> alpha``
-    through the uncrossed simple root; on a torus Levi, the single character.
-    """
-    return irrep(P, lam).weights()
-
-
-def irrep_dim(P: "ParabolicData", lam: Weight) -> int:
-    return irrep(P, lam).rank
-
-
-def irrep_det(P: "ParabolicData", lam: Weight) -> Weight:
-    """Sum of the weight string of V(lam): n lam - n(n-1)/2 levi_root."""
-    return irrep(P, lam).det
-
-
 def _levi_terms(P: "ParabolicData", work: Mapping[Weight, int]) -> dict[Weight, int]:
     """Levi irreducibles of a character from its weight multiset, by the sl2 rule.
 
@@ -184,7 +166,7 @@ def _levi_terms(P: "ParabolicData", work: Mapping[Weight, int]) -> dict[Weight, 
 
 
 def decompose(P: "ParabolicData", multiset: Mapping[Weight, int] | Iterable) -> RepSum:
-    """Invert :func:`irrep_weights` on a weight multiset by :func:`_levi_terms`.
+    """Invert :meth:`RepSum.weights` on a weight multiset by :func:`_levi_terms`.
 
     A result whose weights do not rebuild the input exactly raises
     :class:`NotARepresentation`: sl2 characters are linearly independent, so

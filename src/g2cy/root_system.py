@@ -76,8 +76,8 @@ class CartanMatrix(namedtuple("CartanMatrix", "entries")):
     """Integer Cartan matrix; entry (i, j) is ``<alpha_i, alpha_j^vee>``.
 
     ``entries`` is the tuple of rows.  Construction checks that the matrix is
-    square and non-empty, with integer entries, 2 on the diagonal, no positive
-    entry off it and a symmetric zero pattern.
+    square and non-empty, with entries of type exactly ``int``, 2 on the
+    diagonal, no positive entry off it and a symmetric zero pattern.
     """
 
     __slots__ = ()
@@ -88,7 +88,7 @@ class CartanMatrix(namedtuple("CartanMatrix", "entries")):
             raise InvalidCartan("Cartan matrix must be square and non-empty")
         for i, row in enumerate(entries):
             for j, c in enumerate(row):
-                if not isinstance(c, int):
+                if type(c) is not int:
                     raise InvalidCartan("Cartan entries must be integers")
                 if i == j and c != 2:
                     raise InvalidCartan("diagonal Cartan entries must equal 2")
@@ -100,7 +100,7 @@ class CartanMatrix(namedtuple("CartanMatrix", "entries")):
 
     @classmethod
     def from_rows(cls, rows) -> "CartanMatrix":
-        return cls(tuple(tuple(int(c) for c in row) for row in rows))
+        return cls(tuple(map(tuple, rows)))
 
     @property
     def rank(self) -> int:

@@ -10,9 +10,8 @@ from math import comb
 from g2cy import (diff_against_paper, decompose, dual, e1_page, enumerate_all,
                   enumerate_candidates, euler_char, exterior_power,
                   g2_parabolic, g2_root_system, hilbert_value, hodge_numbers,
-                  irrep, irrep_det, irrep_dim, irrep_weights, koszul_terms,
-                  published_invariants, restricted_cohomology, to_record,
-                  validate_candidate, verify_theorem, weyl_dim, bwb_irrep,
+                  irrep, koszul_terms, published_invariants, restricted_cohomology,
+                  to_record, validate_candidate, verify_theorem, weyl_dim, bwb_irrep,
                   bundle_cohomology, degree_and_c2)
 from g2cy.cli import main
 from g2cy.root_system import wadd, wneg
@@ -56,7 +55,7 @@ def test_criterion_2_closed_forms():
             for b in range(-6, 7):
                 if not P.is_p_dominant((a, b)):
                     continue
-                string = irrep_weights(P, (a, b))
+                string = irrep(P, (a, b)).weights()
                 if name == "P1":
                     expected = {(a + j, b - 2 * j) for j in range(b + 1)}
                     dim, det = b + 1, (a * (b + 1) + b * (b + 1) // 2, 0)
@@ -67,8 +66,8 @@ def test_criterion_2_closed_forms():
                     expected = {(a, b)}
                     dim, det = 1, (a, b)
                 assert set(string) == expected and all(c == 1 for c in string.values())
-                assert irrep_dim(P, (a, b)) == dim
-                assert irrep_det(P, (a, b)) == det
+                assert irrep(P, (a, b)).rank == dim
+                assert irrep(P, (a, b)).det == det
                 cases += 1
     assert cases >= 3 * 13 * 7
     _pass(2, f"strings, dims and dets match the closed forms on {cases} weights")
@@ -200,10 +199,10 @@ def test_criterion_8d_decompose_round_trip():
     for name in ("P1", "P2", "B"):
         P = g2_parabolic(name)
         for lam in p_dominant_box(P, 6):
-            assert decompose(P, irrep_weights(P, lam)) == irrep(P, lam)
+            assert decompose(P, irrep(P, lam).weights()) == irrep(P, lam)
             cases += 1
     assert cases >= 200
-    _pass("8d", f"decompose∘irrep_weights round trip on {cases} cases")
+    _pass("8d", f"decompose∘weights round trip on {cases} cases")
 
 
 def test_criterion_8e_exterior_rank():

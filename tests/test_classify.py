@@ -7,7 +7,7 @@ from g2cy import (diff_against_paper, enumerate_all, enumerate_candidates,
                   verify_theorem)
 from g2cy import classify
 from g2cy.errors import MissingPaperRow, OutOfRange, TheoremViolated
-from g2cy.reps import irrep_dim
+from g2cy.reps import irrep
 
 from conftest import oracle_enumerate
 
@@ -47,7 +47,7 @@ class TestEnumerate:
         for dim in (2, 3, 4, 5):
             for row in enumerate_all(dim):
                 P = g2_parabolic(row.parabolic)
-                assert row.split == all(irrep_dim(P, w) == 1 for w in row.summands)
+                assert row.split == all(irrep(P, w).rank == 1 for w in row.summands)
 
     def test_summand_order_is_the_repsum_order(self):
         # make_row and validate_candidate share RepSum.sorted_terms; the key
@@ -58,7 +58,7 @@ class TestEnumerate:
             P = g2_parabolic(row.parabolic)
             assert validate_candidate(P, row.summands).summands == row.summands
             assert list(row.summands) == sorted(
-                row.summands, key=lambda w: (irrep_dim(P, w), w), reverse=True)
+                row.summands, key=lambda w: (irrep(P, w).rank, w), reverse=True)
             assert classify.make_row(P, reversed(row.summands)) == row
 
     def test_deterministic(self):

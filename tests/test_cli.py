@@ -268,8 +268,7 @@ class TestImportOnDemand:
         "root_system": "G2_CARTAN CartanMatrix Root RootSystem Weight WeylElement "
                        "build_root_system g2_root_system",
         "parabolic": "ParabolicData g2_parabolic is_g_dominant",
-        "reps": "RepSum decompose dual exterior_power irrep irrep_det irrep_dim "
-                "irrep_weights tensor trivial",
+        "reps": "RepSum decompose dual exterior_power irrep tensor trivial",
         "cohomology": "bundle_cohomology bwb_irrep euler_char weyl_dim",
         "koszul": "DimRange E1Page KoszulInput RestrictedCohomology e1_page hilbert_value "
                   "koszul_terms restricted_cohomology",

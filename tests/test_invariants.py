@@ -13,8 +13,9 @@ from g2cy import (KoszulInput, bundle_cohomology, degree_and_c2, dual,
                   published_invariants, restricted_cohomology, tensor, to_record,
                   validate_candidate)
 from g2cy import cli, invariants, koszul, reps
-from g2cy.errors import (FitInconsistent, NotGloballyGenerated, RankTooLarge,
-                         TrivialSummand, WrongDeterminant)
+from g2cy.errors import (FitInconsistent, InconsistentLongExactSequence,
+                         NotGloballyGenerated, RankTooLarge, TrivialSummand,
+                         WrongDeterminant)
 from g2cy.root_system import weight_str
 
 from test_reps import oracle_decompose, oracle_dual
@@ -268,6 +269,12 @@ class TestLongExactSequence:
     def test_no_solution_matches_rank_search(self, case):
         assert oracle_on_degrees(*case) is None
         assert invariants._les_ranges(*case) is None
+
+    def test_no_solving_pair_raises(self, P1, monkeypatch):
+        # every (A, B) pair of page vectors fails, as no ranks fit any of them
+        monkeypatch.setattr(invariants, "_les_ranges", lambda A, B, pins: None)
+        with pytest.raises(InconsistentLongExactSequence):
+            hodge_numbers(validate_candidate(P1, [(1, 1)]))
 
     @pytest.mark.parametrize("case", [
         ([0, 3, 3, 0], [0, 3, 3, 0], {1: 3, 2: 1}),

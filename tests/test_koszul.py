@@ -6,8 +6,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2cy import (CartanMatrix, KoszulInput, ParabolicData, RepSum, build_root_system,
-                  bundle_cohomology, dual, e1_page, enumerate_all,
+from g2cy import (CartanMatrix, DimRange, KoszulInput, ParabolicData, RepSum,
+                  build_root_system, bundle_cohomology, dual, e1_page, enumerate_all,
                   euler_char, g2_parabolic, hilbert_value, irrep, koszul, koszul_terms,
                   restricted_cohomology, trivial, validate_candidate, weyl_dim)
 from g2cy.errors import (InconsistentSpectralSequence, NotGloballyGenerated,
@@ -66,12 +66,12 @@ class TestE1Page:
         for P in (P1, P2):
             inp = KoszulInput(P, irrep(P, (1, 1)), trivial(P))
             page = e1_page(inp)
-            assert page.entries() == {(0, 0): 1, (inp.E.rank, P.dim): 1}
+            assert page.entries == {(0, 0): 1, (inp.E.rank, P.dim): 1}
 
     def test_dominant_w_concentrates_in_column_zero_row_zero(self, P2):
         inp = KoszulInput(P2, irrep(P2, (1, 1)), irrep(P2, (0, 2)))
         page = e1_page(inp)
-        col0 = {q: d for (k, q), d in page.entries().items() if k == 0}
+        col0 = {q: d for (k, q), d in page.entries.items() if k == 0}
         assert list(col0) == [0]
 
     def test_euler_matches_term_sums(self, parabolics):
@@ -97,14 +97,14 @@ class TestE1Page:
 class TestRestrictedCohomology:
     def test_main_threefold_structure_sheaf(self, P1):
         rc = restricted_cohomology(KoszulInput(P1, irrep(P1, (1, 1)), trivial(P1)))
-        assert [rc.h(n).value for n in range(4)] == [1, 0, 0, 1]
-        assert rc.determined
+        assert [rc.by_degree[n].value for n in range(4)] == [1, 0, 0, 1]
+        assert all(r.determined for r in rc.by_degree.values())
         assert rc.euler == 0
 
     def test_k3_structure_sheaf(self, P1):
         rc = restricted_cohomology(
             KoszulInput(P1, bundle(P1, (1, 0), (1, 0), (1, 0)), trivial(P1)))
-        assert [rc.h(n).value for n in range(3)] == [1, 0, 1]
+        assert [rc.by_degree[n].value for n in range(3)] == [1, 0, 1]
         assert rc.euler == 2
 
     def test_forced_cancellation_on_conormal(self, P1):
@@ -114,10 +114,10 @@ class TestRestrictedCohomology:
         e = irrep(P1, (1, 1))
         inp = KoszulInput(P1, e, dual(P1, e))
         page = e1_page(inp)
-        assert page.entries() == {(1, 5): 1, (2, 5): 64}
+        assert page.entries == {(1, 5): 1, (2, 5): 64}
         rc = restricted_cohomology(inp)
-        assert rc.h(3).value == 63
-        assert rc.h(4).value == 0
+        assert rc.by_degree[3].value == 63
+        assert rc.by_degree.get(4, DimRange(0, 0)).value == 0
 
     def test_vanishing_toggle_only_adds_information(self, P1, P2):
         # the public result against the solve that lets every degree live
@@ -126,9 +126,9 @@ class TestRestrictedCohomology:
             for w in (trivial(P), dual(P, e), dual(P, P.tangent)):
                 inp = KoszulInput(P, e, w)
                 strict = restricted_cohomology(inp)
-                loose = _limit_ranges(e1_page(inp).entries(), lambda n: True)
+                loose = _limit_ranges(e1_page(inp).entries, lambda n: True)
                 for n, (lo, hi) in loose.items():
-                    got = strict.h(n)
+                    got = strict.by_degree.get(n, DimRange(0, 0))
                     if lo == hi:
                         assert got == (lo, hi)
                     else:
@@ -138,7 +138,7 @@ class TestRestrictedCohomology:
         # without vanishing nothing forces the differential out of degree 4
         e = irrep(P1, (1, 1))
         inp = KoszulInput(P1, e, dual(P1, e))
-        lo, hi = _limit_ranges(e1_page(inp).entries(), lambda n: True)[4]
+        lo, hi = _limit_ranges(e1_page(inp).entries, lambda n: True)[4]
         assert lo < hi
 
     def test_pages_live_on_degrees_zero_to_dim_x(self):
@@ -224,7 +224,7 @@ class TestTensorDims:
             P = inp.P
             terms = koszul_terms(inp)
             page = e1_page(inp)
-            assert page.entries() == {
+            assert page.entries == {
                 (k, q): sum(m * weyl_dim(P.rs, mu) for mu, m in group.items())
                 for k, term in enumerate(terms)
                 for q, group in bundle_cohomology(P, term).items()}
@@ -491,7 +491,7 @@ def vanishing(dim_x, enforce):
 
 def compare_inputs(inputs, enforce):
     """compare_components over the E1 pages of Koszul inputs, counts summed."""
-    counts = [compare_components(e1_page(inp).entries(), inp.E.rank,
+    counts = [compare_components(e1_page(inp).entries, inp.E.rank,
                                  vanishing(inp.dim_x, enforce)) for inp in inputs]
     return sum(f for f, _ in counts), sum(t for _, t in counts)
 
@@ -519,8 +519,8 @@ class TestClosedFormAgainstSearch:
         # allowed degree per component, so the Euler characteristic forces it
         P = {"P1": P1, "P2": P2, "B": B}[name]
         rc = restricted_cohomology(KoszulInput(P, bundle(P, *summands), irrep(P, twist)))
-        assert rc.determined
-        assert rc.h(degree).value == value
+        assert all(r.determined for r in rc.by_degree.values())
+        assert rc.by_degree[degree].value == value
         assert rc.euler == value and type(rc.euler) is int
 
 
@@ -550,16 +550,15 @@ def test_closed_form_matches_search_on_random_grids(grid, enforce):
 
 @pytest.fixture(scope="module")
 def sweep_pages():
-    return [e1_page(inp) for inp in koszul_sweep_inputs()]
+    return [(inp, e1_page(inp)) for inp in koszul_sweep_inputs()]
 
 
 class TestBitmaskAgainstSets:
     @pytest.mark.parametrize("enforce", [True, False])
     def test_sweep_pages(self, sweep_pages, enforce):
-        for page in sweep_pages:
-            inp = page.input
-            assert_same_ranges(page.entries(), inp.E.rank, vanishing(inp.dim_x, enforce))
-            rc = restricted_cohomology(page.input)
+        for inp, page in sweep_pages:
+            assert_same_ranges(page.entries, inp.E.rank, vanishing(inp.dim_x, enforce))
+            rc = restricted_cohomology(inp)
             assert type(page.euler) is int and type(rc.euler) is int
             assert rc.euler == page.euler
         assert len(sweep_pages) == 486

@@ -96,6 +96,11 @@ class TestMakeParabolic:
         with pytest.raises(ValueError):
             ParabolicData(rs, (3,))
 
+    @pytest.mark.parametrize("node", [1.7, 1.0, True, "1", None])
+    def test_rejects_a_crossed_node_not_of_type_int(self, rs, node):
+        with pytest.raises(ValueError, match="crossed node"):
+            ParabolicData(rs, [node])
+
     def test_rejects_levi_of_semisimple_rank_two(self):
         a3 = build_root_system(CartanMatrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]))
         with pytest.raises(UnsupportedLevi):

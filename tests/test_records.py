@@ -2,15 +2,18 @@
 
 import pytest
 
-from g2cy import (CartanMatrix, DimRange, KoszulInput, TableRow, WeylElement,
-                  hodge_numbers, irrep, trivial, validate_candidate)
+from g2cy import (CartanMatrix, DimRange, E1Page, KoszulInput, RestrictedCohomology, TableRow,
+                  WeylElement, e1_page, hodge_numbers, irrep, restricted_cohomology, trivial,
+                  validate_candidate)
 from g2cy.errors import InvalidCartan, NotGloballyGenerated, TrivialSummand
 
 
 def pairs(rs, P1):
-    """Two equal, separately built instances of every record type."""
+    """Two equal, separately built instances of every record type; the last
+    ``UNHASHABLE`` hold a dict each, so they do not hash."""
     e = irrep(P1, (1, 1))
     cand = validate_candidate(P1, [(1, 1)])
+    inp = KoszulInput(P1, e, trivial(P1))
     return [
         (CartanMatrix.from_rows([[2, -3], [-1, 2]]), CartanMatrix(((2, -3), (-1, 2)))),
         (rs.positive_roots[0], rs.positive_roots[0]._replace()),
@@ -20,13 +23,24 @@ def pairs(rs, P1):
         (cand, validate_candidate(P1, [(1, 1)])),
         (hodge_numbers(cand), hodge_numbers(cand)),
         (TableRow("P1", ((1, 1),), False), TableRow(parabolic="P1", summands=((1, 1),), split=False)),
+        (e1_page(inp), E1Page(entries={(0, 0): 1, (2, 5): 1}, euler=0)),
+        (restricted_cohomology(inp), RestrictedCohomology(
+            by_degree={0: DimRange(1, 1), 1: DimRange(0, 0), 2: DimRange(0, 0),
+                       3: DimRange(1, 1)}, euler=0)),
     ]
+
+
+UNHASHABLE = 2
 
 
 def test_equal_fields_give_equal_values(rs, P1):
     for a, b in pairs(rs, P1):
         assert a is not b and a == b
+    for a, b in pairs(rs, P1)[:-UNHASHABLE]:
         assert hash(a) == hash(b)
+    for a, _ in pairs(rs, P1)[-UNHASHABLE:]:
+        with pytest.raises(TypeError):
+            hash(a)
 
 
 def test_assignment_raises(rs, P1):

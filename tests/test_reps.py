@@ -8,8 +8,7 @@ from typing import Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2cy import (decompose, dual, exterior_power, g2_parabolic, irrep,
-                  irrep_det, irrep_dim, irrep_weights, tensor, trivial)
+from g2cy import decompose, dual, exterior_power, g2_parabolic, irrep, tensor, trivial
 from g2cy import reps
 from g2cy.errors import NotARepresentation, NotPDominant, OutOfRange
 from g2cy.reps import RepSum
@@ -37,32 +36,32 @@ def closed_dim_det(name, a, b):
 
 class TestIrrepWeights:
     def test_examples(self, P1, P2, B):
-        assert irrep_weights(P1, (1, 1)) == Counter({(1, 1): 1, (2, -1): 1})
-        assert irrep_weights(P2, (1, 1)) == Counter({(1, 1): 1, (-1, 4): 1})
-        assert irrep_weights(B, (4, -7)) == Counter({(4, -7): 1})
+        assert irrep(P1, (1, 1)).weights() == Counter({(1, 1): 1, (2, -1): 1})
+        assert irrep(P2, (1, 1)).weights() == Counter({(1, 1): 1, (-1, 4): 1})
+        assert irrep(B, (4, -7)).weights() == Counter({(4, -7): 1})
 
     def test_matches_closed_forms(self, parabolics):
         for P in parabolics:
             for (a, b) in p_dominant_box(P, 6):
-                assert irrep_weights(P, (a, b)) == closed_string(P.label, a, b)
+                assert irrep(P, (a, b)).weights() == closed_string(P.label, a, b)
 
     def test_dims_and_dets_match_closed_forms(self, parabolics):
         for P in parabolics:
             for (a, b) in p_dominant_box(P, 6):
                 dim, det = closed_dim_det(P.label, a, b)
-                assert irrep_dim(P, (a, b)) == dim
-                assert irrep_det(P, (a, b)) == det
+                assert irrep(P, (a, b)).rank == dim
+                assert irrep(P, (a, b)).det == det
 
     def test_det_examples(self, P1, P2):
-        assert irrep_det(P1, (1, 1)) == (3, 0)
-        assert irrep_det(P2, (1, 1)) == (0, 5)
-        assert irrep_dim(P1, (0, 2)) == 3
+        assert irrep(P1, (1, 1)).det == (3, 0)
+        assert irrep(P2, (1, 1)).det == (0, 5)
+        assert irrep(P1, (0, 2)).rank == 3
 
     def test_not_p_dominant(self, P1, P2):
         with pytest.raises(NotPDominant):
-            irrep_weights(P1, (0, -1))
+            irrep(P1, (0, -1)).weights()
         with pytest.raises(NotPDominant):
-            irrep_dim(P2, (-1, 0))
+            irrep(P2, (-1, 0)).rank
 
 
 class TestForeignParabolic:
@@ -220,7 +219,7 @@ class TestDecompose:
     def test_round_trip(self, parabolics):
         for P in parabolics:
             for lam in p_dominant_box(P, 6):
-                assert decompose(P, irrep_weights(P, lam)) == irrep(P, lam)
+                assert decompose(P, irrep(P, lam).weights()) == irrep(P, lam)
 
     def test_doubled_multiset(self, P1):
         m = Counter({(1, 1): 2, (2, -1): 2})
@@ -228,8 +227,8 @@ class TestDecompose:
 
     def test_convolution_example(self, P1):
         m = Counter()
-        for u in irrep_weights(P1, (1, 1)).elements():
-            for v in irrep_weights(P1, (1, 1)).elements():
+        for u in irrep(P1, (1, 1)).weights().elements():
+            for v in irrep(P1, (1, 1)).weights().elements():
                 m[wadd(u, v)] += 1
         assert decompose(P1, m) == RepSum(P1, {(2, 2): 1, (3, 0): 1})
 
@@ -275,7 +274,7 @@ def _levi_height(P: "ParabolicData", u: Weight, v: Weight) -> int | None:
 
 
 def oracle_decompose(P: "ParabolicData", multiset: Mapping[Weight, int]) -> RepSum:
-    """Invert :func:`irrep_weights` on a weight multiset.
+    """Invert :meth:`RepSum.weights` on a weight multiset.
 
     Repeatedly extracts the maximal weight in the Levi dominance order (ties
     broken lexicographically), subtracts its string and recurses.  Raises
@@ -296,7 +295,7 @@ def oracle_decompose(P: "ParabolicData", multiset: Mapping[Weight, int]) -> RepS
         if not P.is_p_dominant(top):
             raise NotARepresentation(
                 f"maximal weight {weight_str(top)} is not p-dominant for {P.label}")
-        for w, c in irrep_weights(P, top).items():
+        for w, c in irrep(P, top).weights().items():
             if work[w] < c:
                 raise NotARepresentation(
                     f"string of {weight_str(top)} is not contained in the multiset")
@@ -391,7 +390,7 @@ def string_sums(draw):
         if not P.is_p_dominant(lam):
             lam = tuple(abs(x) if i + 1 in P.uncrossed else x for i, x in enumerate(lam))
         mult = draw(st.integers(1, 3))
-        for w, c in irrep_weights(P, lam).items():
+        for w, c in irrep(P, lam).weights().items():
             multiset[w] += mult * c
     change = draw(st.sampled_from(("none", "drop", "add", "negate")))
     present = sorted(multiset)

@@ -159,6 +159,9 @@ class TestBuild:
         [[2, 1], [-1, 2]],          # positive off-diagonal
         [[2, 0], [-1, 2]],          # asymmetric zero pattern
         [[2, -1]],                  # not square
+        [[2, -1.9], [-1, 2]],       # a float entry, not truncated to -1
+        [[2, "-3"], [-1, 2]],       # a string entry, not parsed
+        [[2, False], [False, 2]],   # bool entries, not read as 0
     ])
     def test_invalid_cartan(self, rows):
         with pytest.raises(InvalidCartan):
