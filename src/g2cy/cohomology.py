@@ -11,7 +11,9 @@ element w with w.lam dominant and
 the dualisation is dropped because only dimensions and irreducible labels
 feed later computations (dim V = dim V*).  The element w is searched in the
 full Weyl group; since lam + rho is strictly dominant on the Levi walls, w is
-automatically a minimal coset representative, so l(w) <= dim G/P.
+automatically a minimal coset representative, so l(w) <= dim G/P.  The one
+memoised kernel, :func:`_bott`, checks nothing and serves only weights the
+package built; the public entries check their weights and are not cached.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ def weyl_dim(rs: RootSystem, mu: Weight) -> int:
 
     Product over positive roots of <mu+rho, a^vee>/<rho, a^vee>, evaluated as
     one exact integer division at the end.  A weight that
-    :func:`~g2cy.root_system.check_weight` rejects raises ``ValueError``
-    before the cache sees it.
+    :func:`~g2cy.root_system.check_weight` rejects raises ``ValueError``.
     """
     mu = check_weight(mu, rs.rank)
     if min(mu) < 0:
@@ -38,7 +39,6 @@ def weyl_dim(rs: RootSystem, mu: Weight) -> int:
     return _weyl_dim(rs, mu)
 
 
-@lru_cache(maxsize=4096)    # a pass over the 22 rows touches about 60 keys
 def _weyl_dim(rs: RootSystem, mu: Weight) -> int:
     """Weyl's product for any weight mu: (-1)^l(w) times the dimension of the
     irreducible with highest weight w(mu + rho) - rho when w(mu + rho) is
@@ -53,6 +53,19 @@ def _weyl_dim(rs: RootSystem, mu: Weight) -> int:
     if num % den:
         raise AssertionError("Weyl dimension product is not integral")
     return num // den
+
+
+@lru_cache(maxsize=4096)    # a pass over the 22 rows touches about 80 keys
+def _bott(rs: RootSystem, lam: Weight) -> tuple[int, int] | None:
+    """Borel–Weil–Bott for an unchecked integer weight: ``None`` when lam + rho
+    is singular, else ``(l(w), dim V(w.lam))`` with w.lam = w(lam + rho) - rho
+    dominant, so (-1)^l(w) dim is Weyl's product :func:`_weyl_dim` of lam."""
+    rho = rs.weyl_vector
+    res = rs.dominant_conjugate(wadd(lam, rho))
+    if res is None:
+        return None
+    length, dom = res
+    return length, _weyl_dim(rs, wsub(dom, rho))
 
 
 def bwb_irrep(P: ParabolicData, lam: Weight) -> tuple[int, Weight] | None:

@@ -146,7 +146,7 @@ def hodge_numbers(c: Candidate) -> HodgeRecord:
     # the pages of W = O, the conormal E* and Ω_F = (g/p)*
     rc0, rc_conormal, rc_cotangent = (
         restricted_cohomology(KoszulInput(P, E, W))
-        for W in (trivial(P), dual(P, E), dual(P, P.tangent)))
+        for W in (trivial(P), dual(P, E), P.cotangent))
     h0q = tuple(rc0.by_degree.values())
     # additivity of χ on 0 -> E*|_X -> Ω^1_F|_X -> Ω^1_X -> 0
     chi_omega1 = rc_cotangent.euler - rc_conormal.euler

@@ -8,9 +8,9 @@ dimension dim F - rank E, and the structure sheaf of X is resolved by
 Tensoring the resolution with a bundle W and taking cohomology termwise gives
 the first page E1(k, q) = H^q(F, Λ^k E* ⊗ W) of a spectral sequence
 converging to H^{q-k}(X, W|_X).  The weight multisets of Λ^k E*
-(``_koszul_layers``, by the kernels in :mod:`~g2cy.reps`) feed both E1
-columns, times the weights of W and split into Levi irreducibles for
-Borel–Weil–Bott, and Hilbert samples, as Weyl's product summed over them.
+(``_koszul_layers``, built once per bundle) feed both E1 columns, times the
+weights of W and split into Levi irreducibles, and Hilbert samples; both
+read Borel–Weil–Bott off :func:`~g2cy.cohomology._bott` unchecked.
 
 The differentials depend on the chosen section (they are contractions with
 it), so they are not equivariant maps and cannot be dismissed by comparing
@@ -57,7 +57,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .cohomology import _weyl_dim, bwb_irrep, weyl_dim
+from .cohomology import _bott
 from .errors import (InconsistentSpectralSequence, NotGloballyGenerated,
                      NotMaximalParabolic, TrivialSummand)
 from .parabolic import ParabolicData, is_g_dominant
@@ -93,9 +93,13 @@ class KoszulInput(namedtuple("KoszulInput", "P E W")):
         return self.P.dim - self.E.rank
 
 
-def _koszul_layers(P: ParabolicData, E: RepSum) -> list[dict[Weight, int]]:
-    """Weight multisets of Λ^k E* for k = 0..rank E."""
-    return _exterior_layers(P, map(wneg, E.weights().elements()))
+def _koszul_layers(P: ParabolicData, E: RepSum) -> tuple[tuple[tuple[Weight, int], ...], ...]:
+    """Weight multisets of Λ^k E* for k = 0..rank E as read-only (weight, count)
+    pairs, built once and kept on ``E`` for all its pages and Hilbert samples."""
+    if E._dual_layers is None:
+        E._dual_layers = tuple(tuple(layer.items()) for layer in
+                               _exterior_layers(P, map(wneg, E.weights().elements())))
+    return E._dual_layers
 
 
 def koszul_terms(inp: KoszulInput) -> list[RepSum]:
@@ -117,20 +121,22 @@ class E1Page(namedtuple("E1Page", "entries euler")):
 
 def e1_page(inp: KoszulInput) -> E1Page:
     """Column k: layer k of :func:`_koszul_layers` times the weights of W, split
-    by :func:`~g2cy.reps._levi_terms` into summands of total rank C(rank E, k) ·
-    rank W, each sent to :func:`bwb_irrep` (which checks p-dominance) and
-    :func:`weyl_dim`.  The Euler number is summed once, over the finished page."""
+    by :func:`~g2cy.reps._levi_terms` into p-dominant summands of total rank
+    C(rank E, k) · rank W, each sent to :func:`~g2cy.cohomology._bott`.  The
+    Euler number is summed once, over the finished page."""
     P, W = inp.P, inp.W
-    w_weights = W.weights()
+    w_weights, e_rank, w_rank = W.weights(), inp.E.rank, W.rank
     dims: dict[tuple[int, int], int] = {}
     for k, layer in enumerate(_koszul_layers(P, inp.E)):
-        rank = comb(inp.E.rank, k) * W.rank
-        for lam, mult in _levi_terms(P, _product(layer, w_weights)).items():
+        rank = comb(e_rank, k) * w_rank
+        for lam, mult in _levi_terms(P, _product(dict(layer), w_weights)).items():
             rank -= mult * P.string_length(lam)     # counts the column's rank down to 0
-            res = bwb_irrep(P, lam)
+            res = _bott(P.rs, lam)
             if res is not None:
-                q, mu = res
-                dims[k, q] = dims.get((k, q), 0) + mult * weyl_dim(P.rs, mu)
+                q, d = res
+                if q > P.dim:
+                    raise AssertionError("cohomological degree exceeded dim G/P")
+                dims[k, q] = dims.get((k, q), 0) + mult * d
         if rank:
             raise AssertionError(f"Koszul column {k} has the wrong rank")
     return E1Page(dims, sum(-d if (q - k) % 2 else d for (k, q), d in dims.items()))
@@ -277,9 +283,9 @@ def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:
     Needs a maximal parabolic so that Pic F is generated by one line bundle
     L = E_omega, with omega the fundamental weight of the crossed node;
     negative twists are allowed.  χ is additive and χ(F, E_mu) is Weyl's
-    product W(mu) for every weight mu, so the Koszul resolution gives
-    χ(O_X(i)) = Σ_S (-1)^|S| W(i omega - ε_S), S running over the
-    sub-multisets of the weights ε of E: the layers of
+    product W(mu): (-1)^l dim for (l, dim) = :func:`~g2cy.cohomology._bott`,
+    so the Koszul resolution gives χ(O_X(i)) = Σ_S (-1)^|S| W(i omega - ε_S),
+    S running over the sub-multisets of the weights ε of E: the layers of
     :func:`_koszul_layers` with sign (-1)^k, as in the E1 columns, and no
     spectral sequence involved.  A twist not of type ``int`` raises ``ValueError``.
     """
@@ -292,5 +298,6 @@ def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:
         raise ValueError(f"twist {i!r} is not an integer")
     node = next(iter(P.crossed))
     line = tuple(i if j == node - 1 else 0 for j in range(P.rs.rank))
-    return sum((-1) ** k * c * _weyl_dim(P.rs, wadd(mu, line))
-               for k, layer in enumerate(_koszul_layers(P, E)) for mu, c in layer.items())
+    return sum((-1) ** (k + res[0]) * c * res[1]
+               for k, layer in enumerate(_koszul_layers(P, E)) for mu, c in layer
+               if (res := _bott(P.rs, wadd(mu, line))) is not None)

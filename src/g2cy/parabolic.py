@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import reps
 from .errors import UnsupportedLevi
@@ -41,6 +41,8 @@ class ParabolicData:
         dim G/P, the number of positive roots outside the Levi span.
     tangent : RepSum
         The tangent representation g/p, decomposed into Levi irreducibles.
+    cotangent : RepSum
+        Ω_F = ``dual(P, tangent)``, the graded dual (g/p)*, built when first read.
     anticanonical : Weight
         det(g/p), the sum of the tangent weight multiset.
     levi_rank : int
@@ -84,6 +86,10 @@ class ParabolicData:
         self.tangent = reps.decompose(self, tangent_weights)
         if self.tangent.rank != self.dim or self.tangent.det != anka:
             raise AssertionError("tangent representation lost weights in decomposition")
+
+    @cached_property
+    def cotangent(self) -> "reps.RepSum":
+        return reps.dual(self, self.tangent)
 
     def _levi_supported(self, root) -> bool:
         return all(c == 0 or (i + 1) in self.uncrossed

@@ -58,9 +58,10 @@ class RepSum:
 
     Built from a mapping or an iterable of (highest weight, multiplicity)
     pairs, repeated weights adding up; see :func:`_collect` for the checks.
+    ``terms`` never changes, so :mod:`~g2cy.koszul` keeps Λ^k layers on the sum.
     """
 
-    __slots__ = ("parabolic", "terms")
+    __slots__ = ("parabolic", "terms", "_dual_layers")
 
     def __init__(self, parabolic: "ParabolicData", terms: Mapping[Weight, int] | Iterable = ()):
         clean = _collect(parabolic, terms)
@@ -69,6 +70,7 @@ class RepSum:
                 raise NotPDominant(f"{weight_str(lam)} is not p-dominant for {parabolic.label}")
         self.parabolic = parabolic
         self.terms = clean
+        self._dual_layers = None
 
     def sorted_terms(self) -> list[tuple[Weight, int]]:
         """Terms ordered by descending (irreducible rank, highest weight)."""

@@ -75,14 +75,15 @@ def check_weight(lam, rank: int) -> Weight:
 class CartanMatrix(namedtuple("CartanMatrix", "entries")):
     """Integer Cartan matrix; entry (i, j) is ``<alpha_i, alpha_j^vee>``.
 
-    ``entries`` is the tuple of rows.  Construction checks that the matrix is
-    square and non-empty, with entries of type exactly ``int``, 2 on the
-    diagonal, no positive entry off it and a symmetric zero pattern.
+    ``entries`` holds the rows as tuples, so rows given as lists hash too;
+    construction checks a square non-empty matrix with entries of type exactly
+    ``int``, 2 on the diagonal, no positive entry off it and a symmetric zero pattern.
     """
 
     __slots__ = ()
 
     def __new__(cls, entries):
+        entries = tuple(map(tuple, entries))
         n = len(entries)
         if n == 0 or any(len(row) != n for row in entries):
             raise InvalidCartan("Cartan matrix must be square and non-empty")
@@ -99,8 +100,8 @@ class CartanMatrix(namedtuple("CartanMatrix", "entries")):
         return super().__new__(cls, entries)
 
     @classmethod
-    def from_rows(cls, rows) -> "CartanMatrix":
-        return cls(tuple(map(tuple, rows)))
+    def from_rows(cls, rows) -> "CartanMatrix":    # an alias of CartanMatrix(rows)
+        return cls(rows)
 
     @property
     def rank(self) -> int:

@@ -13,7 +13,7 @@ import pytest
 from g2cy import (G2_CARTAN, CartanMatrix, RepSum, build_root_system, bundle_cohomology,
                   bwb_irrep, dual, euler_char, g2_root_system, hilbert_value, irrep, trivial,
                   weyl_dim)
-from g2cy.cohomology import _weyl_dim
+from g2cy.cohomology import _bott, _weyl_dim
 from g2cy.errors import NotGDominant, NotPDominant
 from g2cy.root_system import wadd, wneg, wsub
 
@@ -84,31 +84,39 @@ class TestWeylDim:
                 assert _weyl_dim(rs, mu) == (-1) ** length * weyl_dim(rs, wsub(dom, rho))
 
     def test_cache_is_bounded(self, P1):
-        # each Hilbert twist feeds the cache new non-dominant weights
+        # each Hilbert twist feeds the Bott kernel's cache new non-dominant weights
         E = irrep(P1, (1, 1))
         for i in range(-2500, 2500):
             hilbert_value(P1, E, i)
-        info = _weyl_dim.cache_info()
+        info = _bott.cache_info()
         assert isinstance(info.maxsize, int)
+        assert info.misses > info.maxsize
         assert info.currsize <= info.maxsize
 
     def test_float_weights_cannot_poison_the_cache(self):
-        # in a child interpreter, so that a float key left in the cache
-        # cannot reach the rest of the session: 1.0 == 1 and both hash alike,
-        # so one cached float result would be served to every integer caller
+        # in a child interpreter, so that a float key left in the Bott
+        # kernel's cache cannot reach the rest of the session: 1.0 == 1 and
+        # both hash alike, so one cached float result would be served to every
+        # integer caller; every public entry rejects the float before the cache
         code = textwrap.dedent("""
             import sys
             sys.path.insert(0, sys.argv[1])
-            from g2cy import g2_parabolic, hilbert_value, irrep, validate_candidate, weyl_dim
+            from g2cy import (KoszulInput, RepSum, bwb_irrep, e1_page, g2_parabolic,
+                              hilbert_value, irrep, validate_candidate, weyl_dim)
+            from g2cy.cohomology import _bott
             from g2cy.invariants import to_record
             P1 = g2_parabolic("P1")
             for call in (lambda: weyl_dim(P1.rs, (0.0, 1)),
                          lambda: (weyl_dim(P1.rs, (1, 0)), weyl_dim(P1.rs, (1.0, 0))),
-                         lambda: hilbert_value(P1, irrep(P1, (1, 1)), 1.0)):
+                         lambda: hilbert_value(P1, irrep(P1, (1, 1)), 1.0),
+                         lambda: bwb_irrep(P1, (-3.0, 0)),
+                         lambda: e1_page(KoszulInput(P1, irrep(P1, (1, 1)),
+                                                     RepSum(P1, {(1.0, 0): 1})))):
                 try:
                     print("returned", call())
                 except ValueError:
                     print("ValueError")
+            print("cached", _bott.cache_info().currsize)
 
             def numbers(x):
                 if isinstance(x, dict):
@@ -123,7 +131,26 @@ class TestWeylDim:
         proc = subprocess.run([sys.executable, "-c", code, SRC],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["ValueError"] * 3 + ["['int'] 42"]
+        assert proc.stdout.splitlines() == ["ValueError"] * 5 + ["cached 0", "['int'] 42"]
+
+
+class TestBott:
+    """The memoised kernel against the checked public entries."""
+
+    def test_matches_bwb_irrep_and_weyl_dim(self, parabolics):
+        for P in parabolics:
+            for lam in p_dominant_box(P, 8):
+                res = bwb_irrep(P, lam)
+                expected = None if res is None else (res[0], weyl_dim(P.rs, res[1]))
+                assert _bott(P.rs, lam) == expected
+
+    @pytest.mark.parametrize("cartan", [G2_CARTAN, CartanMatrix([[2, -1], [-1, 2]])],
+                             ids=["G2", "A2"])
+    def test_signed_dimension_is_weyl_product(self, cartan):
+        rs = build_root_system(cartan)
+        for mu in product(range(-8, 9), repeat=2):
+            res = _bott(rs, mu)
+            assert (0 if res is None else (-1) ** res[0] * res[1]) == _weyl_dim(rs, mu)
 
 
 class TestBwbIrrep:

@@ -208,15 +208,19 @@ class TestHodgeNumbers:
                                                ("B", ((0, 1), (0, 1), (2, 0)))])
     def test_three_pages_through_e1_page(self, name, summands, monkeypatch):
         # W = O, E* and Ω_F = (g/p)* each get one page through the public
-        # e1_page, whose columns come from weights: no Λ^k E* as a RepSum
-        c = candidate(g2_parabolic(name), *summands)
+        # e1_page, whose columns come from weights: no Λ^k E* as a RepSum;
+        # E* is the one dual built per record, Ω_F is kept on the parabolic
+        P = g2_parabolic(name)
+        c = candidate(P, *summands)
         pages = count_calls(monkeypatch, koszul, ("e1_page",))
         weights = count_calls(monkeypatch, reps, ("exterior_power", "decompose"))
         calls_here = count_calls(monkeypatch, invariants, ("dual",))
         hodge_numbers(c)
         assert pages == {"e1_page": 3}
         assert not weights
-        assert calls_here == {"dual": 2}
+        assert calls_here == {"dual": 1}
+        assert P.cotangent is P.cotangent
+        assert P.cotangent == dual(P, P.tangent)
 
     def test_pages_take_the_candidate_rep_itself(self, P2, monkeypatch):
         # E is the RepSum that validation built, not a rebuild per access

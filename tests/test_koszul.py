@@ -1,7 +1,14 @@
 """Koszul terms, E1 pages, restricted cohomology, Hilbert values."""
 
+import copy
+import json
+import pickle
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,11 +19,15 @@ from g2cy import (CartanMatrix, DimRange, KoszulInput, ParabolicData, RepSum,
                   restricted_cohomology, trivial, validate_candidate, weyl_dim)
 from g2cy.errors import (InconsistentSpectralSequence, NotGloballyGenerated,
                          NotMaximalParabolic, TrivialSummand)
-from g2cy.koszul import _limit_ranges
-from g2cy.reps import _levi_terms, _product
+from g2cy.invariants import to_record
+from g2cy.koszul import _koszul_layers, _limit_ranges
+from g2cy.reps import _exterior_layers, _levi_terms, _product
+from g2cy.root_system import wneg
 
 from conftest import koszul_sweep_inputs, p_dominant_box, rep_sums
 from test_reps import oracle_tensor
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def bundle(P, *summands):
@@ -248,21 +259,21 @@ class TestTensorDims:
                     for k, term in enumerate(koszul_terms(KoszulInput(P, c.rep, line))))
 
     def test_every_term_goes_through_bwb(self, monkeypatch):
-        # bwb_irrep checks each Levi summand of each column for p-dominance;
+        # each Levi summand of each column goes through the Bott kernel once;
         # a column starts with its _levi_terms call
         columns = []
-        split, original = koszul._levi_terms, koszul.bwb_irrep
+        split, original = koszul._levi_terms, koszul._bott
 
         def new_column(P, work):
             columns.append([])
             return split(P, work)
 
-        def recorded(P, lam):
+        def recorded(rs, lam):
             columns[-1].append(lam)
-            return original(P, lam)
+            return original(rs, lam)
 
         monkeypatch.setattr(koszul, "_levi_terms", new_column)
-        monkeypatch.setattr(koszul, "bwb_irrep", recorded)
+        monkeypatch.setattr(koszul, "_bott", recorded)
         for inp in koszul_sweep_inputs():
             columns.clear()
             e1_page(inp)
@@ -279,6 +290,67 @@ class TestTensorDims:
         monkeypatch.setattr(koszul, "_levi_terms", lossy)
         with pytest.raises(AssertionError, match="wrong rank"):
             e1_page(KoszulInput(P1, irrep(P1, (1, 1)), trivial(P1)))
+
+
+class TestKoszulLayers:
+    """Each bundle's Λ^k E* layers are built once, kept on it, and read-only."""
+
+    def test_built_once_per_record(self, monkeypatch):
+        calls = []
+        build = koszul._exterior_layers
+        monkeypatch.setattr(koszul, "_exterior_layers",
+                            lambda P, weights: calls.append(P) or build(P, weights))
+        rows = [row for dim_x in (2, 3, 4, 5) for row in enumerate_all(dim_x)]
+        assert len(rows) == 22
+        for n, row in enumerate(rows, 1):
+            to_record(validate_candidate(g2_parabolic(row.parabolic), row.summands))
+            assert len(calls) == n
+
+    def test_alternating_bundles_match_a_fresh_interpreter(self, P2):
+        # the record pages and Hilbert samples of two threefolds over one
+        # parabolic, interleaved call by call, against one child per bundle
+        bundles = [((1, 1),), ((0, 1), (0, 4))]
+        code = textwrap.dedent("""
+            import json, sys
+            sys.path.insert(0, sys.argv[1])
+            from g2cy import (KoszulInput, dual, e1_page, g2_parabolic, hilbert_value,
+                              trivial, validate_candidate)
+            P2 = g2_parabolic("P2")
+            rep = validate_candidate(P2, json.loads(sys.argv[2])).rep
+            pages = [sorted(e1_page(KoszulInput(P2, rep, w)).entries.items())
+                     for w in (trivial(P2), dual(P2, rep), P2.cotangent)]
+            print(json.dumps([pages, [hilbert_value(P2, rep, i) for i in range(-4, 5)]]))
+        """)
+        fresh = [json.loads(subprocess.run(
+            [sys.executable, "-c", code, SRC, json.dumps(summands)],
+            capture_output=True, text=True, timeout=60, check=True).stdout)
+            for summands in bundles]
+        assert fresh[0] != fresh[1]
+        reps = [validate_candidate(P2, summands).rep for summands in bundles]
+        got = [[[], []] for _ in bundles]
+        for j in range(3):
+            for b, rep in enumerate(reps):
+                w = (trivial(P2), dual(P2, rep), P2.cotangent)[j]
+                page = sorted(e1_page(KoszulInput(P2, rep, w)).entries.items())
+                got[b][0].append([[list(k), d] for k, d in page])
+                got[1 - b][1] += [hilbert_value(P2, reps[1 - b], i)
+                                  for i in range(3 * j - 4, 3 * j - 1)]
+        assert got == fresh
+
+    def test_layers_are_read_only(self, P1):
+        # and a sum that keeps them still copies and pickles
+        E = bundle(P1, (1, 1), (0, 1))
+        layers = _koszul_layers(P1, E)
+        assert _koszul_layers(P1, E) is layers
+        with pytest.raises(TypeError):
+            layers[1][0] = ((0, 0), 2)
+        with pytest.raises(TypeError):
+            layers[0] = ()
+        with pytest.raises(AttributeError):
+            layers.append(())
+        assert [dict(layer) for layer in layers] == _exterior_layers(
+            P1, map(wneg, E.weights().elements()))
+        assert pickle.loads(pickle.dumps(E)) == copy.deepcopy(E) == E
 
 
 @given(rep_sums(count=2))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from g2cy import G2_CARTAN, CartanMatrix, WeylElement, build_root_system
+from g2cy import G2_CARTAN, CartanMatrix, ParabolicData, WeylElement, build_root_system
 from g2cy.errors import InvalidCartan, NonFiniteType
 from g2cy.root_system import Weight, check_weight, wscale, wsub
 
@@ -95,6 +95,20 @@ class TestBuild:
         C = rs.cartan.entries
         assert all(C[i][j] * expected[j] == C[j][i] * expected[i]
                    for i in range(rs.rank) for j in range(rs.rank))
+
+    def test_list_rows_build_hashable_values(self):
+        # rows given as lists become tuples, so the matrix, its root system
+        # and a parabolic over it compare and hash like those built from tuples
+        cartan = CartanMatrix([[2, -1], [-1, 2]])
+        tuples = CartanMatrix(((2, -1), (-1, 2)))
+        assert cartan == tuples == CartanMatrix.from_rows([[2, -1], [-1, 2]])
+        assert cartan.entries == ((2, -1), (-1, 2))
+        rs, rs_tuples = build_root_system(cartan), build_root_system(tuples)
+        assert hash(rs) == hash(rs_tuples)
+        P = ParabolicData(rs, (1,))
+        assert P == ParabolicData(rs_tuples, (1,))
+        assert hash(P) == hash(ParabolicData(rs_tuples, (1,)))
+        assert P.dim == 2
 
     def test_non_symmetrizable_cycle(self):
         # the ratios d2/d1 = 2, d3/d2 = 1 and d1/d3 = 1 around the cycle disagree
