@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from itertools import product
+from operator import sub
 
 from .errors import MissingPaperRow, OutOfRange, TheoremViolated
 from .parabolic import G2_PARABOLIC_NAMES, ParabolicData, g2_parabolic
-from .reps import RepSum, irrep
+from .reps import RepSum, _irrep_det
 from .root_system import Weight, wzero
 
 
@@ -46,15 +47,24 @@ class TableRow(namedtuple("TableRow", "parabolic summands split")):
 
 
 def make_row(P: ParabolicData, summands) -> TableRow:
-    """Canonicalise a summand multiset in the order of :meth:`RepSum.sorted_terms`."""
-    weights = [tuple(w) for w in summands]
-    rep = RepSum(P, Counter(weights))
-    ordered = tuple(w for w, m in rep.sorted_terms() for _ in range(m))
-    return TableRow(parabolic=P.label, summands=ordered, split=rep.rank == len(weights))
+    """Canonicalise a summand multiset in the order of :meth:`RepSum.sorted_terms`,
+    after checking its weights as :class:`RepSum` does."""
+    weights = tuple(tuple(w) for w in summands)
+    RepSum(P, Counter(weights))
+    return _canonical_row(P, weights)
+
+
+def _canonical_row(P: ParabolicData, weights: tuple[Weight, ...]) -> TableRow:
+    """The row of p-dominant int weights, sorted by descending (irreducible
+    rank, weight) as :meth:`RepSum.sorted_terms` sorts terms."""
+    ordered = tuple(sorted(weights, key=lambda w: (P.string_length(w), w), reverse=True))
+    return TableRow(parabolic=P.label, summands=ordered,
+                    split=all(P.string_length(w) == 1 for w in weights))
 
 
 def _candidate_pool(P: ParabolicData, rank_budget: int) -> dict[Weight, Weight]:
-    """{weight: det} of the nonzero dominant weights that could be a summand, sorted."""
+    """{weight: det} of the nonzero dominant weights that could be a summand,
+    sorted, det V(lam) by the closed form :func:`~g2cy.reps._irrep_det`."""
     A = P.anticanonical
     bounds = []
     for node in range(1, P.rs.rank + 1):
@@ -65,7 +75,7 @@ def _candidate_pool(P: ParabolicData, rank_budget: int) -> dict[Weight, Weight]:
             continue
         if P.string_length(coords) > rank_budget:
             continue
-        det = irrep(P, coords).det
+        det = _irrep_det(P, coords)
         if all(d <= a for d, a in zip(det, A)):
             pool[coords] = det
     return dict(sorted(pool.items()))
@@ -75,7 +85,8 @@ def enumerate_candidates(P: ParabolicData, dim_x: int) -> list[TableRow]:
     """All candidate rows on G/P with fibres of dimension ``dim_x``.
 
     Exhaustive within the bounds above; deterministic (canonically sorted,
-    deduplicated by construction).
+    deduplicated by construction).  Pool weights are dominant int tuples, so
+    each found row is built from them directly, without a :class:`RepSum`.
     """
     if not 2 <= dim_x <= P.dim - 1:
         raise OutOfRange(f"dim X = {dim_x} outside 2..{P.dim - 1} on {P.label}")
@@ -95,15 +106,15 @@ def enumerate_candidates(P: ParabolicData, dim_x: int) -> list[TableRow]:
             w = pool[idx]
             if dims[w] > rank_left:
                 continue
-            rest = tuple(d - x for d, x in zip(det_left, dets[w]))
-            if any(x < 0 for x in rest):
+            rest = tuple(map(sub, det_left, dets[w]))
+            if min(rest) < 0:
                 continue
             acc.append(w)
             extend(idx, rank_left - dims[w], rest, acc)
             acc.pop()
 
     extend(0, rank_budget, P.anticanonical, [])
-    rows = [make_row(P, ws) for ws in found]
+    rows = [_canonical_row(P, ws) for ws in found]
     rows.sort(key=TableRow.sort_key)
     return rows
 

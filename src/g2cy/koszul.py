@@ -9,7 +9,7 @@ Tensoring the resolution with a bundle W and taking cohomology termwise gives
 the first page E1(k, q) = H^q(F, Λ^k E* ⊗ W) of a spectral sequence
 converging to H^{q-k}(X, W|_X).  The weight multisets of Λ^k E*
 (``_koszul_layers``, built once per bundle) feed both E1 columns, times the
-weights of W and split into Levi irreducibles, and Hilbert samples; both
+weight pairs of W and split into Levi irreducibles, and Hilbert samples; both
 read Borel–Weil–Bott off :func:`~g2cy.cohomology._bott` unchecked.
 
 The differentials depend on the chosen section (they are contractions with
@@ -95,10 +95,11 @@ class KoszulInput(namedtuple("KoszulInput", "P E W")):
 
 def _koszul_layers(P: ParabolicData, E: RepSum) -> tuple[tuple[tuple[Weight, int], ...], ...]:
     """Weight multisets of Λ^k E* for k = 0..rank E as read-only (weight, count)
-    pairs, built once and kept on ``E`` for all its pages and Hilbert samples."""
+    pairs, built once from E's weight pairs and kept on ``E`` for all its pages
+    and Hilbert samples."""
     if E._dual_layers is None:
-        E._dual_layers = tuple(tuple(layer.items()) for layer in
-                               _exterior_layers(P, map(wneg, E.weights().elements())))
+        negated = (wneg(mu) for mu, m in E._weight_pairs() for _ in range(m))
+        E._dual_layers = tuple(tuple(layer.items()) for layer in _exterior_layers(P, negated))
     return E._dual_layers
 
 
@@ -120,16 +121,16 @@ class E1Page(namedtuple("E1Page", "entries euler")):
 
 
 def e1_page(inp: KoszulInput) -> E1Page:
-    """Column k: layer k of :func:`_koszul_layers` times the weights of W, split
-    by :func:`~g2cy.reps._levi_terms` into p-dominant summands of total rank
-    C(rank E, k) · rank W, each sent to :func:`~g2cy.cohomology._bott`.  The
-    Euler number is summed once, over the finished page."""
+    """Column k: layer k of :func:`_koszul_layers` times the weight pairs of W,
+    split by :func:`~g2cy.reps._levi_terms` into p-dominant summands of total
+    rank C(rank E, k) · rank W, each sent to :func:`~g2cy.cohomology._bott`.
+    The Euler number is summed once, over the finished page."""
     P, W = inp.P, inp.W
-    w_weights, e_rank, w_rank = W.weights(), inp.E.rank, W.rank
+    w_pairs, e_rank, w_rank = W._weight_pairs(), inp.E.rank, W.rank
     dims: dict[tuple[int, int], int] = {}
     for k, layer in enumerate(_koszul_layers(P, inp.E)):
         rank = comb(e_rank, k) * w_rank
-        for lam, mult in _levi_terms(P, _product(dict(layer), w_weights)).items():
+        for lam, mult in _levi_terms(P, _product(layer, w_pairs)).items():
             rank -= mult * P.string_length(lam)     # counts the column's rank down to 0
             res = _bott(P.rs, lam)
             if res is not None:
@@ -172,10 +173,14 @@ def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[
     ``dims`` maps E1 positions (k, q), k >= 0, to their dimensions; a page-r
     differential from column k lands in column k - r, so r runs over 1..k.
     Limit entries in total degrees n with ``allowed(n)`` false must vanish.
-    Each component is solved in closed form, as in the module docstring; raises
-    :class:`InconsistentSpectralSequence` when the vanishing cannot hold.
+    Each component is checked for consistency, then solved in closed form, as
+    in the module docstring; raises :class:`InconsistentSpectralSequence`
+    when the vanishing cannot hold.  ν from the empty set is 0 without a
+    call, and a component of one position, which has no neighbour, reads its
+    value [D, D], or 0 when forbidden, straight off.
     """
-    bit_of = {p: 1 << i for i, p in enumerate(sorted(dims))}
+    positions = sorted(dims)
+    bit_of = {p: 1 << i for i, p in enumerate(positions)}
     dim = {b: dims[p] for p, b in bit_of.items()}
     adjacency = dict.fromkeys(dim, 0)    # positions joined on some page
     layers: dict[int, int] = {}          # positions by total degree
@@ -221,6 +226,11 @@ def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[
         return best
 
     ranges: dict[int, tuple[int, int]] = {}
+
+    def add(n: int, lo: int, hi: int) -> None:     # component ranges add up
+        old_lo, old_hi = ranges.get(n, (0, 0))
+        ranges[n] = (old_lo + lo, old_hi + hi)
+
     unseen = (1 << len(dim)) - 1
     while unseen:
         comp = todo = unseen & -unseen
@@ -233,12 +243,20 @@ def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[
         # neighbours of positions in the component stay inside it, so only
         # the sets ν starts from need masking by the component
         S = forbidden & comp
-        # Mendelsohn–Dulmage: saturating S∩A and S∩B separately suffices
+        # Mendelsohn–Dulmage: saturating S∩A and S∩B separately suffices;
+        # ν(∅ → ·) = 0 = D(∅), so only a nonempty S∩A needs the check
         for A, B in (sides, sides[::-1]):
-            if nu(S & A, B, D(S & A)) != D(S & A):
+            if S & A and nu(S & A, B, D(S & A)) != D(S & A):
                 raise InconsistentSpectralSequence(
                     "no differential ranks satisfy the vanishing constraints; the "
                     "input does not define a complete intersection of expected dimension")
+        if not comp & (comp - 1):
+            # one position, so no neighbour and ν(L → B) = 0: the closed form
+            # reads [D, D], or 0 when the position is forbidden
+            k, q = positions[comp.bit_length() - 1]
+            d = 0 if S else dim[comp]
+            add(q - k, d, d)
+            continue
         for n in degrees:
             layer = layers[n] & comp
             if not layer:
@@ -249,9 +267,8 @@ def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[
                 lo = hi = 0
             else:
                 lo = D(layer) - nu(SA | layer, B) + D(SA)
-                hi = D(layer) - D(SB) + nu(SB, A & ~layer)
-            old_lo, old_hi = ranges.get(n, (0, 0))
-            ranges[n] = (old_lo + lo, old_hi + hi)
+                hi = (D(layer) - D(SB) + nu(SB, A & ~layer)) if SB else D(layer)
+            add(n, lo, hi)
     return ranges
 
 

@@ -6,13 +6,16 @@ Levis of semisimple rank at most one and holds their one model: the weights
 of V(lam) are the string lam - j levi_root, j < n = ``P.string_length(lam)``,
 where levi_root is the uncrossed simple root, or zero on a torus (n = 1).
 Weights, determinants and duals are closed forms in that model: det V(lam) =
-n lam - n(n-1)/2 levi_root and V(lam)* = V((n-1) levi_root - lam).  Tensor
-products and exterior powers, like the Koszul pages, are weight multisets
-built by the two kernels :func:`_product` and :func:`_exterior_layers` and
-split by the sl2 rule of :func:`_levi_terms`, the irreducible with highest
-weight lam occurring m(lam) - m(lam + levi_root) times (the torus, with no
-root, apart); :func:`decompose` expands the result again and compares it with
-the input, so a multiset that is not a character is rejected.
+n lam - n(n-1)/2 levi_root (:func:`_irrep_det`) and V(lam)* =
+V((n-1) levi_root - lam).  Tensor products and exterior powers, like the
+Koszul pages, are weight multisets built by the two kernels :func:`_product`
+and :func:`_exterior_layers` and split by the sl2 rule of :func:`_levi_terms`,
+the irreducible with highest weight lam occurring m(lam) - m(lam + levi_root)
+times (the torus, with no root, apart); :func:`decompose` expands the result
+again and compares it with the input, so a multiset that is not a character
+is rejected.  The kernels only see weights the package built and checked, so
+they add them with a bare ``tuple(map(add, ...))``, not the length-checking
+:func:`~g2cy.root_system.wadd`.
 
 A :class:`RepSum` is a formal non-negative combination of irreducibles over a
 fixed parabolic.  It models every bundle in the package: bundles on G/P
@@ -25,9 +28,10 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from math import comb
+from operator import add, sub
 
 from .errors import NotARepresentation, NotPDominant, OutOfRange
-from .root_system import Weight, check_weight, wadd, wneg, wscale, wsub, wzero, weight_str
+from .root_system import Weight, check_weight, wneg, wscale, wsub, wzero, weight_str
 
 
 def _collect(P: "ParabolicData", pairs: Mapping[Weight, int] | Iterable) -> dict[Weight, int]:
@@ -58,10 +62,12 @@ class RepSum:
 
     Built from a mapping or an iterable of (highest weight, multiplicity)
     pairs, repeated weights adding up; see :func:`_collect` for the checks.
-    ``terms`` never changes, so :mod:`~g2cy.koszul` keeps Λ^k layers on the sum.
+    ``terms`` never changes, so the sum keeps what is derived from it: its
+    weight multiset as read-only pairs (:meth:`_weight_pairs`, built on first
+    use) and, set by :mod:`~g2cy.koszul`, the weights of its Λ^k duals.
     """
 
-    __slots__ = ("parabolic", "terms", "_dual_layers")
+    __slots__ = ("parabolic", "terms", "_pairs", "_dual_layers")
 
     def __init__(self, parabolic: "ParabolicData", terms: Mapping[Weight, int] | Iterable = ()):
         clean = _collect(parabolic, terms)
@@ -70,7 +76,7 @@ class RepSum:
                 raise NotPDominant(f"{weight_str(lam)} is not p-dominant for {parabolic.label}")
         self.parabolic = parabolic
         self.terms = clean
-        self._dual_layers = None
+        self._pairs = self._dual_layers = None
 
     def sorted_terms(self) -> list[tuple[Weight, int]]:
         """Terms ordered by descending (irreducible rank, highest weight)."""
@@ -88,25 +94,30 @@ class RepSum:
 
     @property
     def det(self) -> Weight:
-        """Each V(lam) adds n*lam - n(n-1)/2 * levi_root, n its string length."""
-        P = self.parabolic
-        alpha = P.levi_root
-        total = [0] * P.rs.rank
+        """The sum of m * det V(lam) over the terms, by :func:`_irrep_det`."""
+        total = [0] * self.parabolic.rs.rank
         for lam, m in self.terms.items():
-            n = P.string_length(lam)
-            top, drop = m * n, m * (n * (n - 1) // 2)
-            for k, (x, a) in enumerate(zip(lam, alpha)):
-                total[k] += top * x - drop * a
+            for k, x in enumerate(_irrep_det(self.parabolic, lam)):
+                total[k] += m * x
         return tuple(total)
 
+    def _weight_pairs(self) -> tuple[tuple[Weight, int], ...]:
+        """The weight multiset as read-only (weight, multiplicity) pairs, each
+        term's string lam, lam - levi_root, ... in turn, built once."""
+        if self._pairs is None:
+            P = self.parabolic
+            out: dict[Weight, int] = {}
+            for lam, m in self.terms.items():
+                mu = lam
+                for _ in range(P.string_length(lam)):
+                    out[mu] = out.get(mu, 0) + m
+                    mu = tuple(map(sub, mu, P.levi_root))
+            self._pairs = tuple(out.items())
+        return self._pairs
+
     def weights(self) -> Counter:
-        """Full weight multiset; its cardinality equals the rank."""
-        P = self.parabolic
-        out: Counter = Counter()
-        for lam, m in self.terms.items():
-            for j in range(P.string_length(lam)):
-                out[wsub(lam, wscale(j, P.levi_root))] += m
-        return out
+        """Full weight multiset, a fresh ``Counter``; its cardinality equals the rank."""
+        return Counter(dict(self._weight_pairs()))
 
     def __add__(self, other: "RepSum") -> "RepSum":
         if self.parabolic != other.parabolic:
@@ -143,6 +154,13 @@ def trivial(P: "ParabolicData") -> RepSum:
     return irrep(P, wzero(P.rs.rank))
 
 
+def _irrep_det(P: "ParabolicData", lam: Weight) -> Weight:
+    """det V(lam) = n lam - n(n-1)/2 levi_root, n the string length of lam."""
+    n = P.string_length(lam)
+    drop = n * (n - 1) // 2
+    return tuple([n * x - drop * a for x, a in zip(lam, P.levi_root)])
+
+
 def _levi_terms(P: "ParabolicData", work: Mapping[Weight, int]) -> dict[Weight, int]:
     """Levi irreducibles of a character from its weight multiset, by the sl2 rule.
 
@@ -154,11 +172,11 @@ def _levi_terms(P: "ParabolicData", work: Mapping[Weight, int]) -> dict[Weight, 
     """
     if not P.levi_rank:
         return dict(work)
-    alpha = P.levi_root
+    alpha, i = P.levi_root, P._levi_node - 1
     terms: dict[Weight, int] = {}
     for lam, c in work.items():
-        if P.is_p_dominant(lam):
-            n = c - work.get(wadd(lam, alpha), 0)
+        if lam[i] >= 0:                  # p-dominant
+            n = c - work.get(tuple(map(add, lam, alpha)), 0)
             if n < 0:
                 raise NotARepresentation(
                     f"{weight_str(lam)} occurs less often than the weight above it")
@@ -177,7 +195,7 @@ def decompose(P: "ParabolicData", multiset: Mapping[Weight, int] | Iterable) -> 
     """
     work = _collect(P, multiset)
     result = RepSum(P, _levi_terms(P, work))
-    if result.weights() != work:
+    if dict(result._weight_pairs()) != work:
         raise NotARepresentation(
             f"weight multiset is not a sum of {P.label} weight strings")
     return result
@@ -198,13 +216,14 @@ def dual(P: "ParabolicData", r: RepSum) -> RepSum:
     return result
 
 
-def _product(u: Mapping[Weight, int], v: Mapping[Weight, int]) -> dict[Weight, int]:
-    """Weight multiset of a tensor product: every sum of a weight of ``u`` and a
-    weight of ``v``, multiplicities multiplied and equal sums merged."""
+def _product(u: Iterable[tuple[Weight, int]], v: Iterable[tuple[Weight, int]]) -> dict[Weight, int]:
+    """Weight multiset of a tensor product from the (weight, multiplicity) pairs
+    of its factors, ``v`` re-iterable: every sum of a weight of ``u`` and one of
+    ``v``, multiplicities multiplied and equal sums merged in first-seen order."""
     out: dict[Weight, int] = {}
-    for mu, c in u.items():
-        for nu, d in v.items():
-            lam = wadd(mu, nu)
+    for mu, c in u:
+        for nu, d in v:
+            lam = tuple(map(add, mu, nu))
             out[lam] = out.get(lam, 0) + c * d
     return out
 
@@ -218,7 +237,7 @@ def _exterior_layers(P: "ParabolicData", weights: Iterable[Weight]) -> list[dict
         for k in range(len(layers) - 1, 0, -1):
             layer = layers[k]
             for mu, c in layers[k - 1].items():
-                nu = wadd(mu, eps)
+                nu = tuple(map(add, mu, eps))
                 layer[nu] = layer.get(nu, 0) + c
     return layers
 
@@ -227,7 +246,7 @@ def tensor(P: "ParabolicData", a: RepSum, b: RepSum) -> RepSum:
     """Tensor product: :func:`decompose` of the weight product of the factors."""
     if a.parabolic != P or b.parabolic != P:
         raise ValueError("tensor factors must live over the given parabolic")
-    return decompose(P, _product(a.weights(), b.weights()))
+    return decompose(P, _product(a._weight_pairs(), b._weight_pairs()))
 
 
 def exterior_power(P: "ParabolicData", r: RepSum, k: int) -> RepSum:
@@ -241,7 +260,7 @@ def exterior_power(P: "ParabolicData", r: RepSum, k: int) -> RepSum:
     n = r.rank
     if not 0 <= k <= n:
         raise OutOfRange(f"exterior power {k} outside 0..{n}")
-    layer = _exterior_layers(P, r.weights().elements())[k]
+    layer = _exterior_layers(P, (mu for mu, m in r._weight_pairs() for _ in range(m)))[k]
     if sum(layer.values()) != comb(n, k):
         raise AssertionError("exterior power has wrong cardinality")
     return decompose(P, layer)

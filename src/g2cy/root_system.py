@@ -24,12 +24,9 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add, sub
 
-from .errors import InvalidCartan, NonFiniteType, OutOfRange
+from .errors import InvalidCartan, NonFiniteType
 
 Weight = tuple[int, ...]
-
-#: Largest Weyl group that :meth:`RootSystem.weyl_elements` enumerates.
-_WEYL_WALK_LIMIT = 1_000_000
 
 
 def wadd(u: Weight, v: Weight) -> Weight:
@@ -133,16 +130,6 @@ class Root(namedtuple("Root", "weight simple_coords coroot_coords long")):
         return sum(self.simple_coords)
 
 
-class WeylElement(namedtuple("WeylElement", "word")):
-    """A Weyl group element as ``word``, a reduced word of simple reflection indices."""
-
-    __slots__ = ()
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-
 def _symmetrizer(cartan: CartanMatrix) -> tuple[int, ...]:
     """Positive integers d with C[i][j]*d[j] symmetric, normalised coprime.
 
@@ -186,7 +173,8 @@ class RootSystem:
 
     Immutable after construction: no method caches or changes state, and all
     operations are pure functions of their arguments, so instances can be
-    shared freely across threads.
+    shared freely across threads.  The hash is the Cartan matrix's, computed
+    once, because every Bott-kernel lookup hashes its root system.
     """
 
     def __init__(self, cartan: CartanMatrix, symmetrizer: tuple[int, ...],
@@ -196,22 +184,16 @@ class RootSystem:
         self.positive_roots = positive_roots
         self.rank = cartan.rank          # a plain attribute: weight checks read it per call
         self.weyl_vector: Weight = (1,) * cartan.rank
-        self._simple = {i: next(r for r in positive_roots
-                                if r.simple_coords == tuple(int(k == i - 1)
-                                                            for k in range(cartan.rank)))
-                        for i in range(1, cartan.rank + 1)}
+        self._hash = hash(cartan)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RootSystem) and self.cartan == other.cartan
 
     def __hash__(self) -> int:
-        return hash(self.cartan)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"RootSystem(rank={self.rank}, positive_roots={len(self.positive_roots)})"
-
-    def simple_root(self, i: int) -> Root:
-        return self._simple[i]
 
     def reflect(self, i: int, lam: Weight) -> Weight:
         """Simple reflection s_i(lam) = lam - <lam, alpha_i^vee> alpha_i."""
@@ -219,12 +201,6 @@ class RootSystem:
         if c == 0:
             return lam
         return tuple([x - c * a for x, a in zip(lam, self.cartan.entries[i - 1])])
-
-    def act(self, word: tuple[int, ...], lam: Weight) -> Weight:
-        """Apply a word of simple reflections, rightmost letter first."""
-        for i in reversed(word):
-            lam = self.reflect(i, lam)
-        return lam
 
     def pairing(self, lam: Weight, alpha: Root) -> int:
         """Exact integer pairing ``<lam, alpha^vee>``."""
@@ -258,32 +234,6 @@ class RootSystem:
         if 0 in cur:
             return None
         return length, cur
-
-    def weyl_elements(self) -> tuple[WeylElement, ...]:
-        """The whole Weyl group as reduced words, ordered by (length, word).
-
-        w -> w(rho) is a bijection from W onto the orbit of rho, and s_i w is
-        longer than w exactly when w(rho) has a positive i-th coordinate.  So
-        a breadth-first walk over that orbit, one weight per element, reaches
-        each element first along a reduced word ``(i,) + word``.  A group of
-        more than a million elements is refused with :class:`OutOfRange`
-        before any walk, from its exact :meth:`weyl_order`.
-        """
-        order = self.weyl_order()
-        if order > _WEYL_WALK_LIMIT:
-            raise OutOfRange(f"the Weyl group has {order} elements; at most "
-                             f"{_WEYL_WALK_LIMIT} are enumerated")
-        words: dict[Weight, tuple[int, ...]] = {self.weyl_vector: ()}
-        frontier = [self.weyl_vector]
-        while frontier:
-            nxt = []
-            for mu in frontier:
-                for i, c in enumerate(mu, 1):
-                    if c > 0 and (nu := self.reflect(i, mu)) not in words:
-                        words[nu] = (i,) + words[mu]
-                        nxt.append(nu)
-            frontier = nxt
-        return tuple(WeylElement(w) for w in sorted(words.values(), key=lambda w: (len(w), w)))
 
     def weyl_order(self) -> int:
         """|W| = Π (ht a + 1) / Π ht a over the positive roots a, exactly."""

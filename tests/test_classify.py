@@ -72,6 +72,19 @@ class TestEnumerate:
             enumerate_candidates(B, 1)
 
     @pytest.mark.parametrize("name", ["P1", "P2", "B"])
+    def test_pool_dets_are_irrep_dets(self, name):
+        # the pool's closed-form det against RepSum.det and against the sum of
+        # the irreducible's weights, on every rank budget the enumeration uses
+        P = g2_parabolic(name)
+        for dim_x in range(2, P.dim):
+            pool = classify._candidate_pool(P, P.dim - dim_x)
+            assert pool
+            for w, det in pool.items():
+                weights = irrep(P, w).weights()
+                assert det == irrep(P, w).det == tuple(
+                    sum(c * mu[i] for mu, c in weights.items()) for i in range(P.rs.rank))
+
+    @pytest.mark.parametrize("name", ["P1", "P2", "B"])
     @pytest.mark.parametrize("dim_x", [2, 3, 4, 5])
     def test_brute_force_equivalence(self, name, dim_x):
         P = g2_parabolic(name)

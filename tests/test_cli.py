@@ -265,8 +265,8 @@ class TestImportOnDemand:
     #: every public name of the package, by the module that defines it
     API = {
         "errors": "G2CYError",
-        "root_system": "G2_CARTAN CartanMatrix Root RootSystem Weight WeylElement "
-                       "build_root_system g2_root_system",
+        "root_system": "G2_CARTAN CartanMatrix Root RootSystem Weight build_root_system "
+                       "g2_root_system",
         "parabolic": "ParabolicData g2_parabolic is_g_dominant",
         "reps": "RepSum decompose dual exterior_power irrep tensor trivial",
         "cohomology": "bundle_cohomology bwb_irrep euler_char weyl_dim",

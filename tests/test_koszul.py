@@ -357,7 +357,8 @@ class TestKoszulLayers:
 def test_levi_terms_of_weight_products_match_tensor(case):
     # the weight path of E1 columns against the Clebsch–Gordan rule
     P, a, b = case
-    assert _levi_terms(P, _product(a.weights(), b.weights())) == oracle_tensor(P, a, b).terms
+    product = _product(a.weights().items(), b.weights().items())
+    assert _levi_terms(P, product) == oracle_tensor(P, a, b).terms
 
 
 # Reference solver: the exhaustive page-by-page rank search that the closed
@@ -623,6 +624,35 @@ def test_closed_form_matches_search_on_random_grids(grid, enforce):
 @pytest.fixture(scope="module")
 def sweep_pages():
     return [(inp, e1_page(inp)) for inp in koszul_sweep_inputs()]
+
+
+class TestIsolatedPositions:
+    """A component of one position reads [D, D], or 0 when forbidden, straight off."""
+
+    #: (0, 2), (1, 4) and (2, 0) have no neighbour on any page up to 2, in
+    #: total degrees 2, 3 and -2; (1, 1) in degree 0 can only hit (0, 1)
+    ISOLATED = {(0, 2): 3, (1, 4): 4, (2, 0): 2}
+    JOINED = {(1, 1): 1, (0, 1): 2}
+
+    def test_allowed_degrees_give_their_dimension(self):
+        assert _limit_ranges(self.ISOLATED, lambda n: True) == {2: (3, 3), 3: (4, 4), -2: (2, 2)}
+        assert_same_ranges(self.ISOLATED, 2, lambda n: True)
+
+    def test_forbidden_nonzero_position_raises(self):
+        with pytest.raises(InconsistentSpectralSequence):
+            _limit_ranges(self.ISOLATED, lambda n: n != -2)
+        assert_same_ranges(self.ISOLATED, 2, lambda n: n != -2)
+
+    def test_components_without_forbidden_positions_match_sets(self):
+        # degree 0 is forbidden, so only the joined component has a forbidden
+        # position; the isolated ones keep their dimensions
+        dims = {**self.ISOLATED, **self.JOINED}
+        assert len(_differential_components(_adjacency(sorted(dims), 2))) == 4
+        for allowed in (lambda n: True, lambda n: n != 0):
+            assert_same_ranges(dims, 2, allowed)
+            ranges = _limit_ranges(dims, allowed)
+            assert [ranges[n] for n in (2, 3, -2)] == [(3, 3), (4, 4), (2, 2)]
+        assert _limit_ranges(dims, lambda n: n != 0)[0] == (0, 0)
 
 
 class TestBitmaskAgainstSets:

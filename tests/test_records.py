@@ -3,7 +3,7 @@
 import pytest
 
 from g2cy import (CartanMatrix, DimRange, E1Page, KoszulInput, RestrictedCohomology, TableRow,
-                  WeylElement, e1_page, hodge_numbers, irrep, restricted_cohomology, trivial,
+                  e1_page, hodge_numbers, irrep, restricted_cohomology, trivial,
                   validate_candidate)
 from g2cy.errors import InvalidCartan, NotGloballyGenerated, TrivialSummand
 
@@ -17,7 +17,6 @@ def pairs(rs, P1):
     return [
         (CartanMatrix.from_rows([[2, -3], [-1, 2]]), CartanMatrix(((2, -3), (-1, 2)))),
         (rs.positive_roots[0], rs.positive_roots[0]._replace()),
-        (WeylElement((1, 2)), WeylElement(word=(1, 2))),
         (KoszulInput(P1, e, trivial(P1)), KoszulInput(P=P1, E=irrep(P1, (1, 1)), W=trivial(P1))),
         (DimRange(0, 3), DimRange(lower=0, upper=3)),
         (cand, validate_candidate(P1, [(1, 1)])),

@@ -1,5 +1,7 @@
 """Weight strings, dims, dets, duals, tensors, exterior powers, decomposition."""
 
+import copy
+import pickle
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -8,7 +10,8 @@ from typing import Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2cy import decompose, dual, exterior_power, g2_parabolic, irrep, tensor, trivial
+from g2cy import (KoszulInput, decompose, dual, e1_page, exterior_power, g2_parabolic, irrep,
+                  tensor, trivial)
 from g2cy import reps
 from g2cy.errors import NotARepresentation, NotPDominant, OutOfRange
 from g2cy.reps import RepSum
@@ -140,6 +143,39 @@ class TestTensor:
                         tuple(b.rank * x for x in a.det),
                         tuple(a.rank * x for x in b.det))
                     assert t.det == expected_det
+
+
+class TestWeightPairs:
+    """A sum builds its weight pairs once, read-only; ``weights()`` hands out copies."""
+
+    @staticmethod
+    def bundles(P):
+        return irrep(P, (1, 1)) + irrep(P, (0, 1)), irrep(P, (0, 2)) + irrep(P, (-1, 1))
+
+    @staticmethod
+    def results(P, E, W):
+        return (E.weights(), W.weights(), tensor(P, E, W), exterior_power(P, E, 2),
+                e1_page(KoszulInput(P, E, W)))
+
+    def test_mutating_weights_changes_nothing(self, P1):
+        fresh = self.results(P1, *self.bundles(P1))
+        E, W = self.bundles(P1)
+        for r in (E, W):
+            got = r.weights()
+            assert got == r.weights() and got is not r.weights()
+            got[(9, 9)] += 1
+            del got[next(iter(r.terms))]
+        assert self.results(P1, E, W) == fresh
+
+    def test_built_pairs_are_kept_and_copy(self, P1):
+        r = self.bundles(P1)[0]
+        pairs = r._weight_pairs()
+        assert r._weight_pairs() is pairs and dict(pairs) == r.weights()
+        with pytest.raises(TypeError):
+            pairs[0] = ((0, 0), 1)
+        for other in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+            assert other == r and hash(other) == hash(r)
+            assert other._weight_pairs() == pairs and other.weights() == r.weights()
 
 
 class TestExteriorPower:

@@ -4,16 +4,18 @@ import re
 import subprocess
 import sys
 import textwrap
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-from g2cy import G2_CARTAN, CartanMatrix, ParabolicData, WeylElement, build_root_system
-from g2cy.errors import InvalidCartan, NonFiniteType
+from g2cy import G2_CARTAN, CartanMatrix, ParabolicData, build_root_system
+from g2cy.errors import InvalidCartan, NonFiniteType, OutOfRange
 from g2cy.root_system import Weight, check_weight, wscale, wsub
 
+TESTS = str(Path(__file__).resolve().parent)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -31,9 +33,67 @@ def e_series(r):
     return CartanMatrix.from_rows(rows)
 
 
-# The former Weyl walk, kept verbatim (less its cache) as the oracle: a
-# breadth-first search over the images of the n basis vectors, under a cap on
-# the number of elements.
+# The Weyl walk the package used to ship, now only an oracle: the group as
+# reduced words over the orbit of rho, words acting on weights, and simple
+# roots looked up among the positive roots.
+
+#: Largest Weyl group that :func:`weyl_elements` enumerates.
+_WEYL_WALK_LIMIT = 1_000_000
+
+
+class WeylElement(namedtuple("WeylElement", "word")):
+    """A Weyl group element as ``word``, a reduced word of simple reflection indices."""
+
+    __slots__ = ()
+
+    @property
+    def length(self) -> int:
+        return len(self.word)
+
+
+def simple_root(rs, i: int):
+    """The positive root alpha_i (i is 1-based)."""
+    return next(r for r in rs.positive_roots
+                if r.simple_coords == tuple(int(k == i - 1) for k in range(rs.rank)))
+
+
+def act(rs, word: tuple[int, ...], lam: Weight) -> Weight:
+    """Apply a word of simple reflections, rightmost letter first."""
+    for i in reversed(word):
+        lam = rs.reflect(i, lam)
+    return lam
+
+
+def weyl_elements(rs) -> tuple[WeylElement, ...]:
+    """The whole Weyl group as reduced words, ordered by (length, word).
+
+    w -> w(rho) is a bijection from W onto the orbit of rho, and s_i w is
+    longer than w exactly when w(rho) has a positive i-th coordinate.  So
+    a breadth-first walk over that orbit, one weight per element, reaches
+    each element first along a reduced word ``(i,) + word``.  A group of
+    more than a million elements is refused with :class:`OutOfRange`
+    before any walk, from its exact ``weyl_order``.
+    """
+    order = rs.weyl_order()
+    if order > _WEYL_WALK_LIMIT:
+        raise OutOfRange(f"the Weyl group has {order} elements; at most "
+                         f"{_WEYL_WALK_LIMIT} are enumerated")
+    words: dict[Weight, tuple[int, ...]] = {rs.weyl_vector: ()}
+    frontier = [rs.weyl_vector]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for i, c in enumerate(mu, 1):
+                if c > 0 and (nu := rs.reflect(i, mu)) not in words:
+                    words[nu] = (i,) + words[mu]
+                    nxt.append(nu)
+        frontier = nxt
+    return tuple(WeylElement(w) for w in sorted(words.values(), key=lambda w: (len(w), w)))
+
+
+# The walk before that, kept verbatim (less its cache) as the oracle of the
+# orbit walk: a breadth-first search over the images of the n basis vectors,
+# under a cap on the number of elements.
 
 def oracle_weyl_elements(self, bound: int = 1_000_000) -> tuple[WeylElement, ...]:
     """Enumerate the whole Weyl group as reduced words (breadth first)."""
@@ -127,8 +187,8 @@ class TestBuild:
         assert long_roots == {(2, -3), (-1, 3), (1, 0)}
 
     def test_simple_roots_are_cartan_rows(self, rs):
-        assert rs.simple_root(1).weight == (2, -3)
-        assert rs.simple_root(2).weight == (-1, 2)
+        assert simple_root(rs, 1).weight == (2, -3)
+        assert simple_root(rs, 2).weight == (-1, 2)
 
     def test_non_finite_type(self):
         # in a child interpreter with a timeout: a finiteness test that lets
@@ -162,7 +222,7 @@ class TestBuild:
                              ids=["A1", "A2", "A3", "A4", "B2", "G2"])
     def test_weyl_order_counts_the_group(self, rows):
         rs = build_root_system(CartanMatrix.from_rows(rows))
-        assert rs.weyl_order() == len(rs.weyl_elements())
+        assert rs.weyl_order() == len(weyl_elements(rs))
 
     @pytest.mark.parametrize("r, order", [(6, 51_840), (8, 696_729_600)])
     def test_weyl_order_of_e_series(self, r, order):
@@ -207,11 +267,11 @@ class TestPairing:
         for i in (1, 2):
             for j in (1, 2):
                 omega = tuple(int(k == j - 1) for k in range(2))
-                assert rs.pairing(omega, rs.simple_root(i)) == int(i == j)
+                assert rs.pairing(omega, simple_root(rs, i)) == int(i == j)
 
     def test_simple_normalisation(self, rs):
         for i in (1, 2):
-            alpha = rs.simple_root(i)
+            alpha = simple_root(rs, i)
             assert rs.pairing(alpha.weight, alpha) == 2
 
     def test_rho_against_highest_root(self, rs):
@@ -259,10 +319,10 @@ class TestDominantConjugate:
 
     def test_exhaustive_weyl_oracle(self, rs):
         # oracle: scan all 12 group elements for a strictly dominant image
-        elements = rs.weyl_elements()
+        elements = weyl_elements(rs)
         for mu in product(range(-6, 7), repeat=2):
-            hits = [(w.length, rs.act(w.word, mu)) for w in elements
-                    if all(c > 0 for c in rs.act(w.word, mu))]
+            hits = [(w.length, act(rs, w.word, mu)) for w in elements
+                    if all(c > 0 for c in act(rs, w.word, mu))]
             got = rs.dominant_conjugate(mu)
             if not hits:
                 assert got is None
@@ -304,7 +364,7 @@ class TestWeylElements:
     ], ids=["A1", "A2", "A3", "A4", "B2", "C3", "D4", "G2", "F4", "A1xA1"])
     def test_orbit_walk_matches_matrix_walk(self, rows):
         rs = build_root_system(CartanMatrix.from_rows(rows))
-        assert rs.weyl_elements() == oracle_weyl_elements(rs)
+        assert weyl_elements(rs) == oracle_weyl_elements(rs)
 
     def test_large_groups_refused_from_their_order(self):
         # in a child interpreter with a timeout and a memory cap: a walk that
@@ -312,17 +372,18 @@ class TestWeylElements:
         code = textwrap.dedent("""
             import ast, resource, sys
             resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
-            sys.path.insert(0, sys.argv[1])
+            sys.path[:0] = sys.argv[1:3]
             from g2cy import CartanMatrix, build_root_system
             from g2cy.errors import OutOfRange
-            for rows in ast.literal_eval(sys.argv[2]):
+            from test_root_system import weyl_elements
+            for rows in ast.literal_eval(sys.argv[3]):
                 try:
-                    build_root_system(CartanMatrix(rows)).weyl_elements()
+                    weyl_elements(build_root_system(CartanMatrix(rows)))
                 except OutOfRange as exc:
                     print(exc)
         """)
         cartans = repr([e_series(7).entries, e_series(8).entries])
-        proc = subprocess.run([sys.executable, "-c", code, SRC, cartans],
+        proc = subprocess.run([sys.executable, "-c", code, SRC, TESTS, cartans],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         e7, e8 = proc.stdout.splitlines()
@@ -330,28 +391,28 @@ class TestWeylElements:
         assert "696729600 elements" in e8
 
     def test_words_are_reduced(self, rs):
-        lengths = sorted(w.length for w in rs.weyl_elements())
+        lengths = sorted(w.length for w in weyl_elements(rs))
         # dihedral of order 12: one element per length except two in 1..5
         assert lengths == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
 
     def test_longest_length_is_root_count(self, rs):
-        assert max(w.length for w in rs.weyl_elements()) == len(rs.positive_roots)
+        assert max(w.length for w in weyl_elements(rs)) == len(rs.positive_roots)
 
     def test_word_then_inverse_is_identity(self, rs):
-        for w in rs.weyl_elements():
+        for w in weyl_elements(rs):
             inverse = tuple(reversed(w.word))
             for mu in [(1, 1), (2, 3), (5, 1)]:
-                assert rs.act(w.word, rs.act(inverse, mu)) == mu
+                assert act(rs, w.word, act(rs, inverse, mu)) == mu
 
     def test_distinct_actions(self, rs):
-        images = {rs.act(w.word, (1, 1)) for w in rs.weyl_elements()}
+        images = {act(rs, w.word, (1, 1)) for w in weyl_elements(rs)}
         assert len(images) == 12
 
     def test_length_counts_inverted_roots(self, rs):
         positive = {r.weight for r in rs.positive_roots}
-        for w in rs.weyl_elements():
+        for w in weyl_elements(rs):
             inverted = sum(1 for r in rs.positive_roots
-                           if rs.act(w.word, r.weight) not in positive)
+                           if act(rs, w.word, r.weight) not in positive)
             assert inverted == w.length
 
 
