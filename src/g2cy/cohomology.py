@@ -12,8 +12,9 @@ the dualisation is dropped because only dimensions and irreducible labels
 feed later computations (dim V = dim V*).  The element w is searched in the
 full Weyl group; since lam + rho is strictly dominant on the Levi walls, w is
 automatically a minimal coset representative, so l(w) <= dim G/P.  The one
-memoised kernel, :func:`_bott`, checks nothing and serves only weights the
-package built; the public entries check their weights and are not cached.
+memoised kernel, :func:`_bott`, derives the degree, the label and Weyl's
+dimension product of a weight and checks nothing: every weight is checked
+(or comes from a ``RepSum``, which checked it) before it can become a key.
 """
 
 from __future__ import annotations
@@ -27,45 +28,35 @@ from .root_system import RootSystem, Weight, check_weight, wadd, wsub, weight_st
 
 
 def weyl_dim(rs: RootSystem, mu: Weight) -> int:
-    """Dimension of the G-irreducible with dominant highest weight mu.
-
-    Product over positive roots of <mu+rho, a^vee>/<rho, a^vee>, evaluated as
-    one exact integer division at the end.  A weight that
+    """Dimension of the G-irreducible with dominant highest weight mu, Weyl's
+    product as :func:`_bott` evaluates it.  A weight that
     :func:`~g2cy.root_system.check_weight` rejects raises ``ValueError``.
     """
     mu = check_weight(mu, rs.rank)
     if min(mu) < 0:
         raise NotGDominant(f"{weight_str(mu)} is not dominant")
-    return _weyl_dim(rs, mu)
-
-
-def _weyl_dim(rs: RootSystem, mu: Weight) -> int:
-    """Weyl's product for any weight mu: (-1)^l(w) times the dimension of the
-    irreducible with highest weight w(mu + rho) - rho when w(mu + rho) is
-    strictly dominant, and 0 when mu + rho is singular; this is χ(G/B, L_mu)
-    by Borel–Weil–Bott."""
-    rho = rs.weyl_vector
-    shifted = wadd(mu, rho)
-    num = den = 1
-    for alpha in rs.positive_roots:
-        num *= rs.pairing(shifted, alpha)
-        den *= rs.pairing(rho, alpha)
-    if num % den:
-        raise AssertionError("Weyl dimension product is not integral")
-    return num // den
+    return _bott(rs, mu)[2]
 
 
 @lru_cache(maxsize=4096)    # a pass over the 22 rows touches about 80 keys
-def _bott(rs: RootSystem, lam: Weight) -> tuple[int, int] | None:
-    """Borel–Weil–Bott for an unchecked integer weight: ``None`` when lam + rho
-    is singular, else ``(l(w), dim V(w.lam))`` with w.lam = w(lam + rho) - rho
-    dominant, so (-1)^l(w) dim is Weyl's product :func:`_weyl_dim` of lam."""
+def _bott(rs: RootSystem, lam: Weight) -> tuple[int, Weight, int] | None:
+    """Borel–Weil–Bott for a checked integer weight: ``None`` when lam + rho is
+    singular, else ``(l(w), mu, dim V(mu))`` with mu = w(lam + rho) - rho
+    dominant.  dim V(mu) is Weyl's product over the positive roots a of
+    <mu + rho, a^vee>/<rho, a^vee>, one exact integer division at the end, so
+    (-1)^l(w) dim is χ(G/B, L_lam)."""
     rho = rs.weyl_vector
     res = rs.dominant_conjugate(wadd(lam, rho))
     if res is None:
         return None
     length, dom = res
-    return length, _weyl_dim(rs, wsub(dom, rho))
+    num = den = 1
+    for alpha in rs.positive_roots:
+        num *= rs.pairing(dom, alpha)
+        den *= rs.pairing(rho, alpha)
+    if num % den:
+        raise AssertionError("Weyl dimension product is not integral")
+    return length, wsub(dom, rho), num // den
 
 
 def bwb_irrep(P: ParabolicData, lam: Weight) -> tuple[int, Weight] | None:
@@ -79,14 +70,10 @@ def bwb_irrep(P: ParabolicData, lam: Weight) -> tuple[int, Weight] | None:
     lam = check_weight(lam, P.rs.rank)
     if not P.is_p_dominant(lam):
         raise NotPDominant(f"{weight_str(lam)} is not p-dominant for {P.label}")
-    rho = P.rs.weyl_vector
-    res = P.rs.dominant_conjugate(wadd(lam, rho))
-    if res is None:
-        return None
-    length, dom = res
-    if length > P.dim:
+    res = _bott(P.rs, lam)
+    if res is not None and res[0] > P.dim:
         raise AssertionError("cohomological degree exceeded dim G/P")
-    return length, wsub(dom, rho)
+    return None if res is None else res[:2]
 
 
 def bundle_cohomology(P: ParabolicData, r: RepSum) -> dict[int, dict[Weight, int]]:
@@ -111,6 +98,9 @@ def bundle_cohomology(P: ParabolicData, r: RepSum) -> dict[int, dict[Weight, int
 
 def euler_char(P: ParabolicData, r: RepSum) -> int:
     """Euler characteristic of the bundle, an exact integer: the alternating
-    sum of the dimensions in :func:`bundle_cohomology`."""
-    return sum((-1) ** q * m * weyl_dim(P.rs, mu)
-               for q, group in bundle_cohomology(P, r).items() for mu, m in group.items())
+    sum (-1)^l m dim over its terms, each read off :func:`_bott`.  A bundle
+    over another parabolic than ``P`` raises ``ValueError``."""
+    if r.parabolic != P:
+        raise ValueError("the bundle must live over the given parabolic")
+    return sum((-1) ** res[0] * m * res[2] for lam, m in r.terms.items()
+               if (res := _bott(P.rs, lam)) is not None)

@@ -98,7 +98,7 @@ def _koszul_layers(P: ParabolicData, E: RepSum) -> tuple[tuple[tuple[Weight, int
     pairs, built once from E's weight pairs and kept on ``E`` for all its pages
     and Hilbert samples."""
     if E._dual_layers is None:
-        negated = (wneg(mu) for mu, m in E._weight_pairs() for _ in range(m))
+        negated = (wneg(mu) for mu, m in E._pairs for _ in range(m))
         E._dual_layers = tuple(tuple(layer.items()) for layer in _exterior_layers(P, negated))
     return E._dual_layers
 
@@ -121,12 +121,13 @@ class E1Page(namedtuple("E1Page", "entries euler")):
 
 
 def e1_page(inp: KoszulInput) -> E1Page:
-    """Column k: layer k of :func:`_koszul_layers` times the weight pairs of W,
-    split by :func:`~g2cy.reps._levi_terms` into p-dominant summands of total
-    rank C(rank E, k) · rank W, each sent to :func:`~g2cy.cohomology._bott`.
+    """Column k: layer k of :func:`_koszul_layers` times the weight pairs that
+    W built with itself, split by :func:`~g2cy.reps._levi_terms` into
+    p-dominant summands of total rank C(rank E, k) · rank W, each sent to
+    :func:`~g2cy.cohomology._bott`, whose degree and dimension give its entry.
     The Euler number is summed once, over the finished page."""
     P, W = inp.P, inp.W
-    w_pairs, e_rank, w_rank = W._weight_pairs(), inp.E.rank, W.rank
+    w_pairs, e_rank, w_rank = W._pairs, inp.E.rank, W.rank
     dims: dict[tuple[int, int], int] = {}
     for k, layer in enumerate(_koszul_layers(P, inp.E)):
         rank = comb(e_rank, k) * w_rank
@@ -134,7 +135,7 @@ def e1_page(inp: KoszulInput) -> E1Page:
             rank -= mult * P.string_length(lam)     # counts the column's rank down to 0
             res = _bott(P.rs, lam)
             if res is not None:
-                q, d = res
+                q, _, d = res
                 if q > P.dim:
                     raise AssertionError("cohomological degree exceeded dim G/P")
                 dims[k, q] = dims.get((k, q), 0) + mult * d
@@ -177,7 +178,7 @@ def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[
     in the module docstring; raises :class:`InconsistentSpectralSequence`
     when the vanishing cannot hold.  ν from the empty set is 0 without a
     call, and a component of one position, which has no neighbour, reads its
-    value [D, D], or 0 when forbidden, straight off.
+    value [D, D] straight off.
     """
     positions = sorted(dims)
     bit_of = {p: 1 << i for i, p in enumerate(positions)}
@@ -252,10 +253,9 @@ def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[
                     "input does not define a complete intersection of expected dimension")
         if not comp & (comp - 1):
             # one position, so no neighbour and ν(L → B) = 0: the closed form
-            # reads [D, D], or 0 when the position is forbidden
+            # reads [D, D]; a forbidden one passed the check above only with D = 0
             k, q = positions[comp.bit_length() - 1]
-            d = 0 if S else dim[comp]
-            add(q - k, d, d)
+            add(q - k, dim[comp], dim[comp])
             continue
         for n in degrees:
             layer = layers[n] & comp
@@ -300,7 +300,7 @@ def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:
     Needs a maximal parabolic so that Pic F is generated by one line bundle
     L = E_omega, with omega the fundamental weight of the crossed node;
     negative twists are allowed.  χ is additive and χ(F, E_mu) is Weyl's
-    product W(mu): (-1)^l dim for (l, dim) = :func:`~g2cy.cohomology._bott`,
+    product W(mu): (-1)^l dim for (l, _, dim) = :func:`~g2cy.cohomology._bott`,
     so the Koszul resolution gives χ(O_X(i)) = Σ_S (-1)^|S| W(i omega - ε_S),
     S running over the sub-multisets of the weights ε of E: the layers of
     :func:`_koszul_layers` with sign (-1)^k, as in the E1 columns, and no
@@ -315,6 +315,6 @@ def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:
         raise ValueError(f"twist {i!r} is not an integer")
     node = next(iter(P.crossed))
     line = tuple(i if j == node - 1 else 0 for j in range(P.rs.rank))
-    return sum((-1) ** (k + res[0]) * c * res[1]
+    return sum((-1) ** (k + res[0]) * c * res[2]
                for k, layer in enumerate(_koszul_layers(P, E)) for mu, c in layer
                if (res := _bott(P.rs, wadd(mu, line))) is not None)

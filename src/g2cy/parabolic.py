@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import reps
 from .errors import UnsupportedLevi
@@ -32,6 +32,8 @@ G2_PARABOLIC_NAMES = ("P1", "P2", "B")
 class ParabolicData:
     """A parabolic subgroup P together with derived data for G/P.
 
+    Every attribute is derived once, at construction, and never changes.
+
     Attributes
     ----------
     crossed, uncrossed : frozenset[int]
@@ -42,7 +44,7 @@ class ParabolicData:
     tangent : RepSum
         The tangent representation g/p, decomposed into Levi irreducibles.
     cotangent : RepSum
-        Ω_F = ``dual(P, tangent)``, the graded dual (g/p)*, built when first read.
+        Ω_F = ``dual(P, tangent)``, the graded dual (g/p)*.
     anticanonical : Weight
         det(g/p), the sum of the tangent weight multiset.
     levi_rank : int
@@ -86,10 +88,7 @@ class ParabolicData:
         self.tangent = reps.decompose(self, tangent_weights)
         if self.tangent.rank != self.dim or self.tangent.det != anka:
             raise AssertionError("tangent representation lost weights in decomposition")
-
-    @cached_property
-    def cotangent(self) -> "reps.RepSum":
-        return reps.dual(self, self.tangent)
+        self.cotangent = reps.dual(self, self.tangent)
 
     def _levi_supported(self, root) -> bool:
         return all(c == 0 or (i + 1) in self.uncrossed

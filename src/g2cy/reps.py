@@ -62,35 +62,39 @@ class RepSum:
 
     Built from a mapping or an iterable of (highest weight, multiplicity)
     pairs, repeated weights adding up; see :func:`_collect` for the checks.
-    ``terms`` never changes, so the sum keeps what is derived from it: its
-    weight multiset as read-only pairs (:meth:`_weight_pairs`, built on first
-    use) and, set by :mod:`~g2cy.koszul`, the weights of its Λ^k duals.
+    ``terms`` never changes, so construction derives two things from it, once:
+    ``rank``, and ``_pairs``, the weight multiset as read-only (weight,
+    multiplicity) pairs, each term's string lam, lam - levi_root, ....  Only
+    the weights of its Λ^k duals, which cut bundles alone need, are built
+    later, by :mod:`~g2cy.koszul` into ``_dual_layers``.
     """
 
-    __slots__ = ("parabolic", "terms", "_pairs", "_dual_layers")
+    __slots__ = ("parabolic", "terms", "rank", "_pairs", "_dual_layers")
 
     def __init__(self, parabolic: "ParabolicData", terms: Mapping[Weight, int] | Iterable = ()):
         clean = _collect(parabolic, terms)
-        for lam in clean:
+        pairs: dict[Weight, int] = {}
+        rank = 0
+        for lam, m in clean.items():
             if not parabolic.is_p_dominant(lam):
                 raise NotPDominant(f"{weight_str(lam)} is not p-dominant for {parabolic.label}")
+            n = parabolic.string_length(lam)
+            rank += m * n
+            mu = lam
+            for _ in range(n):
+                pairs[mu] = pairs.get(mu, 0) + m
+                mu = tuple(map(sub, mu, parabolic.levi_root))
         self.parabolic = parabolic
         self.terms = clean
-        self._pairs = self._dual_layers = None
+        self.rank = rank
+        self._pairs = tuple(pairs.items())
+        self._dual_layers = None
 
     def sorted_terms(self) -> list[tuple[Weight, int]]:
         """Terms ordered by descending (irreducible rank, highest weight)."""
         return sorted(self.terms.items(),
                       key=lambda kv: (self.parabolic.string_length(kv[0]), kv[0]),
                       reverse=True)
-
-    # rank, det and weights read the Levi string of each term off
-    # ParabolicData without checking it again: __init__ already did.
-
-    @property
-    def rank(self) -> int:
-        P = self.parabolic
-        return sum(m * P.string_length(lam) for lam, m in self.terms.items())
 
     @property
     def det(self) -> Weight:
@@ -101,23 +105,9 @@ class RepSum:
                 total[k] += m * x
         return tuple(total)
 
-    def _weight_pairs(self) -> tuple[tuple[Weight, int], ...]:
-        """The weight multiset as read-only (weight, multiplicity) pairs, each
-        term's string lam, lam - levi_root, ... in turn, built once."""
-        if self._pairs is None:
-            P = self.parabolic
-            out: dict[Weight, int] = {}
-            for lam, m in self.terms.items():
-                mu = lam
-                for _ in range(P.string_length(lam)):
-                    out[mu] = out.get(mu, 0) + m
-                    mu = tuple(map(sub, mu, P.levi_root))
-            self._pairs = tuple(out.items())
-        return self._pairs
-
     def weights(self) -> Counter:
         """Full weight multiset, a fresh ``Counter``; its cardinality equals the rank."""
-        return Counter(dict(self._weight_pairs()))
+        return Counter(dict(self._pairs))
 
     def __add__(self, other: "RepSum") -> "RepSum":
         if self.parabolic != other.parabolic:
@@ -195,7 +185,7 @@ def decompose(P: "ParabolicData", multiset: Mapping[Weight, int] | Iterable) -> 
     """
     work = _collect(P, multiset)
     result = RepSum(P, _levi_terms(P, work))
-    if dict(result._weight_pairs()) != work:
+    if dict(result._pairs) != work:
         raise NotARepresentation(
             f"weight multiset is not a sum of {P.label} weight strings")
     return result
@@ -246,7 +236,7 @@ def tensor(P: "ParabolicData", a: RepSum, b: RepSum) -> RepSum:
     """Tensor product: :func:`decompose` of the weight product of the factors."""
     if a.parabolic != P or b.parabolic != P:
         raise ValueError("tensor factors must live over the given parabolic")
-    return decompose(P, _product(a._weight_pairs(), b._weight_pairs()))
+    return decompose(P, _product(a._pairs, b._pairs))
 
 
 def exterior_power(P: "ParabolicData", r: RepSum, k: int) -> RepSum:
@@ -260,7 +250,7 @@ def exterior_power(P: "ParabolicData", r: RepSum, k: int) -> RepSum:
     n = r.rank
     if not 0 <= k <= n:
         raise OutOfRange(f"exterior power {k} outside 0..{n}")
-    layer = _exterior_layers(P, (mu for mu, m in r._weight_pairs() for _ in range(m)))[k]
+    layer = _exterior_layers(P, (mu for mu, m in r._pairs for _ in range(m)))[k]
     if sum(layer.values()) != comb(n, k):
         raise AssertionError("exterior power has wrong cardinality")
     return decompose(P, layer)

@@ -10,9 +10,9 @@ Python integers never overflow, so no checked arithmetic is needed.
 Node indices are 1-based throughout the public interface, matching the usual
 Dynkin-diagram numbering.
 
-The weight helpers (``wadd``, ``wsub``, ...) and the Weyl kernels
-(``reflect``, ``dominant_conjugate``) take integer tuples of length ``rank``
-and build one tuple per call or step.  :func:`check_weight` checks weights
+The weight helpers (``wadd``, ``wsub``, ...) and the Weyl kernel
+``dominant_conjugate`` take integer tuples of length ``rank`` and build one
+tuple per call or step.  :func:`check_weight` checks weights
 where they enter the package (``RepSum``, ``weyl_dim``, ``bwb_irrep``), and
 ``wadd`` and ``wsub`` raise ``ValueError`` on operands of unequal length.
 """
@@ -96,10 +96,6 @@ class CartanMatrix(namedtuple("CartanMatrix", "entries")):
                     raise InvalidCartan("zero pattern must be symmetric")
         return super().__new__(cls, entries)
 
-    @classmethod
-    def from_rows(cls, rows) -> "CartanMatrix":    # an alias of CartanMatrix(rows)
-        return cls(rows)
-
     @property
     def rank(self) -> int:
         return len(self.entries)
@@ -111,7 +107,7 @@ class CartanMatrix(namedtuple("CartanMatrix", "entries")):
 
 #: The G2 Cartan matrix; node 1 carries the long simple root, so the
 #: triple edge reads <alpha_1, alpha_2^vee> = -3, <alpha_2, alpha_1^vee> = -1.
-G2_CARTAN = CartanMatrix.from_rows([[2, -3], [-1, 2]])
+G2_CARTAN = CartanMatrix([[2, -3], [-1, 2]])
 
 
 class Root(namedtuple("Root", "weight simple_coords coroot_coords long")):
@@ -194,13 +190,6 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem(rank={self.rank}, positive_roots={len(self.positive_roots)})"
-
-    def reflect(self, i: int, lam: Weight) -> Weight:
-        """Simple reflection s_i(lam) = lam - <lam, alpha_i^vee> alpha_i."""
-        c = lam[i - 1]
-        if c == 0:
-            return lam
-        return tuple([x - c * a for x, a in zip(lam, self.cartan.entries[i - 1])])
 
     def pairing(self, lam: Weight, alpha: Root) -> int:
         """Exact integer pairing ``<lam, alpha^vee>``."""

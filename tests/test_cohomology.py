@@ -13,7 +13,7 @@ import pytest
 from g2cy import (G2_CARTAN, CartanMatrix, RepSum, build_root_system, bundle_cohomology,
                   bwb_irrep, dual, euler_char, g2_root_system, hilbert_value, irrep, trivial,
                   weyl_dim)
-from g2cy.cohomology import _bott, _weyl_dim
+from g2cy.cohomology import _bott
 from g2cy.errors import NotGDominant, NotPDominant
 from g2cy.root_system import wadd, wneg, wsub
 
@@ -68,20 +68,17 @@ class TestWeylDim:
         with pytest.raises(ValueError):
             weyl_dim(rs, mu)
 
-    @pytest.mark.parametrize("cartan", [G2_CARTAN, CartanMatrix.from_rows([[2, -1], [-1, 2]])],
+    @pytest.mark.parametrize("cartan", [G2_CARTAN, CartanMatrix([[2, -1], [-1, 2]])],
                              ids=["G2", "A2"])
     def test_product_on_any_weight(self, cartan):
-        # Weyl's product is (-1)^l dim V(w(mu + rho) - rho), or 0 when mu + rho
-        # is singular: the identity hilbert_value sums over
+        # Weyl's product, evaluated at any weight mu, is (-1)^l dim V(w(mu + rho)
+        # - rho), or 0 when mu + rho is singular: the identity hilbert_value
+        # and euler_char sum over, read off the Bott kernel
         rs = build_root_system(cartan)
-        rho = rs.weyl_vector
         for mu in product(range(-8, 9), repeat=2):
-            conj = rs.dominant_conjugate(wadd(mu, rho))
-            if conj is None:
-                assert _weyl_dim(rs, mu) == 0
-            else:
-                length, dom = conj
-                assert _weyl_dim(rs, mu) == (-1) ** length * weyl_dim(rs, wsub(dom, rho))
+            res = _bott(rs, mu)
+            signed = 0 if res is None else (-1) ** res[0] * res[2]
+            assert signed == weyl_dim_oracle(rs, mu)
 
     def test_cache_is_bounded(self, P1):
         # each Hilbert twist feeds the Bott kernel's cache new non-dominant weights
@@ -97,7 +94,8 @@ class TestWeylDim:
         # in a child interpreter, so that a float key left in the Bott
         # kernel's cache cannot reach the rest of the session: 1.0 == 1 and
         # both hash alike, so one cached float result would be served to every
-        # integer caller; every public entry rejects the float before the cache
+        # integer caller; every public entry rejects the float before the cache,
+        # which holds only the key (1, 0) of the one integer weyl_dim call
         code = textwrap.dedent("""
             import sys
             sys.path.insert(0, sys.argv[1])
@@ -131,26 +129,41 @@ class TestWeylDim:
         proc = subprocess.run([sys.executable, "-c", code, SRC],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["ValueError"] * 5 + ["cached 0", "['int'] 42"]
+        assert proc.stdout.splitlines() == ["ValueError"] * 5 + ["cached 1", "['int'] 42"]
 
 
 class TestBott:
     """The memoised kernel against the checked public entries."""
 
     def test_matches_bwb_irrep_and_weyl_dim(self, parabolics):
+        # the checked entries read the kernel, which matches the independent
+        # dominant conjugate and product oracle
         for P in parabolics:
+            rho = P.rs.weyl_vector
             for lam in p_dominant_box(P, 8):
-                res = bwb_irrep(P, lam)
-                expected = None if res is None else (res[0], weyl_dim(P.rs, res[1]))
-                assert _bott(P.rs, lam) == expected
+                conj = P.rs.dominant_conjugate(wadd(lam, rho))
+                res = _bott(P.rs, lam)
+                if conj is None:
+                    assert res is None and bwb_irrep(P, lam) is None
+                    continue
+                mu = wsub(conj[1], rho)
+                assert res == (conj[0], mu, weyl_dim_oracle(P.rs, mu))
+                assert bwb_irrep(P, lam) == res[:2] and weyl_dim(P.rs, mu) == res[2]
 
     @pytest.mark.parametrize("cartan", [G2_CARTAN, CartanMatrix([[2, -1], [-1, 2]])],
                              ids=["G2", "A2"])
     def test_signed_dimension_is_weyl_product(self, cartan):
+        # on any weight, the degree and label are the dominant conjugate's and
+        # the dimension is the product oracle's at the label
         rs = build_root_system(cartan)
+        rho = rs.weyl_vector
         for mu in product(range(-8, 9), repeat=2):
-            res = _bott(rs, mu)
-            assert (0 if res is None else (-1) ** res[0] * res[1]) == _weyl_dim(rs, mu)
+            conj = rs.dominant_conjugate(wadd(mu, rho))
+            if conj is None:
+                assert _bott(rs, mu) is None
+            else:
+                dom = wsub(conj[1], rho)
+                assert _bott(rs, mu) == (conj[0], dom, weyl_dim_oracle(rs, dom))
 
 
 class TestBwbIrrep:

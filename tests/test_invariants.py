@@ -7,9 +7,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2cy import (KoszulInput, bundle_cohomology, degree_and_c2, dual,
-                  enumerate_all, euler_char, exterior_power,
-                  g2_parabolic, hodge_numbers, koszul_terms,
+from g2cy import (KoszulInput, ParabolicData, bundle_cohomology, degree_and_c2, dual,
+                  enumerate_all, euler_char, exterior_power, g2_parabolic,
+                  g2_root_system, hodge_numbers, koszul_terms,
                   published_invariants, restricted_cohomology, tensor, to_record,
                   validate_candidate)
 from g2cy import cli, invariants, koszul, reps
@@ -18,6 +18,7 @@ from g2cy.errors import (FitInconsistent, InconsistentLongExactSequence,
                          WrongDeterminant)
 from g2cy.root_system import weight_str
 
+from conftest import koszul_sweep_inputs
 from test_reps import oracle_decompose, oracle_dual
 
 
@@ -474,3 +475,33 @@ class TestRecord:
         in_invariants = count_calls(monkeypatch, invariants, ("dual",), oracles)
         assert [to_record(c) for c in all_rows()] == closed_form
         assert in_koszul["_levi_terms"] and in_invariants["dual"]
+
+
+class TestDerivedAtConstruction:
+    """Rank, weight pairs and cotangent are built once, with their owners."""
+
+    def test_rank_is_the_weight_count(self):
+        rows = all_rows()
+        bundles = [c.rep for c in rows] + [inp.W for inp in koszul_sweep_inputs()]
+        bundles += [b for P in {c.P for c in rows} for b in (P.tangent, P.cotangent)]
+        for r in bundles:
+            P = r.parabolic
+            strings = sum(m * P.string_length(lam) for lam, m in r.terms.items())
+            assert r.rank == sum(r.weights().values()) == strings, r
+
+    @pytest.mark.parametrize("name,crossed,summands", [("P1", (1,), ((1, 1),)),
+                                                       ("P2", (2,), ((0, 1), (0, 4))),
+                                                       ("B", (1, 2), ((0, 1), (0, 1), (2, 0)))])
+    def test_fresh_parabolic_has_its_cotangent(self, name, crossed, summands, monkeypatch):
+        # the cotangent is built with the parabolic, so a record over a fresh
+        # one still makes one dual call, for E*
+        P = ParabolicData(g2_root_system(), crossed)
+        assert P is not g2_parabolic(name) and P == g2_parabolic(name)
+        assert "cotangent" in vars(P)      # set by __init__, not on first read
+        assert P.cotangent == dual(P, P.tangent)
+        c = validate_candidate(P, summands)
+        counters = [count_calls(monkeypatch, module, ("dual",))
+                    for module in (invariants, koszul, reps)]
+        record = to_record(c)
+        assert sum(counters, Counter()) == {"dual": 1}
+        assert record == to_record(candidate(g2_parabolic(name), *summands))

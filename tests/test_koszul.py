@@ -207,7 +207,7 @@ class TestHilbertValue:
     def test_projective_plane(self):
         # A2 with node 1 crossed is P^2 with L = O(1); the weight (3,0) has
         # string length 1, so it is the line bundle O(3)
-        P = ParabolicData(build_root_system(CartanMatrix.from_rows([[2, -1], [-1, 2]])),
+        P = ParabolicData(build_root_system(CartanMatrix([[2, -1], [-1, 2]])),
                           (1,))
         assert P.dim == 2
         cubic, empty = irrep(P, (3, 0)), RepSum(P)
@@ -218,7 +218,7 @@ class TestHilbertValue:
 
     def test_projective_line(self):
         # two points on P^1: χ(O_X(i)) = 2 for every i
-        P = ParabolicData(build_root_system(CartanMatrix.from_rows([[2]])), (1,))
+        P = ParabolicData(build_root_system(CartanMatrix([[2]])), (1,))
         for i in range(-6, 7):
             assert hilbert_value(P, irrep(P, (2,)), i) == 2
 

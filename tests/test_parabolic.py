@@ -71,7 +71,7 @@ class TestMakeParabolic:
     def test_equality_and_hash_beyond_identity(self, P1, P2, B):
         # the cached G2 parabolics compare by identity first; separately built
         # ones, even over a separately built root system, must still agree
-        rs = build_root_system(CartanMatrix.from_rows([[2, -3], [-1, 2]]))
+        rs = build_root_system(CartanMatrix([[2, -3], [-1, 2]]))
         for P in (P1, P2, B):
             twin = ParabolicData(rs, P.crossed)
             assert twin is not P and twin.rs is not P.rs
@@ -102,7 +102,7 @@ class TestMakeParabolic:
             ParabolicData(rs, [node])
 
     def test_rejects_levi_of_semisimple_rank_two(self):
-        a3 = build_root_system(CartanMatrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]))
+        a3 = build_root_system(CartanMatrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]))
         with pytest.raises(UnsupportedLevi):
             ParabolicData(a3, [1])
         assert ParabolicData(a3, [1, 3]).levi_rank == 1

@@ -71,7 +71,7 @@ def ambient(factors) -> ParabolicData:
             rows[i][i - 1] = rows[i - 1][i] = -1
         crossed.append(start + 1)
         start += m
-    return ParabolicData(build_root_system(CartanMatrix.from_rows(rows)), crossed)
+    return ParabolicData(build_root_system(CartanMatrix(rows)), crossed)
 
 
 def weight(factors, summand) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ def pairs(rs, P1):
     cand = validate_candidate(P1, [(1, 1)])
     inp = KoszulInput(P1, e, trivial(P1))
     return [
-        (CartanMatrix.from_rows([[2, -3], [-1, 2]]), CartanMatrix(((2, -3), (-1, 2)))),
+        (CartanMatrix([[2, -3], [-1, 2]]), CartanMatrix(((2, -3), (-1, 2)))),
         (rs.positive_roots[0], rs.positive_roots[0]._replace()),
         (KoszulInput(P1, e, trivial(P1)), KoszulInput(P=P1, E=irrep(P1, (1, 1)), W=trivial(P1))),
         (DimRange(0, 3), DimRange(lower=0, upper=3)),

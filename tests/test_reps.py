@@ -146,7 +146,8 @@ class TestTensor:
 
 
 class TestWeightPairs:
-    """A sum builds its weight pairs once, read-only; ``weights()`` hands out copies."""
+    """A sum builds its weight pairs at construction, read-only; ``weights()``
+    hands out copies."""
 
     @staticmethod
     def bundles(P):
@@ -168,14 +169,16 @@ class TestWeightPairs:
         assert self.results(P1, E, W) == fresh
 
     def test_built_pairs_are_kept_and_copy(self, P1):
+        # the pairs are built with the sum, and reading the weights keeps them
         r = self.bundles(P1)[0]
-        pairs = r._weight_pairs()
-        assert r._weight_pairs() is pairs and dict(pairs) == r.weights()
+        pairs = r._pairs
+        assert isinstance(pairs, tuple) and dict(pairs) == r.weights()
+        assert r._pairs is pairs
         with pytest.raises(TypeError):
             pairs[0] = ((0, 0), 1)
         for other in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
             assert other == r and hash(other) == hash(r)
-            assert other._weight_pairs() == pairs and other.weights() == r.weights()
+            assert other._pairs == pairs and other.weights() == r.weights()
 
 
 class TestExteriorPower:
