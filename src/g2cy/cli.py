@@ -31,7 +31,7 @@ import sys
 from collections import Counter
 
 from .errors import G2CYError
-from .parabolic import g2_parabolic, g2_root_system
+from .parabolic import G2_PARABOLIC_NAMES, g2_parabolic, g2_root_system
 from .reps import RepSum
 from .root_system import weight_str
 
@@ -192,9 +192,8 @@ def _cmd_classify(args):
 
 def _cmd_invariants(args):
     from . import classify, invariants
-    r = _bundle(args.parabolic, args.summands)
-    cand = invariants.validate_candidate(
-        r.parabolic, [w for w, m in r.terms.items() for _ in range(m)])
+    cand = invariants.validate_candidate(g2_parabolic(args.parabolic),
+                                         parse_summands(args.summands))
     record = invariants.to_record(cand)
     published = classify.published_invariants(cand.P.label, cand.summands)
     if published:
@@ -245,18 +244,18 @@ def build_parser() -> _Parser:
 
     command("roots", _cmd_roots, "root data of G2")
     command("parabolic", _cmd_parabolic, "data of one parabolic").add_argument(
-        "parabolic", choices=("P1", "P2", "B"))
+        "parabolic", choices=G2_PARABOLIC_NAMES)
     for name, run, help_text in (
             ("bundle", _cmd_bundle, "rank/det/weights of a bundle"),
             ("cohomology", _cmd_cohomology, "cohomology table of a bundle"),
             ("invariants", _cmd_invariants, "invariant record of a candidate")):
         p = command(name, run, help_text)
-        p.add_argument("parabolic", choices=("P1", "P2", "B"))
+        p.add_argument("parabolic", choices=G2_PARABOLIC_NAMES)
         p.add_argument("summands", help='e.g. "(1,0)+(2,0)"')
 
     p = command("classify", _cmd_classify, "enumerate candidate rows")
     p.add_argument("--dim", type=int, required=True, choices=(2, 3, 4, 5))
-    p.add_argument("--parabolic", choices=("P1", "P2", "B"))
+    p.add_argument("--parabolic", choices=G2_PARABOLIC_NAMES)
     p.add_argument("--check-paper", action="store_true",
                    help="diff against the reference table; exit 2 on extra rows")
 

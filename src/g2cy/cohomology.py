@@ -9,9 +9,9 @@ element w with w.lam dominant and
 
 :func:`bundle_cohomology` labels each group by that dominant highest weight;
 the dualisation is dropped because only dimensions and irreducible labels
-feed later computations (dim V = dim V*).  The element w is searched in the
-full Weyl group; since lam + rho is strictly dominant on the Levi walls, w is
-automatically a minimal coset representative, so l(w) <= dim G/P.  The one
+feed later computations (dim V = dim V*).  Simple reflections reach w
+(``RootSystem.dominant_conjugate``); as lam + rho is strictly dominant on the
+Levi walls, w is a minimal coset representative, so l(w) <= dim G/P.  The one
 memoised kernel, :func:`_bott`, derives the degree, the label and Weyl's
 dimension product of a weight and checks nothing: every weight is checked
 (or comes from a ``RepSum``, which checked it) before it can become a key.
@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .errors import NotGDominant, NotPDominant
 from .parabolic import ParabolicData
-from .reps import RepSum
+from .reps import RepSum, _check_parabolic
 from .root_system import RootSystem, Weight, check_weight, wadd, wsub, weight_str
 
 
@@ -84,8 +84,7 @@ def bundle_cohomology(P: ParabolicData, r: RepSum) -> dict[int, dict[Weight, int
     degree with no group is absent, so ``{}`` means all cohomology vanishes.
     A bundle over another parabolic than ``P`` raises ``ValueError``.
     """
-    if r.parabolic != P:
-        raise ValueError("the bundle must live over the given parabolic")
+    _check_parabolic(P, r)
     groups: dict[int, dict[Weight, int]] = {}
     for lam, mult in r.terms.items():
         res = bwb_irrep(P, lam)
@@ -100,7 +99,6 @@ def euler_char(P: ParabolicData, r: RepSum) -> int:
     """Euler characteristic of the bundle, an exact integer: the alternating
     sum (-1)^l m dim over its terms, each read off :func:`_bott`.  A bundle
     over another parabolic than ``P`` raises ``ValueError``."""
-    if r.parabolic != P:
-        raise ValueError("the bundle must live over the given parabolic")
+    _check_parabolic(P, r)
     return sum((-1) ** res[0] * m * res[2] for lam, m in r.terms.items()
                if (res := _bott(P.rs, lam)) is not None)

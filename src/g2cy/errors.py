@@ -27,8 +27,7 @@ class NotARepresentation(G2CYError):
 
 
 class OutOfRange(G2CYError):
-    """Numerical argument outside its admissible range, or a Weyl group too
-    large to enumerate, as told by its exact order."""
+    """Numerical argument outside its admissible range."""
 
 
 class UnsupportedLevi(G2CYError):

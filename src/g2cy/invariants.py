@@ -31,14 +31,12 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from itertools import product
 
-from .errors import (FitInconsistent, InconsistentLongExactSequence,
-                     NotGloballyGenerated, RankTooLarge, TrivialSummand,
-                     WrongDeterminant)
-from .koszul import (DimRange, KoszulInput, RestrictedCohomology, hilbert_value,
+from .errors import FitInconsistent, InconsistentLongExactSequence, RankTooLarge, WrongDeterminant
+from .koszul import (DimRange, KoszulInput, RestrictedCohomology, _check_cut, hilbert_value,
                      restricted_cohomology)
-from .parabolic import ParabolicData, is_g_dominant
+from .parabolic import ParabolicData
 from .reps import RepSum, dual, trivial
-from .root_system import wzero, weight_str
+from .root_system import weight_str
 
 
 class Candidate(namedtuple("Candidate", "P summands rank dim_x det rep")):
@@ -59,18 +57,12 @@ class Candidate(namedtuple("Candidate", "P summands rank dim_x det rep")):
 def validate_candidate(P: ParabolicData, summands) -> Candidate:
     """Check the classification conditions and build a Candidate.
 
-    Conditions: every summand nonzero (no trivial factor) and dominant
-    (global generation), total rank at most dim G/P - 2, and determinant
-    equal to the anticanonical weight of G/P.
+    Conditions, in order: the raw weights pass the :class:`KoszulInput` guard
+    :func:`~g2cy.koszul._check_cut` and then :class:`RepSum`'s checks; total
+    rank at most dim G/P - 2; determinant equal to the anticanonical weight.
     """
     weights = [tuple(w) for w in summands]
-    zero = wzero(P.rs.rank)
-    for w in weights:
-        if w == zero:
-            raise TrivialSummand("the trivial line bundle is excluded as a summand")
-        if not is_g_dominant(w):
-            raise NotGloballyGenerated(
-                f"summand {weight_str(w)} is not dominant, so E is not globally generated")
+    _check_cut(P, weights)
     rep = RepSum(P, Counter(weights))
     rank = rep.rank
     if rank > P.dim - 2:

@@ -61,31 +61,35 @@ from .cohomology import _bott
 from .errors import (InconsistentSpectralSequence, NotGloballyGenerated,
                      NotMaximalParabolic, TrivialSummand)
 from .parabolic import ParabolicData, is_g_dominant
-from .reps import RepSum, _exterior_layers, _levi_terms, _product, dual, exterior_power, tensor
+from .reps import (RepSum, _check_parabolic, _exterior_layers, _levi_terms, _product, dual,
+                   exterior_power, tensor)
 from .root_system import Weight, wadd, weight_str, wneg, wzero
+
+
+def _check_cut(P: ParabolicData, summands) -> None:
+    """Raise unless a section can cut a bundle with these highest weights."""
+    zero = wzero(P.rs.rank)
+    for lam in summands:
+        if lam == zero:
+            raise TrivialSummand("the trivial line bundle is excluded as a summand")
+        if not is_g_dominant(lam):
+            raise NotGloballyGenerated(
+                f"summand {weight_str(lam)} is not dominant, so E is not globally generated")
 
 
 class KoszulInput(namedtuple("KoszulInput", "P E W")):
     """The data of a complete intersection: ambient parabolic ``P``, ``E`` and ``W``.
 
     ``E`` (the bundle cut by a section) and ``W`` (the bundle restricted to
-    X) are :class:`RepSum` over ``P``.  Construction rejects an ``E`` or a
-    ``W`` over another parabolic, and an ``E`` with a trivial or a not
-    globally generated summand.
+    X) are :class:`RepSum` over ``P``, checked by :func:`~g2cy.reps._check_parabolic`;
+    :func:`_check_cut` rejects an ``E`` that no section can cut.
     """
 
     __slots__ = ()
 
     def __new__(cls, P, E, W):
-        if E.parabolic != P or W.parabolic != P:
-            raise ValueError("E and W must live over the given parabolic")
-        zero = wzero(P.rs.rank)
-        for lam in E.terms:
-            if lam == zero:
-                raise TrivialSummand("E contains the trivial bundle as a summand")
-            if not is_g_dominant(lam):
-                raise NotGloballyGenerated(
-                    f"summand {weight_str(lam)} of E is not globally generated")
+        _check_parabolic(P, E, W)
+        _check_cut(P, E.terms)
         return super().__new__(cls, P, E, W)
 
     @property
@@ -309,8 +313,7 @@ def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:
     if len(P.crossed) != 1:
         raise NotMaximalParabolic(
             f"{P.label} has Picard rank {len(P.crossed)}; a single twist is undefined")
-    if E.parabolic != P:
-        raise ValueError("E must live over the given parabolic")
+    _check_parabolic(P, E)
     if type(i) is not int:
         raise ValueError(f"twist {i!r} is not an integer")
     node = next(iter(P.crossed))

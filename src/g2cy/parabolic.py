@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from . import reps
 from .errors import UnsupportedLevi
-from .root_system import RootSystem, Weight, g2_root_system, wadd, wzero
+from .root_system import RootSystem, Weight, g2_root_system, wzero
 
 G2_PARABOLIC_NAMES = ("P1", "P2", "B")
 
@@ -79,14 +79,9 @@ class ParabolicData:
 
         outside = [r for r in rs.positive_roots if not self._levi_supported(r)]
         self.dim = len(outside)
-        tangent_weights = Counter(r.weight for r in outside)
-        anka = wzero(rs.rank)
-        for w, c in tangent_weights.items():
-            for _ in range(c):
-                anka = wadd(anka, w)
-        self.anticanonical: Weight = anka
-        self.tangent = reps.decompose(self, tangent_weights)
-        if self.tangent.rank != self.dim or self.tangent.det != anka:
+        self.anticanonical: Weight = tuple(map(sum, zip(*(r.weight for r in outside))))
+        self.tangent = reps.decompose(self, Counter(r.weight for r in outside))
+        if self.tangent.rank != self.dim or self.tangent.det != self.anticanonical:
             raise AssertionError("tangent representation lost weights in decomposition")
         self.cotangent = reps.dual(self, self.tangent)
 
@@ -134,5 +129,6 @@ def g2_parabolic(name: str) -> ParabolicData:
     key = name.upper() if isinstance(name, str) else None
     crossed = {"P1": (1,), "P2": (2,), "B": (1, 2)}.get(key)
     if crossed is None:
-        raise ValueError(f"unknown parabolic {name!r}; expected one of P1, P2, B")
+        raise ValueError(f"unknown parabolic {name!r}; "
+                         f"expected one of {', '.join(G2_PARABOLIC_NAMES)}")
     return _g2_parabolic(crossed)

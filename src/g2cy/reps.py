@@ -62,24 +62,26 @@ class RepSum:
 
     Built from a mapping or an iterable of (highest weight, multiplicity)
     pairs, repeated weights adding up; see :func:`_collect` for the checks.
-    ``terms`` never changes, so construction derives two things from it, once:
-    ``rank``, and ``_pairs``, the weight multiset as read-only (weight,
-    multiplicity) pairs, each term's string lam, lam - levi_root, ....  Only
-    the weights of its Λ^k duals, which cut bundles alone need, are built
-    later, by :mod:`~g2cy.koszul` into ``_dual_layers``.
+    ``terms`` never changes, so construction derives, in one pass: ``rank``,
+    ``det`` (by :func:`_irrep_det`) and ``_pairs``, the weight multiset as
+    read-only (weight, multiplicity) pairs, each term's string lam,
+    lam - levi_root, ....  Only the weights of its Λ^k duals, which cut
+    bundles alone need, are built later, by :mod:`~g2cy.koszul`.
     """
 
-    __slots__ = ("parabolic", "terms", "rank", "_pairs", "_dual_layers")
+    __slots__ = ("parabolic", "terms", "rank", "det", "_pairs", "_dual_layers")
 
     def __init__(self, parabolic: "ParabolicData", terms: Mapping[Weight, int] | Iterable = ()):
         clean = _collect(parabolic, terms)
         pairs: dict[Weight, int] = {}
-        rank = 0
+        rank, det = 0, [0] * parabolic.rs.rank
         for lam, m in clean.items():
             if not parabolic.is_p_dominant(lam):
                 raise NotPDominant(f"{weight_str(lam)} is not p-dominant for {parabolic.label}")
             n = parabolic.string_length(lam)
             rank += m * n
+            for k, x in enumerate(_irrep_det(parabolic, lam)):
+                det[k] += m * x
             mu = lam
             for _ in range(n):
                 pairs[mu] = pairs.get(mu, 0) + m
@@ -87,6 +89,7 @@ class RepSum:
         self.parabolic = parabolic
         self.terms = clean
         self.rank = rank
+        self.det: Weight = tuple(det)
         self._pairs = tuple(pairs.items())
         self._dual_layers = None
 
@@ -96,22 +99,12 @@ class RepSum:
                       key=lambda kv: (self.parabolic.string_length(kv[0]), kv[0]),
                       reverse=True)
 
-    @property
-    def det(self) -> Weight:
-        """The sum of m * det V(lam) over the terms, by :func:`_irrep_det`."""
-        total = [0] * self.parabolic.rs.rank
-        for lam, m in self.terms.items():
-            for k, x in enumerate(_irrep_det(self.parabolic, lam)):
-                total[k] += m * x
-        return tuple(total)
-
     def weights(self) -> Counter:
         """Full weight multiset, a fresh ``Counter``; its cardinality equals the rank."""
         return Counter(dict(self._pairs))
 
     def __add__(self, other: "RepSum") -> "RepSum":
-        if self.parabolic != other.parabolic:
-            raise ValueError("direct sum requires the same parabolic")
+        _check_parabolic(self.parabolic, other)
         merged = Counter(self.terms)
         merged.update(other.terms)
         return RepSum(self.parabolic, merged)
@@ -133,6 +126,14 @@ class RepSum:
 
     def __repr__(self) -> str:
         return f"<RepSum {self.parabolic.label}: {self}>"
+
+
+def _check_parabolic(P: "ParabolicData", *sums: RepSum) -> None:
+    """Raise ``ValueError`` unless every sum lives over ``P``.  A record runs it
+    about 15 times: a plain loop, identity (shared parabolics) before ``!=``."""
+    for r in sums:
+        if r.parabolic is not P and r.parabolic != P:
+            raise ValueError("every representation must live over the given parabolic")
 
 
 def irrep(P: "ParabolicData", lam: Weight) -> RepSum:
@@ -195,8 +196,7 @@ def dual(P: "ParabolicData", r: RepSum) -> RepSum:
     """Dual summand by summand, V(lam)* = V((n - 1) levi_root - lam) for string
     length n, which is V(-lam) on a torus; the rank is checked to be kept and
     the determinant to be negated."""
-    if r.parabolic != P:
-        raise ValueError("the dual's argument must live over the given parabolic")
+    _check_parabolic(P, r)
     terms: Counter = Counter()
     for lam, m in r.terms.items():
         terms[wsub(wscale(P.string_length(lam) - 1, P.levi_root), lam)] += m
@@ -234,8 +234,7 @@ def _exterior_layers(P: "ParabolicData", weights: Iterable[Weight]) -> list[dict
 
 def tensor(P: "ParabolicData", a: RepSum, b: RepSum) -> RepSum:
     """Tensor product: :func:`decompose` of the weight product of the factors."""
-    if a.parabolic != P or b.parabolic != P:
-        raise ValueError("tensor factors must live over the given parabolic")
+    _check_parabolic(P, a, b)
     return decompose(P, _product(a._pairs, b._pairs))
 
 
@@ -243,8 +242,7 @@ def exterior_power(P: "ParabolicData", r: RepSum, k: int) -> RepSum:
     """k-th exterior power: :func:`decompose` of layer k of
     :func:`_exterior_layers`, the k-element sub-multiset sums of the weights;
     a ``k`` not of type ``int`` raises ``ValueError``."""
-    if r.parabolic != P:
-        raise ValueError("the exterior power's argument must live over the given parabolic")
+    _check_parabolic(P, r)
     if type(k) is not int:
         raise ValueError(f"exterior power {k!r} is not an integer")
     n = r.rank

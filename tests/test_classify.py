@@ -6,6 +6,7 @@ from g2cy import (diff_against_paper, enumerate_all, enumerate_candidates,
                   g2_parabolic, reference_tables, validate_candidate,
                   verify_theorem)
 from g2cy import classify
+from g2cy.classify import TableRow
 from g2cy.errors import MissingPaperRow, OutOfRange, TheoremViolated
 from g2cy.reps import irrep
 
@@ -50,8 +51,9 @@ class TestEnumerate:
                 assert row.split == all(irrep(P, w).rank == 1 for w in row.summands)
 
     def test_summand_order_is_the_repsum_order(self):
-        # make_row and validate_candidate share RepSum.sorted_terms; the key
-        # below is the one make_row used to sort by on its own
+        # found and reference rows are sorted by _canonical_row, candidates by
+        # RepSum.sorted_terms; both must give the order of the key below, and
+        # every reference row must validate as a candidate
         rows = [row for dim in (2, 3, 4, 5) for row in enumerate_all(dim)]
         rows += [row for table in reference_tables().values() for row in table]
         for row in rows:
@@ -59,7 +61,7 @@ class TestEnumerate:
             assert validate_candidate(P, row.summands).summands == row.summands
             assert list(row.summands) == sorted(
                 row.summands, key=lambda w: (irrep(P, w).rank, w), reverse=True)
-            assert classify.make_row(P, reversed(row.summands)) == row
+            assert classify._canonical_row(P, tuple(reversed(row.summands))) == row
 
     def test_deterministic(self):
         for dim in (2, 3, 4, 5):
@@ -70,6 +72,19 @@ class TestEnumerate:
             enumerate_candidates(P1, 5)
         with pytest.raises(OutOfRange):
             enumerate_candidates(B, 1)
+
+    @pytest.mark.parametrize("dim_x", [3.0, True, "3", None])
+    def test_dim_x_must_be_an_int(self, P1, dim_x):
+        # 3.0 compares equal to 3 and True to 1: unchecked, the float would
+        # reach range() and True would read as fibres no parabolic has
+        for call in (enumerate_all, lambda d: enumerate_candidates(P1, d)):
+            with pytest.raises(ValueError, match="not an integer"):
+                call(dim_x)
+
+    @pytest.mark.parametrize("dim_x", [3.0, True])
+    def test_diff_dim_x_must_be_an_int(self, dim_x):
+        with pytest.raises(ValueError, match="not an integer"):
+            diff_against_paper(dim_x)
 
     @pytest.mark.parametrize("name", ["P1", "P2", "B"])
     def test_pool_dets_are_irrep_dets(self, name):
@@ -131,7 +146,7 @@ class TestDiff:
     def test_missing_row_is_hard_failure(self, monkeypatch):
         real = reference_tables()
         doctored = dict(real)
-        doctored[3] = real[3] + (classify._row("B", (1, 1), (1, 1)),)
+        doctored[3] = real[3] + (TableRow("B", ((1, 1), (1, 1)), True),)
         monkeypatch.setattr(classify, "_reference_table", doctored.__getitem__)
         with pytest.raises(MissingPaperRow):
             classify.diff_against_paper(3)

@@ -265,11 +265,6 @@ class TestBundleCohomology:
             assert list(groups) == sorted(groups)
             assert all(list(group) == sorted(group) for group in groups.values())
 
-    def test_rejects_a_bundle_over_another_parabolic(self, P1, P2):
-        for call in (bundle_cohomology, euler_char):
-            with pytest.raises(ValueError, match="given parabolic"):
-                call(P1, irrep(P2, (0, 1)))
-
 
 class TestEulerChar:
     def test_trivial(self, parabolics):

@@ -63,13 +63,16 @@ class TestKoszulTerms:
         with pytest.raises(NotGloballyGenerated):
             KoszulInput(P1, irrep(P1, (-1, 3)), trivial(P1))
 
-    def test_rejects_e_over_another_parabolic(self, P1, P2):
-        with pytest.raises(ValueError, match="parabolic"):
-            KoszulInput(P1, irrep(P2, (1, 1)), trivial(P1))
-
-    def test_rejects_w_over_another_parabolic(self, P1, B):
-        with pytest.raises(ValueError, match="parabolic"):
-            KoszulInput(P1, irrep(P1, (1, 1)), irrep(B, (2, 0)))
+    @pytest.mark.parametrize("lam,error", [((0, 0), TrivialSummand),
+                                           ((-1, 3), NotGloballyGenerated)])
+    def test_cut_errors_match_validate_candidate(self, P1, lam, error):
+        # both entries run koszul._check_cut: same error type, same message
+        with pytest.raises(error) as from_input:
+            KoszulInput(P1, irrep(P1, lam), trivial(P1))
+        with pytest.raises(error) as from_candidate:
+            validate_candidate(P1, [lam])
+        assert type(from_input.value) is type(from_candidate.value) is error
+        assert str(from_input.value) == str(from_candidate.value)
 
 
 class TestE1Page:

@@ -10,8 +10,8 @@ from typing import Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2cy import (KoszulInput, decompose, dual, e1_page, exterior_power, g2_parabolic, irrep,
-                  tensor, trivial)
+from g2cy import (KoszulInput, bundle_cohomology, decompose, dual, e1_page, euler_char,
+                  exterior_power, g2_parabolic, hilbert_value, irrep, tensor, trivial)
 from g2cy import reps
 from g2cy.errors import NotARepresentation, NotPDominant, OutOfRange
 from g2cy.reps import RepSum
@@ -78,13 +78,26 @@ class TestForeignParabolic:
         with pytest.raises(ValueError):
             dual(P1, irrep(P2, (1, 0)))
 
-    def test_exterior_power_of_a_borel_sum_over_p1(self, P1, B):
-        with pytest.raises(ValueError):
-            exterior_power(P1, irrep(B, (1, 0)), 1)
-
-    def test_tensor_with_a_foreign_factor(self, P1, B):
-        with pytest.raises(ValueError):
-            tensor(P1, irrep(P1, (1, 0)), irrep(B, (1, 0)))
+    @pytest.mark.parametrize("call", [
+        lambda P1, P2, B: dual(P1, irrep(P2, (0, 1))),
+        lambda P1, P2, B: tensor(P1, irrep(B, (1, 0)), irrep(P1, (1, 0))),
+        lambda P1, P2, B: tensor(P1, irrep(P1, (1, 0)), irrep(B, (1, 0))),
+        lambda P1, P2, B: exterior_power(P1, irrep(B, (1, 0)), 1),
+        lambda P1, P2, B: irrep(P1, (1, 0)) + irrep(B, (1, 0)),
+        lambda P1, P2, B: bundle_cohomology(P1, irrep(P2, (0, 1))),
+        lambda P1, P2, B: euler_char(P1, irrep(P2, (0, 1))),
+        lambda P1, P2, B: KoszulInput(P1, irrep(P2, (1, 1)), trivial(P1)),
+        lambda P1, P2, B: KoszulInput(P1, irrep(P1, (1, 1)), irrep(B, (2, 0))),
+        lambda P1, P2, B: hilbert_value(P2, irrep(P1, (1, 1)), 1),
+    ], ids=["dual", "tensor_first", "tensor_second", "exterior_power", "add",
+            "bundle_cohomology", "euler_char", "koszul_input_e", "koszul_input_w",
+            "hilbert_value"])
+    def test_one_message_for_a_foreign_parabolic(self, P1, P2, B, call):
+        # every entry that takes a parabolic and sums runs reps._check_parabolic
+        with pytest.raises(ValueError) as caught:
+            call(P1, P2, B)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "every representation must live over the given parabolic"
 
 
 class TestDual:
