@@ -23,13 +23,15 @@ misses is a hard failure.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
+from itertools import islice, product
 from operator import sub
 
 from .errors import MissingPaperRow, OutOfRange, TheoremViolated
 from .parabolic import G2_PARABOLIC_NAMES, ParabolicData, g2_parabolic
 from .reps import _irrep_det
 from .root_system import Weight, wzero
+
+_PARABOLIC_ORDER = {name: i for i, name in enumerate(G2_PARABOLIC_NAMES)}
 
 
 class TableRow(namedtuple("TableRow", "parabolic summands split")):
@@ -41,36 +43,30 @@ class TableRow(namedtuple("TableRow", "parabolic summands split")):
     __slots__ = ()
 
     def sort_key(self):
-        order = {name: i for i, name in enumerate(G2_PARABOLIC_NAMES)}
-        return (order.get(self.parabolic, len(order)), len(self.summands),
+        return (_PARABOLIC_ORDER.get(self.parabolic, len(_PARABOLIC_ORDER)), len(self.summands),
                 tuple(sorted(self.summands)))
 
 
 def _canonical_row(P: ParabolicData, weights: tuple[Weight, ...]) -> TableRow:
-    """The row of p-dominant int weights, sorted by descending (irreducible
-    rank, weight) as :meth:`RepSum.sorted_terms` sorts terms."""
-    ordered = tuple(sorted(weights, key=lambda w: (P.string_length(w), w), reverse=True))
-    return TableRow(parabolic=P.label, summands=ordered,
-                    split=all(P.string_length(w) == 1 for w in weights))
+    """The row of p-dominant int weights, sorted by descending (irreducible rank,
+    weight) as :meth:`RepSum.sorted_terms` sorts terms, split if the longest has rank 1."""
+    ordered = sorted(((P.string_length(w), w) for w in weights), reverse=True)
+    return TableRow(parabolic=P.label, summands=tuple(w for _, w in ordered),
+                    split=ordered[0][0] == 1)
 
 
 def _candidate_pool(P: ParabolicData, rank_budget: int) -> dict[Weight, Weight]:
-    """{weight: det} of the nonzero dominant weights that could be a summand,
-    sorted, det V(lam) by the closed form :func:`~g2cy.reps._irrep_det`."""
+    """{weight: det} of the nonzero dominant weights that could be a summand, in
+    the ascending order ``product`` yields, det V(lam) by the closed form
+    :func:`~g2cy.reps._irrep_det`; the uncrossed bound keeps each rank in budget."""
     A = P.anticanonical
-    bounds = []
-    for node in range(1, P.rs.rank + 1):
-        bounds.append(A[node - 1] if node in P.crossed else rank_budget - 1)
+    bounds = [A[n - 1] if n in P.crossed else rank_budget - 1 for n in range(1, P.rs.rank + 1)]
     pool = {}
-    for coords in product(*(range(b + 1) for b in bounds)):
-        if not any(coords):
-            continue
-        if P.string_length(coords) > rank_budget:
-            continue
-        det = _irrep_det(P, coords)
-        if all(d <= a for d, a in zip(det, A)):
-            pool[coords] = det
-    return dict(sorted(pool.items()))
+    for lam in islice(product(*(range(b + 1) for b in bounds)), 1, None):   # skips (0, ..., 0)
+        det = _irrep_det(P, lam)
+        if min(map(sub, A, det)) >= 0:
+            pool[lam] = det
+    return pool
 
 
 def _fits(P: ParabolicData, dim_x: int) -> bool:
@@ -91,29 +87,24 @@ def enumerate_candidates(P: ParabolicData, dim_x: int) -> list[TableRow]:
     if not _fits(P, dim_x):
         raise OutOfRange(f"dim X = {dim_x} outside 2..{P.dim - 1} on {P.label}")
     rank_budget = P.dim - dim_x
-    dets = _candidate_pool(P, rank_budget)
-    pool = list(dets)
-    dims = {w: P.string_length(w) for w in pool}
+    pool = [(w, P.string_length(w), det) for w, det in _candidate_pool(P, rank_budget).items()]
     zero = wzero(P.rs.rank)
     found: list[tuple[Weight, ...]] = []
 
-    def extend(start: int, rank_left: int, det_left: Weight, acc: list[Weight]) -> None:
-        if rank_left == 0:
-            if det_left == zero:
-                found.append(tuple(acc))
-            return
+    def extend(start: int, rank_left: int, det_left: Weight, acc: tuple[Weight, ...]) -> None:
         for idx in range(start, len(pool)):
-            w = pool[idx]
-            if dims[w] > rank_left:
+            w, n, det = pool[idx]
+            if n > rank_left:
                 continue
-            rest = tuple(map(sub, det_left, dets[w]))
+            rest = tuple(map(sub, det_left, det))
             if min(rest) < 0:
                 continue
-            acc.append(w)
-            extend(idx, rank_left - dims[w], rest, acc)
-            acc.pop()
+            if n < rank_left:
+                extend(idx, rank_left - n, rest, (*acc, w))
+            elif rest == zero:          # the rank budget is spent
+                found.append((*acc, w))
 
-    extend(0, rank_budget, P.anticanonical, [])
+    extend(0, rank_budget, P.anticanonical, ())
     rows = [_canonical_row(P, ws) for ws in found]
     rows.sort(key=TableRow.sort_key)
     return rows

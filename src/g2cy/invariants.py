@@ -28,15 +28,16 @@ every sample.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import product
+from operator import add, gt
 
 from .errors import FitInconsistent, InconsistentLongExactSequence, RankTooLarge, WrongDeterminant
 from .koszul import (DimRange, KoszulInput, RestrictedCohomology, _check_cut, hilbert_value,
                      restricted_cohomology)
 from .parabolic import ParabolicData
-from .reps import RepSum, dual, trivial
-from .root_system import weight_str
+from .reps import RepSum, dual
+from .root_system import check_weight, weight_str
 
 
 class Candidate(namedtuple("Candidate", "P summands rank dim_x det rep")):
@@ -57,13 +58,13 @@ class Candidate(namedtuple("Candidate", "P summands rank dim_x det rep")):
 def validate_candidate(P: ParabolicData, summands) -> Candidate:
     """Check the classification conditions and build a Candidate.
 
-    Conditions, in order: the raw weights pass the :class:`KoszulInput` guard
-    :func:`~g2cy.koszul._check_cut` and then :class:`RepSum`'s checks; total
-    rank at most dim G/P - 2; determinant equal to the anticanonical weight.
+    Conditions, in order: each raw weight passes ``check_weight``, then the
+    :class:`KoszulInput` guard :func:`~g2cy.koszul._check_cut` and :class:`RepSum`'s
+    checks; total rank at most dim G/P - 2; determinant equal to the anticanonical weight.
     """
-    weights = [tuple(w) for w in summands]
+    weights = [check_weight(w, P.rs.rank) for w in summands]
     _check_cut(P, weights)
-    rep = RepSum(P, Counter(weights))
+    rep = RepSum(P, [(w, 1) for w in weights])
     rank = rep.rank
     if rank > P.dim - 2:
         raise RankTooLarge(f"rank {rank} exceeds dim G/P - 2 = {P.dim - 2}")
@@ -111,19 +112,26 @@ def _les_ranges(A, B, pins: dict[int, int]) -> list[tuple[int, int]] | None:
     C^q is the sum of two independent ranks.  None if no ranks fit.
     """
     Q = len(A)
-    A = [*A, 0]
-    lo, hi = [A[0]] + [0] * Q, [min(a, b) for a, b in zip(A, B)] + [0]
-    total = [B[q] + A[q + 1] for q in range(Q)]
-    fixed = {q: total[q] - v for q, v in pins.items()}    # r_q + r_{q+1}
-    for q, s in sorted(fixed.items()):                 # down: the pins below r_{q+1}
-        lo[q + 1], hi[q + 1] = max(lo[q + 1], s - hi[q]), min(hi[q + 1], s - lo[q])
-    for q, s in sorted(fixed.items(), reverse=True):   # up: the pins above r_q
-        lo[q], hi[q] = max(lo[q], s - hi[q + 1]), min(hi[q], s - lo[q + 1])
-    if any(l > h for l, h in zip(lo, hi)):
+    A = (*A, 0)
+    lo, hi = [A[0]] + [0] * Q, [*map(min, A, B), 0]
+    total = [*map(add, B, A[1:])]
+    pinned = sorted(pins.items())
+    for q, v in pinned:                 # down: the pins below r_{q+1}
+        s = total[q] - v                # r_q + r_{q+1}
+        if s - hi[q] > lo[q + 1]:
+            lo[q + 1] = s - hi[q]
+        if s - lo[q] < hi[q + 1]:
+            hi[q + 1] = s - lo[q]
+    for q, v in reversed(pinned):       # up: the pins above r_q
+        s = total[q] - v
+        if s - hi[q + 1] > lo[q]:
+            lo[q] = s - hi[q + 1]
+        if s - lo[q + 1] < hi[q]:
+            hi[q] = s - lo[q + 1]
+    if any(map(gt, lo, hi)):
         return None
-    return [(total[q] - fixed[q],) * 2 if q in fixed else
-            (total[q] - hi[q] - hi[q + 1], total[q] - lo[q] - lo[q + 1])
-            for q in range(Q)]
+    return [(pins[q],) * 2 if q in pins else (t - hi[q] - hi[q + 1], t - lo[q] - lo[q + 1])
+            for q, t in enumerate(total)]
 
 
 def hodge_numbers(c: Candidate) -> HodgeRecord:
@@ -138,7 +146,7 @@ def hodge_numbers(c: Candidate) -> HodgeRecord:
     # the pages of W = O, the conormal E* and Ω_F = (g/p)*
     rc0, rc_conormal, rc_cotangent = (
         restricted_cohomology(KoszulInput(P, E, W))
-        for W in (trivial(P), dual(P, E), P.cotangent))
+        for W in (P.trivial, dual(P, E), P.cotangent))
     h0q = tuple(rc0.by_degree.values())
     # additivity of χ on 0 -> E*|_X -> Ω^1_F|_X -> Ω^1_X -> 0
     chi_omega1 = rc_cotangent.euler - rc_conormal.euler
@@ -152,8 +160,8 @@ def hodge_numbers(c: Candidate) -> HodgeRecord:
         raise InconsistentLongExactSequence(
             "no connecting-map ranks make the conormal long exact sequence "
             "consistent; invalid input")
-    h1q = tuple(DimRange(min(s[q][0] for s in solved), max(s[q][1] for s in solved))
-                for q in range(n + 1))
+    h1q = tuple(DimRange(min(lows), max(highs))     # over every solution, per q
+                for lows, highs in (zip(*column) for column in zip(*solved)))
     return HodgeRecord(h0q=h0q, h1q=h1q, chi_omega1=chi_omega1)
 
 

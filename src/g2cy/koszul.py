@@ -56,6 +56,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import comb
+from operator import add
 
 from .cohomology import _bott
 from .errors import (InconsistentSpectralSequence, NotGloballyGenerated,
@@ -63,14 +64,13 @@ from .errors import (InconsistentSpectralSequence, NotGloballyGenerated,
 from .parabolic import ParabolicData, is_g_dominant
 from .reps import (RepSum, _check_parabolic, _exterior_layers, _levi_terms, _product, dual,
                    exterior_power, tensor)
-from .root_system import Weight, wadd, weight_str, wneg, wzero
+from .root_system import Weight, weight_str, wneg
 
 
 def _check_cut(P: ParabolicData, summands) -> None:
     """Raise unless a section can cut a bundle with these highest weights."""
-    zero = wzero(P.rs.rank)
     for lam in summands:
-        if lam == zero:
+        if not any(lam):
             raise TrivialSummand("the trivial line bundle is excluded as a summand")
         if not is_g_dominant(lam):
             raise NotGloballyGenerated(
@@ -129,23 +129,25 @@ def e1_page(inp: KoszulInput) -> E1Page:
     W built with itself, split by :func:`~g2cy.reps._levi_terms` into
     p-dominant summands of total rank C(rank E, k) · rank W, each sent to
     :func:`~g2cy.cohomology._bott`, whose degree and dimension give its entry.
-    The Euler number is summed once, over the finished page."""
-    P, W = inp.P, inp.W
-    w_pairs, e_rank, w_rank = W._pairs, inp.E.rank, W.rank
+    Each entry is added to the Euler number as it is made."""
+    P, E, W = inp
+    rs, dim = P.rs, P.dim
+    i = -1 if P._levi_node is None else P._levi_node - 1     # the Levi coordinate, -1 on a torus
     dims: dict[tuple[int, int], int] = {}
-    for k, layer in enumerate(_koszul_layers(P, inp.E)):
-        rank = comb(e_rank, k) * w_rank
-        for lam, mult in _levi_terms(P, _product(layer, w_pairs)).items():
-            rank -= mult * P.string_length(lam)     # counts the column's rank down to 0
-            res = _bott(P.rs, lam)
-            if res is not None:
-                q, _, d = res
-                if q > P.dim:
+    euler = 0
+    for k, layer in enumerate(_koszul_layers(P, E)):
+        rank = comb(E.rank, k) * W.rank     # counted down by lam_i + 1 per V(lam), 1 on a torus
+        for lam, mult in _levi_terms(P, _product(layer, W._pairs)).items():
+            rank -= mult if i < 0 else mult * (lam[i] + 1)
+            if (res := _bott(rs, lam)) is not None:
+                q, d = res[0], mult * res[2]
+                if q > dim:
                     raise AssertionError("cohomological degree exceeded dim G/P")
-                dims[k, q] = dims.get((k, q), 0) + mult * d
+                dims[k, q] = dims.get((k, q), 0) + d
+                euler += -d if (q - k) % 2 else d
         if rank:
             raise AssertionError(f"Koszul column {k} has the wrong rank")
-    return E1Page(dims, sum(-d if (q - k) % 2 else d for (k, q), d in dims.items()))
+    return E1Page(dims, euler)
 
 
 class DimRange(namedtuple("DimRange", "lower upper")):
@@ -318,6 +320,9 @@ def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:
         raise ValueError(f"twist {i!r} is not an integer")
     node = next(iter(P.crossed))
     line = tuple(i if j == node - 1 else 0 for j in range(P.rs.rank))
-    return sum((-1) ** (k + res[0]) * c * res[2]
-               for k, layer in enumerate(_koszul_layers(P, E)) for mu, c in layer
-               if (res := _bott(P.rs, wadd(mu, line))) is not None)
+    rs, total = P.rs, 0
+    for k, layer in enumerate(_koszul_layers(P, E)):
+        for mu, c in layer:
+            if (res := _bott(rs, tuple(map(add, mu, line)))) is not None:
+                total += (-c if (k + res[0]) % 2 else c) * res[2]
+    return total

@@ -39,12 +39,14 @@ class ParabolicData:
     crossed, uncrossed : frozenset[int]
         Crossed nodes and their complement (the Levi simple roots); a crossed
         node not of type exactly ``int`` raises ``ValueError``.
+    label : str
+        "B" for the Borel, else "P" and the crossed nodes in order.
     dim : int
         dim G/P, the number of positive roots outside the Levi span.
     tangent : RepSum
         The tangent representation g/p, decomposed into Levi irreducibles.
-    cotangent : RepSum
-        Ω_F = ``dual(P, tangent)``, the graded dual (g/p)*.
+    cotangent, trivial : RepSum
+        Ω_F = ``dual(P, tangent)``, the graded dual (g/p)*, and O_F = ``trivial(P)``.
     anticanonical : Weight
         det(g/p), the sum of the tangent weight multiset.
     levi_rank : int
@@ -69,6 +71,7 @@ class ParabolicData:
         self.rs = rs
         self.crossed = crossed
         self.uncrossed = nodes - crossed
+        self.label = "P" + "".join(map(str, sorted(crossed))) if self.uncrossed else "B"
         self.levi_rank = len(self.uncrossed)
         if self.levi_rank > 1:
             raise UnsupportedLevi(f"Levi of {self.label} has semisimple rank "
@@ -84,16 +87,11 @@ class ParabolicData:
         if self.tangent.rank != self.dim or self.tangent.det != self.anticanonical:
             raise AssertionError("tangent representation lost weights in decomposition")
         self.cotangent = reps.dual(self, self.tangent)
+        self.trivial = reps.trivial(self)
 
     def _levi_supported(self, root) -> bool:
         return all(c == 0 or (i + 1) in self.uncrossed
                    for i, c in enumerate(root.simple_coords))
-
-    @property
-    def label(self) -> str:
-        if not self.uncrossed:
-            return "B"
-        return "P" + "".join(str(i) for i in sorted(self.crossed))
 
     def is_p_dominant(self, lam: Weight) -> bool:
         """True iff lam is dominant for the Levi (non-negative on the uncrossed node, if any)."""

@@ -130,7 +130,7 @@ class RepSum:
 
 def _check_parabolic(P: "ParabolicData", *sums: RepSum) -> None:
     """Raise ``ValueError`` unless every sum lives over ``P``.  A record runs it
-    about 15 times: a plain loop, identity (shared parabolics) before ``!=``."""
+    4 times, 13 with Hilbert samples: a plain loop, ``is`` (shared parabolics) before ``!=``."""
     for r in sums:
         if r.parabolic is not P and r.parabolic != P:
             raise ValueError("every representation must live over the given parabolic")
@@ -197,10 +197,8 @@ def dual(P: "ParabolicData", r: RepSum) -> RepSum:
     length n, which is V(-lam) on a torus; the rank is checked to be kept and
     the determinant to be negated."""
     _check_parabolic(P, r)
-    terms: Counter = Counter()
-    for lam, m in r.terms.items():
-        terms[wsub(wscale(P.string_length(lam) - 1, P.levi_root), lam)] += m
-    result = RepSum(P, terms)
+    result = RepSum(P, [(wsub(wscale(P.string_length(lam) - 1, P.levi_root), lam), m)
+                        for lam, m in r.terms.items()])
     if result.rank != r.rank or result.det != wneg(r.det):
         raise AssertionError("dual changed the rank or did not negate the determinant")
     return result

@@ -94,6 +94,7 @@ class TestEnumerate:
         for dim_x in range(2, P.dim):
             pool = classify._candidate_pool(P, P.dim - dim_x)
             assert pool
+            assert list(pool) == sorted(pool)
             for w, det in pool.items():
                 weights = irrep(P, w).weights()
                 assert det == irrep(P, w).det == tuple(

@@ -115,6 +115,17 @@ class TestValidate:
         with pytest.raises(ValueError, match="coordinate True"):
             candidate(P1, (True, True))
 
+    @pytest.mark.parametrize("lam,error", [
+        (("a", 1), ValueError), ((None, 1), ValueError), ((0, 0.0), ValueError),
+        ((1.0, 1), ValueError), ((1,), ValueError),
+        ((0, 0), TrivialSummand), ((-1, 0), NotGloballyGenerated)])
+    def test_raw_weights_are_checked_first(self, P1, lam, error):
+        # every malformed weight gets check_weight's ValueError before the cut
+        # rules compare its coordinates; well-formed ones reach the cut rules
+        with pytest.raises(error) as err:
+            candidate(P1, lam)
+        assert type(err.value) is error
+
     def test_summands_are_canonically_sorted(self, B):
         c = candidate(B, (0, 2), (1, 0), (1, 0))
         assert c.summands == ((1, 0), (1, 0), (0, 2))
@@ -478,7 +489,7 @@ class TestRecord:
 
 
 class TestDerivedAtConstruction:
-    """Rank, weight pairs and cotangent are built once, with their owners."""
+    """Rank, weight pairs, cotangent and trivial bundle are built once, with their owners."""
 
     def test_rank_is_the_weight_count(self):
         rows = all_rows()
@@ -493,12 +504,13 @@ class TestDerivedAtConstruction:
                                                        ("P2", (2,), ((0, 1), (0, 4))),
                                                        ("B", (1, 2), ((0, 1), (0, 1), (2, 0)))])
     def test_fresh_parabolic_has_its_cotangent(self, name, crossed, summands, monkeypatch):
-        # the cotangent is built with the parabolic, so a record over a fresh
-        # one still makes one dual call, for E*
+        # the cotangent and O_F are built with the parabolic, so a record over
+        # a fresh one still makes one dual call, for E*
         P = ParabolicData(g2_root_system(), crossed)
         assert P is not g2_parabolic(name) and P == g2_parabolic(name)
-        assert "cotangent" in vars(P)      # set by __init__, not on first read
+        assert "cotangent" in vars(P) and "trivial" in vars(P)    # set by __init__
         assert P.cotangent == dual(P, P.tangent)
+        assert P.trivial == reps.trivial(P)
         c = validate_candidate(P, summands)
         counters = [count_calls(monkeypatch, module, ("dual",))
                     for module in (invariants, koszul, reps)]

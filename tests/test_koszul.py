@@ -294,6 +294,18 @@ class TestTensorDims:
         with pytest.raises(AssertionError, match="wrong rank"):
             e1_page(KoszulInput(P1, irrep(P1, (1, 1)), trivial(P1)))
 
+    def test_degree_past_dim_g_p_raises(self, P1, monkeypatch):
+        # a Bott degree above dim G/P fails the page's degree guard
+        original = koszul._bott
+
+        def too_high(rs, lam):
+            res = original(rs, lam)
+            return None if res is None else (P1.dim + 1, *res[1:])
+
+        monkeypatch.setattr(koszul, "_bott", too_high)
+        with pytest.raises(AssertionError, match="exceeded dim G/P"):
+            e1_page(KoszulInput(P1, irrep(P1, (1, 1)), trivial(P1)))
+
 
 class TestKoszulLayers:
     """Each bundle's Λ^k E* layers are built once, kept on it, and read-only."""
