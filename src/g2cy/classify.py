@@ -5,10 +5,11 @@ highest weights whose total representation rank is dim G/P - d and whose
 total determinant is the anticanonical weight.  The search is exhaustive
 inside provable bounds:
 
-* every nonzero dominant summand contributes at least 1 to each crossed
-  determinant coordinate (for a rank-<=1 Levi, det_c >= lambda_c because the
-  string correction -n(n-1)/2 * alpha has non-negative crossed coordinates),
-  so crossed coordinates of a summand are bounded by the anticanonical;
+* every dominant summand contributes det_c >= lambda_c >= 0 to each crossed
+  determinant coordinate c (for a rank-<=1 Levi the string correction
+  -n(n-1)/2 * alpha has non-negative crossed coordinates), so crossed
+  coordinates of a summand are bounded by the anticanonical; det_c may be 0,
+  as for (0, 1) on G/B, whose det is (0, 1);
 * an uncrossed coordinate u forces rank lambda_u + 1, bounded by the rank
   budget.
 

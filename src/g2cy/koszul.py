@@ -8,9 +8,10 @@ dimension dim F - rank E, and the structure sheaf of X is resolved by
 Tensoring the resolution with a bundle W and taking cohomology termwise gives
 the first page E1(k, q) = H^q(F, Λ^k E* ⊗ W) of a spectral sequence
 converging to H^{q-k}(X, W|_X).  The weight multisets of Λ^k E*
-(``_koszul_layers``, built once per bundle) feed both E1 columns, times the
-weight pairs of W and split into Levi irreducibles, and Hilbert samples; both
-read Borel–Weil–Bott off :func:`~g2cy.cohomology._bott` unchecked.
+(``_koszul_layers``, built once per bundle) feed both E1 columns, where
+Brauer–Klimyk straightens them against the highest weights of W into signed
+Levi irreducibles, and Hilbert samples; both read Borel–Weil–Bott off
+:func:`~g2cy.cohomology._bott` unchecked.
 
 The differentials depend on the chosen section (they are contractions with
 it), so they are not equivariant maps and cannot be dismissed by comparing
@@ -62,8 +63,7 @@ from .cohomology import _bott
 from .errors import (InconsistentSpectralSequence, NotGloballyGenerated,
                      NotMaximalParabolic, TrivialSummand)
 from .parabolic import ParabolicData, is_g_dominant
-from .reps import (RepSum, _check_parabolic, _exterior_layers, _levi_terms, _product, dual,
-                   exterior_power, tensor)
+from .reps import RepSum, _check_parabolic, _exterior_layers, dual, exterior_power, tensor
 from .root_system import Weight, weight_str, wneg
 
 
@@ -125,29 +125,51 @@ class E1Page(namedtuple("E1Page", "entries euler")):
 
 
 def e1_page(inp: KoszulInput) -> E1Page:
-    """Column k: layer k of :func:`_koszul_layers` times the weight pairs that
-    W built with itself, split by :func:`~g2cy.reps._levi_terms` into
-    p-dominant summands of total rank C(rank E, k) · rank W, each sent to
-    :func:`~g2cy.cohomology._bott`, whose degree and dimension give its entry.
-    Each entry is added to the Euler number as it is made."""
+    """Column k by Brauer–Klimyk: each weight mu of layer k of
+    :func:`_koszul_layers` (count c) and each highest weight nu of W
+    (multiplicity m) give lam = mu + nu and a = lam_i, i the Levi coordinate.
+    If a >= 0 the column gains c·m V(lam); a = -1 gives nothing; a <= -2 gives
+    -c·m V(lam - (a + 1) levi_root), the sl2 reflection of lam + rho; on a
+    torus every lam is kept.  Each signed term goes to
+    :func:`~g2cy.cohomology._bott`, whose degree and dimension add to its
+    entry, and counts down the column's rank C(rank E, k) · rank W.  Entries
+    that cancel to 0 are dropped, a negative one raises ``AssertionError``,
+    and the Euler number is the alternating sum of the entries."""
     P, E, W = inp
-    rs, dim = P.rs, P.dim
+    rs, dim, alpha = P.rs, P.dim, P.levi_root
     i = -1 if P._levi_node is None else P._levi_node - 1     # the Levi coordinate, -1 on a torus
+    terms = W.terms.items()
     dims: dict[tuple[int, int], int] = {}
-    euler = 0
     for k, layer in enumerate(_koszul_layers(P, E)):
-        rank = comb(E.rank, k) * W.rank     # counted down by lam_i + 1 per V(lam), 1 on a torus
-        for lam, mult in _levi_terms(P, _product(layer, W._pairs)).items():
-            rank -= mult if i < 0 else mult * (lam[i] + 1)
-            if (res := _bott(rs, lam)) is not None:
-                q, d = res[0], mult * res[2]
-                if q > dim:
-                    raise AssertionError("cohomological degree exceeded dim G/P")
-                dims[k, q] = dims.get((k, q), 0) + d
-                euler += -d if (q - k) % 2 else d
+        rank = comb(E.rank, k) * W.rank     # counted down by m (lam_i + 1) per m V(lam), m on a torus
+        column: dict[int, int] = {}
+        for mu, c in layer:
+            for nu, m in terms:
+                lam = tuple(map(add, mu, nu))
+                m *= c
+                if i < 0:
+                    rank -= m
+                else:
+                    a = lam[i]
+                    if a < 0:
+                        if a == -1:
+                            continue
+                        lam = tuple([x - (a + 1) * y for x, y in zip(lam, alpha)])
+                        m, a = -m, -a - 2
+                    rank -= m * (a + 1)
+                if (res := _bott(rs, lam)) is not None:
+                    q = res[0]
+                    column[q] = column.get(q, 0) + m * res[2]
         if rank:
             raise AssertionError(f"Koszul column {k} has the wrong rank")
-    return E1Page(dims, euler)
+        for q, d in column.items():
+            if q > dim:
+                raise AssertionError("cohomological degree exceeded dim G/P")
+            if d < 0:
+                raise AssertionError(f"E1 entry ({k}, {q}) is negative")
+            if d:
+                dims[k, q] = d
+    return E1Page(dims, sum(-d if (q - k) % 2 else d for (k, q), d in dims.items()))
 
 
 class DimRange(namedtuple("DimRange", "lower upper")):
@@ -174,6 +196,10 @@ class DimRange(namedtuple("DimRange", "lower upper")):
         return {"lower": self.lower, "upper": self.upper}
 
 
+_INCONSISTENT = ("no differential ranks satisfy the vanishing constraints; the "
+                 "input does not define a complete intersection of expected dimension")
+
+
 def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[int, int]]:
     """Per-degree (lower, upper) limit dimensions over all differential ranks.
 
@@ -183,20 +209,25 @@ def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[
     Each component is checked for consistency, then solved in closed form, as
     in the module docstring; raises :class:`InconsistentSpectralSequence`
     when the vanishing cannot hold.  ν from the empty set is 0 without a
-    call, and a component of one position, which has no neighbour, reads its
-    value [D, D] straight off.
+    call.  A position with no neighbour is settled where the component walk
+    would start from it: it reads [D, D], and a forbidden one with D > 0
+    cannot die.  Ranges come out in walk order, component by component.
     """
     positions = sorted(dims)
-    bit_of = {p: 1 << i for i, p in enumerate(positions)}
-    dim = {b: dims[p] for p, b in bit_of.items()}
-    adjacency = dict.fromkeys(dim, 0)    # positions joined on some page
+    bit_of: dict[tuple[int, int], int] = {}
+    dim: dict[int, int] = {}
+    adjacency: dict[int, int] = {}       # positions joined on some page
     layers: dict[int, int] = {}          # positions by total degree
-    for (k, q), b in bit_of.items():
+    for k, q in positions:               # sorted, so every target column k - r is in bit_of
+        b = bit_of[k, q] = 1 << len(dim)
+        dim[b] = dims[k, q]
+        joined = 0
         for r in range(1, k + 1):
             t = bit_of.get((k - r, q - r + 1))
             if t:
-                adjacency[b] |= t
+                joined |= t
                 adjacency[t] |= b
+        adjacency[b] = joined
         layers[q - k] = layers.get(q - k, 0) | b
     degrees = sorted(layers)
     sides = [0, 0]                       # positions of even and of odd total degree
@@ -241,6 +272,14 @@ def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[
     unseen = (1 << len(dim)) - 1
     while unseen:
         comp = todo = unseen & -unseen
+        if not adjacency[comp]:
+            # no neighbour, so ν(L → B) = 0 and the closed form reads [D, D]
+            if comp & forbidden and dim[comp]:
+                raise InconsistentSpectralSequence(_INCONSISTENT)
+            k, q = positions[comp.bit_length() - 1]
+            add(q - k, dim[comp], dim[comp])
+            unseen ^= comp
+            continue
         while todo:
             b = todo & -todo
             new = adjacency[b] & ~comp
@@ -250,32 +289,28 @@ def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[
         # neighbours of positions in the component stay inside it, so only
         # the sets ν starts from need masking by the component
         S = forbidden & comp
+        d_s = [D(S & sides[0]), D(S & sides[1])]     # D(S∩A) by the parity of side A
         # Mendelsohn–Dulmage: saturating S∩A and S∩B separately suffices;
         # ν(∅ → ·) = 0 = D(∅), so only a nonempty S∩A needs the check
-        for A, B in (sides, sides[::-1]):
-            if S & A and nu(S & A, B, D(S & A)) != D(S & A):
-                raise InconsistentSpectralSequence(
-                    "no differential ranks satisfy the vanishing constraints; the "
-                    "input does not define a complete intersection of expected dimension")
-        if not comp & (comp - 1):
-            # one position, so no neighbour and ν(L → B) = 0: the closed form
-            # reads [D, D]; a forbidden one passed the check above only with D = 0
-            k, q = positions[comp.bit_length() - 1]
-            add(q - k, dim[comp], dim[comp])
-            continue
+        for j in (0, 1):
+            if S & sides[j] and nu(S & sides[j], sides[1 - j], d_s[j]) != d_s[j]:
+                raise InconsistentSpectralSequence(_INCONSISTENT)
         for n in degrees:
             layer = layers[n] & comp
             if not layer:
                 continue
-            A, B = sides[n % 2], sides[1 - n % 2]
-            SA, SB = A & S, B & S
             if (layer & S) == layer:    # L ⊆ S
-                lo = hi = 0
-            else:
-                lo = D(layer) - nu(SA | layer, B) + D(SA)
-                hi = (D(layer) - D(SB) + nu(SB, A & ~layer)) if SB else D(layer)
+                add(n, 0, 0)
+                continue
+            A, B = sides[n % 2], sides[1 - n % 2]
+            SB, d_l = B & S, D(layer)
+            lo = d_l - nu((A & S) | layer, B) + d_s[n % 2]
+            hi = (d_l - d_s[1 - n % 2] + nu(SB, A & ~layer)) if SB else d_l
             add(n, lo, hi)
     return ranges
+
+
+_ZERO = DimRange(0, 0)    # every degree without an E1 entry shares it
 
 
 class RestrictedCohomology(namedtuple("RestrictedCohomology", "by_degree euler")):
@@ -296,7 +331,7 @@ def restricted_cohomology(inp: KoszulInput) -> RestrictedCohomology:
     page = e1_page(inp)
     dim_x = inp.dim_x
     ranges = _limit_ranges(page.entries, lambda n: 0 <= n <= dim_x)
-    by_degree = {n: DimRange(*ranges.get(n, (0, 0))) for n in range(dim_x + 1)}
+    by_degree = {n: DimRange(*ranges[n]) if n in ranges else _ZERO for n in range(dim_x + 1)}
     return RestrictedCohomology(by_degree, page.euler)
 
 

@@ -7,11 +7,14 @@ of V(lam) are the string lam - j levi_root, j < n = ``P.string_length(lam)``,
 where levi_root is the uncrossed simple root, or zero on a torus (n = 1).
 Weights, determinants and duals are closed forms in that model: det V(lam) =
 n lam - n(n-1)/2 levi_root (:func:`_irrep_det`) and V(lam)* =
-V((n-1) levi_root - lam).  Tensor products and exterior powers, like the
-Koszul pages, are weight multisets built by the two kernels :func:`_product`
-and :func:`_exterior_layers` and split by the sl2 rule of :func:`_levi_terms`,
+V((n-1) levi_root - lam).  Tensor products and exterior powers are weight
+multisets built by the two kernels :func:`_product` and
+:func:`_exterior_layers` and split by the sl2 rule of :func:`_levi_terms`,
 the irreducible with highest weight lam occurring m(lam) - m(lam + levi_root)
-times (the torus, with no root, apart); :func:`decompose` expands the result
+times (the torus, with no root, apart).  The Koszul pages take their
+Λ^k E* weights from :func:`_exterior_layers` too, but straighten them against
+the highest weights of W (Brauer–Klimyk, in :func:`~g2cy.koszul.e1_page`)
+instead of splitting a weight product.  :func:`decompose` expands the result
 again and compares it with the input, so a multiset that is not a character
 is rejected.  The kernels only see weights the package built and checked, so
 they add them with a bare ``tuple(map(add, ...))``, not the length-checking

@@ -101,6 +101,17 @@ class TestEnumerate:
                     sum(c * mu[i] for mu, c in weights.items()) for i in range(P.rs.rank))
 
     @pytest.mark.parametrize("name", ["P1", "P2", "B"])
+    def test_pool_dets_bound_crossed_coordinates(self, name):
+        # the enumeration bound: det_c >= lambda_c at every crossed node c, on
+        # every rank budget; det_c can be 0, as for (0, 1) on G/B
+        P = g2_parabolic(name)
+        for dim_x in range(2, P.dim):
+            for w, det in classify._candidate_pool(P, P.dim - dim_x).items():
+                assert all(det[c - 1] >= w[c - 1] >= 0 for c in P.crossed), (w, det)
+        if name == "B":
+            assert classify._candidate_pool(P, P.dim - 2)[(0, 1)] == (0, 1)
+
+    @pytest.mark.parametrize("name", ["P1", "P2", "B"])
     @pytest.mark.parametrize("dim_x", [2, 3, 4, 5])
     def test_brute_force_equivalence(self, name, dim_x):
         P = g2_parabolic(name)

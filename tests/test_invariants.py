@@ -11,7 +11,7 @@ from g2cy import (KoszulInput, ParabolicData, bundle_cohomology, degree_and_c2, 
                   enumerate_all, euler_char, exterior_power, g2_parabolic,
                   g2_root_system, hodge_numbers, koszul_terms,
                   published_invariants, restricted_cohomology, tensor, to_record,
-                  validate_candidate)
+                  validate_candidate, weyl_dim)
 from g2cy import cli, invariants, koszul, reps
 from g2cy.errors import (FitInconsistent, InconsistentLongExactSequence,
                          NotGloballyGenerated, RankTooLarge, TrivialSummand,
@@ -19,7 +19,7 @@ from g2cy.errors import (FitInconsistent, InconsistentLongExactSequence,
 from g2cy.root_system import weight_str
 
 from conftest import koszul_sweep_inputs
-from test_reps import oracle_decompose, oracle_dual
+from test_reps import oracle_decompose, oracle_dual, oracle_tensor
 
 
 def candidate(P, *summands):
@@ -473,19 +473,26 @@ class TestRecord:
         assert record["statuses"]["deg"] == "not_applicable"
 
     def test_multiset_dual_and_tensor_give_identical_records(self, monkeypatch):
-        # the closed-form dual and the sl2 rule against multiset oracles,
-        # patched wherever koszul and invariants look them up: E1 columns
-        # split their weight products by peeling whole Levi strings, and the
-        # duals negate and re-decompose weight multisets
-        def peeled_terms(P, work):
-            return oracle_decompose(P, work).terms
+        # the closed-form dual and the Brauer–Klimyk columns against multiset
+        # oracles, patched wherever koszul and invariants look them up: E1
+        # pages come from Λ^k E* ⊗ W by peeling whole Levi strings and by
+        # Clebsch–Gordan, and the duals negate and re-decompose weight multisets
+        def oracle_page(inp):
+            P = inp.P
+            e_dual, entries = oracle_dual(P, inp.E), {}
+            for k in range(inp.E.rank + 1):
+                term = oracle_tensor(P, exterior_power(P, e_dual, k), inp.W)
+                for q, group in bundle_cohomology(P, term).items():
+                    entries[k, q] = sum(m * weyl_dim(P.rs, mu) for mu, m in group.items())
+            return koszul.E1Page(entries, sum((-1) ** (q - k) * d for (k, q), d in entries.items()))
 
         closed_form = [to_record(c) for c in all_rows()]
-        oracles = {"dual": oracle_dual, "_levi_terms": peeled_terms}
-        in_koszul = count_calls(monkeypatch, koszul, ("_levi_terms",), oracles)
+        monkeypatch.setattr(reps, "decompose", oracle_decompose)
+        oracles = {"dual": oracle_dual, "e1_page": oracle_page}
+        in_koszul = count_calls(monkeypatch, koszul, ("e1_page",), oracles)
         in_invariants = count_calls(monkeypatch, invariants, ("dual",), oracles)
         assert [to_record(c) for c in all_rows()] == closed_form
-        assert in_koszul["_levi_terms"] and in_invariants["dual"]
+        assert in_koszul["e1_page"] and in_invariants["dual"]
 
 
 class TestDerivedAtConstruction:

@@ -22,7 +22,7 @@ from g2cy.errors import (InconsistentSpectralSequence, NotGloballyGenerated,
 from g2cy.invariants import to_record
 from g2cy.koszul import _koszul_layers, _limit_ranges
 from g2cy.reps import _exterior_layers, _levi_terms, _product
-from g2cy.root_system import wneg
+from g2cy.root_system import wneg, wzero
 
 from conftest import koszul_sweep_inputs, p_dominant_box, rep_sums
 from test_reps import oracle_tensor
@@ -35,6 +35,28 @@ def bundle(P, *summands):
     for w in summands:
         terms[w] = terms.get(w, 0) + 1
     return RepSum(P, terms)
+
+
+def net_columns(inp, layers=None):
+    """Net signed Levi terms of each E1 column, as :func:`e1_page` makes them.
+
+    A stand-in Bott kernel sends the j-th distinct weight it meets to degree j
+    with dimension 1, and the degree guard is lifted, so entry (k, j) of the
+    page is the net multiplicity of that weight in column k.  ``layers``, if
+    given, stands in for the Λ^k E* weight layers.
+    """
+    seen: dict = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(koszul, "_bott", lambda rs, lam: (seen.setdefault(lam, len(seen)), lam, 1))
+        mp.setattr(inp.P, "dim", 10 ** 6)
+        if layers is not None:
+            mp.setattr(koszul, "_koszul_layers", lambda P, E: layers)
+        entries = e1_page(inp).entries
+    weights = list(seen)
+    columns = [{} for _ in (layers or _koszul_layers(inp.P, inp.E))]
+    for (k, j), m in entries.items():
+        columns[k][weights[j]] = m
+    return columns
 
 
 class TestKoszulTerms:
@@ -261,38 +283,51 @@ class TestTensorDims:
                     (-1) ** k * euler_char(P, term)
                     for k, term in enumerate(koszul_terms(KoszulInput(P, c.rep, line))))
 
-    def test_every_term_goes_through_bwb(self, monkeypatch):
-        # each Levi summand of each column goes through the Bott kernel once;
-        # a column starts with its _levi_terms call
-        columns = []
-        split, original = koszul._levi_terms, koszul._bott
-
-        def new_column(P, work):
-            columns.append([])
-            return split(P, work)
-
-        def recorded(rs, lam):
-            columns[-1].append(lam)
-            return original(rs, lam)
-
-        monkeypatch.setattr(koszul, "_levi_terms", new_column)
-        monkeypatch.setattr(koszul, "_bott", recorded)
+    def test_every_term_goes_through_bwb(self):
+        # the signed Brauer–Klimyk terms that each column sends to the Bott
+        # kernel net to the Levi terms of Λ^k E* ⊗ W
         for inp in koszul_sweep_inputs():
-            columns.clear()
-            e1_page(inp)
-            assert [sorted(column) for column in columns] == [
-                sorted(term.terms) for term in koszul_terms(inp)]
+            assert net_columns(inp) == [term.terms for term in koszul_terms(inp)]
 
     def test_wrong_column_rank_raises(self, P1, monkeypatch):
-        # a Levi split that loses a summand fails the column's rank check
-        def lossy(P, work):
-            terms = _levi_terms(P, work)
-            terms.pop(max(terms))
-            return terms
-
-        monkeypatch.setattr(koszul, "_levi_terms", lossy)
+        # a column that loses its top Levi term, here the only one of Λ^1 E*
+        # that Brauer–Klimyk keeps, fails the column's rank check
+        inp = KoszulInput(P1, irrep(P1, (1, 1)), trivial(P1))
+        layers = _koszul_layers(P1, inp.E)
+        top = max(layers[1], key=lambda pair: pair[0][P1._levi_node - 1])
+        lossy = tuple(tuple(pair for pair in layer if pair is not top) for layer in layers)
+        monkeypatch.setattr(koszul, "_koszul_layers", lambda P, E: lossy)
         with pytest.raises(AssertionError, match="wrong rank"):
+            e1_page(inp)
+
+    def test_negative_entry_raises(self, P1, monkeypatch):
+        # a column of the right rank, V(0, 4) minus the reflection V(-2, 3) of
+        # (2, -5), whose negative term has no positive one in its degree
+        layers = ((((0, 4), 1), ((2, -5), 1)),)
+        monkeypatch.setattr(koszul, "_koszul_layers", lambda P, E: layers)
+        with pytest.raises(AssertionError, match=r"entry \(0, 1\) is negative"):
             e1_page(KoszulInput(P1, irrep(P1, (1, 1)), trivial(P1)))
+
+    def test_sweep_reaches_every_straightening_branch(self):
+        # sums mu + nu that Brauer–Klimyk keeps (a >= 0), drops (a = -1) and
+        # reflects (a <= -2), a the Levi coordinate, over the Λ^k E* weights
+        # and W's highest weights of each page
+        def branches(inputs):
+            counts = dict.fromkeys(("kept", "dropped", "reflected"), 0)
+            for inp in inputs:
+                if inp.P._levi_node is None:
+                    continue
+                i = inp.P._levi_node - 1
+                for layer in _koszul_layers(inp.P, inp.E):
+                    for mu, _ in layer:
+                        for nu in inp.W.terms:
+                            a = mu[i] + nu[i]
+                            counts["kept" if a >= 0 else "dropped" if a == -1 else "reflected"] += 1
+            return counts
+
+        assert branches(koszul_sweep_inputs(records_only=True)) == {
+            "kept": 310, "dropped": 16, "reflected": 4}
+        assert all(branches(koszul_sweep_inputs()).values())
 
     def test_degree_past_dim_g_p_raises(self, P1, monkeypatch):
         # a Bott degree above dim G/P fails the page's degree guard
@@ -370,10 +405,21 @@ class TestKoszulLayers:
 
 @given(rep_sums(count=2))
 def test_levi_terms_of_weight_products_match_tensor(case):
-    # the weight path of E1 columns against the Clebsch–Gordan rule
+    # the weight path of ``tensor`` against the Clebsch–Gordan rule
     P, a, b = case
     product = _product(a.weights().items(), b.weights().items())
     assert _levi_terms(P, product) == oracle_tensor(P, a, b).terms
+
+
+@given(rep_sums(count=2))
+def test_straightened_weight_products_match_tensor(case):
+    # Brauer–Klimyk as e1_page runs it, on the torus too: column 1 of a page
+    # whose Λ^1 layer is a's weight multiset straightens a's weights against
+    # b's highest weights, and nets to the Clebsch–Gordan terms of a ⊗ b
+    P, a, b = case
+    inp = tuple.__new__(KoszulInput, (P, a, b))      # a need not be a cut bundle
+    layers = (((wzero(P.rs.rank), 1),), a._pairs)
+    assert net_columns(inp, layers) == [b.terms, oracle_tensor(P, a, b).terms]
 
 
 # Reference solver: the exhaustive page-by-page rank search that the closed
