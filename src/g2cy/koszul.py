@@ -8,9 +8,9 @@ dimension dim F - rank E, and the structure sheaf of X is resolved by
 Tensoring the resolution with a bundle W and taking cohomology termwise gives
 the first page E1(k, q) = H^q(F, Λ^k E* ⊗ W) of a spectral sequence
 converging to H^{q-k}(X, W|_X).  The weight multisets of Λ^k E*
-(``_koszul_layers``, built once per bundle) feed both E1 columns, where
-Brauer–Klimyk straightens them against the highest weights of W into signed
-Levi irreducibles, and Hilbert samples; both read Borel–Weil–Bott off
+(``_koszul_layers``, built once per bundle) feed both E1 columns, which
+:func:`~g2cy.reps._straightened` splits into signed Levi irreducibles against
+the terms of W, and Hilbert samples; both read Borel–Weil–Bott off
 :func:`~g2cy.cohomology._bott` unchecked.
 
 The differentials depend on the chosen section (they are contractions with
@@ -63,7 +63,8 @@ from .cohomology import _bott
 from .errors import (InconsistentSpectralSequence, NotGloballyGenerated,
                      NotMaximalParabolic, TrivialSummand)
 from .parabolic import ParabolicData, is_g_dominant
-from .reps import RepSum, _check_parabolic, _exterior_layers, dual, exterior_power, tensor
+from .reps import (RepSum, _check_parabolic, _exterior_layers, _straightened, dual,
+                   exterior_power, tensor)
 from .root_system import Weight, weight_str, wneg
 
 
@@ -109,8 +110,8 @@ def _koszul_layers(P: ParabolicData, E: RepSum) -> tuple[tuple[tuple[Weight, int
 
 def koszul_terms(inp: KoszulInput) -> list[RepSum]:
     """Terms Λ^k E* ⊗ W of the twisted resolution, k = 0..rank E, through the
-    public ``dual``, ``exterior_power`` and ``tensor``: the oracle path to the
-    characters that :func:`e1_page` builds from weights."""
+    public ``dual``, ``exterior_power`` and ``tensor``: the path through public
+    representations to the characters that :func:`e1_page` builds from weights."""
     P, E = inp.P, inp.E
     e_dual = dual(P, E)
     return [tensor(P, exterior_power(P, e_dual, k), inp.W) for k in range(E.rank + 1)]
@@ -125,41 +126,25 @@ class E1Page(namedtuple("E1Page", "entries euler")):
 
 
 def e1_page(inp: KoszulInput) -> E1Page:
-    """Column k by Brauer–Klimyk: each weight mu of layer k of
-    :func:`_koszul_layers` (count c) and each highest weight nu of W
-    (multiplicity m) give lam = mu + nu and a = lam_i, i the Levi coordinate.
-    If a >= 0 the column gains c·m V(lam); a = -1 gives nothing; a <= -2 gives
-    -c·m V(lam - (a + 1) levi_root), the sl2 reflection of lam + rho; on a
-    torus every lam is kept.  Each signed term goes to
-    :func:`~g2cy.cohomology._bott`, whose degree and dimension add to its
-    entry, and counts down the column's rank C(rank E, k) · rank W.  Entries
-    that cancel to 0 are dropped, a negative one raises ``AssertionError``,
-    and the Euler number is the alternating sum of the entries."""
+    """Column k is :func:`~g2cy.reps._straightened` of layer k of
+    :func:`_koszul_layers` against the terms of W: each signed term m V(lam)
+    goes to :func:`~g2cy.cohomology._bott`, whose degree and dimension add to
+    its entry, and counts the column's rank C(rank E, k) · rank W down by m
+    times the string length of lam.  Entries that cancel to 0 are dropped, a
+    negative one raises ``AssertionError``, and the Euler number is the
+    alternating sum of the entries."""
     P, E, W = inp
-    rs, dim, alpha = P.rs, P.dim, P.levi_root
-    i = -1 if P._levi_node is None else P._levi_node - 1     # the Levi coordinate, -1 on a torus
+    rs, dim = P.rs, P.dim
     terms = W.terms.items()
     dims: dict[tuple[int, int], int] = {}
     for k, layer in enumerate(_koszul_layers(P, E)):
-        rank = comb(E.rank, k) * W.rank     # counted down by m (lam_i + 1) per m V(lam), m on a torus
+        rank = comb(E.rank, k) * W.rank
         column: dict[int, int] = {}
-        for mu, c in layer:
-            for nu, m in terms:
-                lam = tuple(map(add, mu, nu))
-                m *= c
-                if i < 0:
-                    rank -= m
-                else:
-                    a = lam[i]
-                    if a < 0:
-                        if a == -1:
-                            continue
-                        lam = tuple([x - (a + 1) * y for x, y in zip(lam, alpha)])
-                        m, a = -m, -a - 2
-                    rank -= m * (a + 1)
-                if (res := _bott(rs, lam)) is not None:
-                    q = res[0]
-                    column[q] = column.get(q, 0) + m * res[2]
+        for lam, m, n in _straightened(P, layer, terms):
+            rank -= m * n
+            if (res := _bott(rs, lam)) is not None:
+                q = res[0]
+                column[q] = column.get(q, 0) + m * res[2]
         if rank:
             raise AssertionError(f"Koszul column {k} has the wrong rank")
         for q, d in column.items():

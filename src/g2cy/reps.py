@@ -7,17 +7,16 @@ of V(lam) are the string lam - j levi_root, j < n = ``P.string_length(lam)``,
 where levi_root is the uncrossed simple root, or zero on a torus (n = 1).
 Weights, determinants and duals are closed forms in that model: det V(lam) =
 n lam - n(n-1)/2 levi_root (:func:`_irrep_det`) and V(lam)* =
-V((n-1) levi_root - lam).  Tensor products and exterior powers are weight
-multisets built by the two kernels :func:`_product` and
-:func:`_exterior_layers` and split by the sl2 rule of :func:`_levi_terms`,
-the irreducible with highest weight lam occurring m(lam) - m(lam + levi_root)
-times (the torus, with no root, apart).  The Koszul pages take their
-Λ^k E* weights from :func:`_exterior_layers` too, but straighten them against
-the highest weights of W (Brauer–Klimyk, in :func:`~g2cy.koszul.e1_page`)
-instead of splitting a weight product.  :func:`decompose` expands the result
-again and compares it with the input, so a multiset that is not a character
-is rejected.  The kernels only see weights the package built and checked, so
-they add them with a bare ``tuple(map(add, ...))``, not the length-checking
+V((n-1) levi_root - lam).  Everything else goes through one sl2 rule,
+Brauer–Klimyk straightening in :func:`_straightened`, the only code that
+knows the Levi coordinate and the torus case: :func:`tensor` straightens
+one factor's weights against the other's highest weights, :func:`decompose`
+a weight multiset against V(0), and :func:`~g2cy.koszul.e1_page` the Λ^k E*
+weights of :func:`_exterior_layers` against the highest weights of W.
+:func:`decompose` expands its result again and compares it with the input,
+so a multiset that is not a character is rejected.  The kernels only see
+weights the package built and checked, so they add them with a bare
+``tuple(map(add, ...))``, not the length-checking
 :func:`~g2cy.root_system.wadd`.
 
 A :class:`RepSum` is a formal non-negative combination of irreducibles over a
@@ -29,12 +28,12 @@ matching the representation-theoretic ones.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from math import comb
 from operator import add, sub
 
 from .errors import NotARepresentation, NotPDominant, OutOfRange
-from .root_system import Weight, check_weight, wneg, wscale, wsub, wzero, weight_str
+from .root_system import Weight, check_weight, wadd, wneg, wscale, wsub, wzero, weight_str
 
 
 def _collect(P: "ParabolicData", pairs: Mapping[Weight, int] | Iterable) -> dict[Weight, int]:
@@ -107,6 +106,8 @@ class RepSum:
         return Counter(dict(self._pairs))
 
     def __add__(self, other: "RepSum") -> "RepSum":
+        if not isinstance(other, RepSum):
+            return NotImplemented
         _check_parabolic(self.parabolic, other)
         merged = Counter(self.terms)
         merged.update(other.terms)
@@ -155,32 +156,47 @@ def _irrep_det(P: "ParabolicData", lam: Weight) -> Weight:
     return tuple([n * x - drop * a for x, a in zip(lam, P.levi_root)])
 
 
-def _levi_terms(P: "ParabolicData", work: Mapping[Weight, int]) -> dict[Weight, int]:
-    """Levi irreducibles of a character from its weight multiset, by the sl2 rule.
+def _straightened(P: "ParabolicData", pairs: Iterable[tuple[Weight, int]],
+                  terms: Iterable[tuple[Weight, int]]) -> Iterator[tuple[Weight, int, int]]:
+    """Brauer–Klimyk: the signed Levi irreducibles of a weight multiset tensored
+    with a sum of irreducibles, as (lam, m, n) with n the string length of lam.
 
-    On a rank-one Levi with simple root alpha each alpha-string is an sl2
-    character, so the irreducible with p-dominant highest weight lam occurs
-    m(lam) - m(lam + alpha) times, m being the multiplicity in ``work``; a
-    negative count raises :class:`NotARepresentation`.  On a torus (alpha = 0)
-    every weight is a summand.  Callers check the result against the input.
+    Each weight mu of ``pairs`` (count c) and highest weight nu of ``terms``
+    (multiplicity m, re-iterable) give lam = mu + nu and a = lam_i, i the
+    Levi coordinate: a >= 0 yields +c·m V(lam); a = -1 yields nothing; a <= -2
+    yields -c·m V(lam - (a + 1) levi_root), the sl2 reflection of lam + rho.
+    On a torus every lam is kept, with n = 1.  The yields net to the terms of
+    the product when ``pairs`` is a character; callers net them themselves.
     """
-    if not P.levi_rank:
-        return dict(work)
-    alpha, i = P.levi_root, P._levi_node - 1
-    terms: dict[Weight, int] = {}
-    for lam, c in work.items():
-        if lam[i] >= 0:                  # p-dominant
-            n = c - work.get(tuple(map(add, lam, alpha)), 0)
-            if n < 0:
-                raise NotARepresentation(
-                    f"{weight_str(lam)} occurs less often than the weight above it")
-            if n:
-                terms[lam] = n
-    return terms
+    if P._levi_node is None:
+        for mu, c in pairs:
+            for nu, m in terms:
+                yield tuple(map(add, mu, nu)), c * m, 1
+        return
+    i, alpha = P._levi_node - 1, P.levi_root
+    for mu, c in pairs:
+        for nu, m in terms:
+            lam = tuple(map(add, mu, nu))
+            a = lam[i]
+            if a >= 0:
+                yield lam, c * m, a + 1
+            elif a < -1:
+                yield tuple([x - (a + 1) * y for x, y in zip(lam, alpha)]), -c * m, -a - 1
+
+
+def _net(P: "ParabolicData", pairs: Iterable[tuple[Weight, int]],
+         terms: Iterable[tuple[Weight, int]]) -> RepSum:
+    """The :func:`_straightened` terms added up into a sum; a negative net
+    multiplicity raises :class:`NotARepresentation`."""
+    net: dict[Weight, int] = {}
+    for lam, m, _ in _straightened(P, pairs, terms):
+        net[lam] = net.get(lam, 0) + m
+    return RepSum(P, net)
 
 
 def decompose(P: "ParabolicData", multiset: Mapping[Weight, int] | Iterable) -> RepSum:
-    """Invert :meth:`RepSum.weights` on a weight multiset by :func:`_levi_terms`.
+    """Invert :meth:`RepSum.weights` on a weight multiset: :func:`_net` of the
+    multiset against the trivial term V(0).
 
     A result whose weights do not rebuild the input exactly raises
     :class:`NotARepresentation`: sl2 characters are linearly independent, so
@@ -188,7 +204,7 @@ def decompose(P: "ParabolicData", multiset: Mapping[Weight, int] | Iterable) -> 
     an iterable of (weight, multiplicity) pairs, repeated weights adding up.
     """
     work = _collect(P, multiset)
-    result = RepSum(P, _levi_terms(P, work))
+    result = _net(P, work.items(), ((wzero(P.rs.rank), 1),))
     if dict(result._pairs) != work:
         raise NotARepresentation(
             f"weight multiset is not a sum of {P.label} weight strings")
@@ -207,18 +223,6 @@ def dual(P: "ParabolicData", r: RepSum) -> RepSum:
     return result
 
 
-def _product(u: Iterable[tuple[Weight, int]], v: Iterable[tuple[Weight, int]]) -> dict[Weight, int]:
-    """Weight multiset of a tensor product from the (weight, multiplicity) pairs
-    of its factors, ``v`` re-iterable: every sum of a weight of ``u`` and one of
-    ``v``, multiplicities multiplied and equal sums merged in first-seen order."""
-    out: dict[Weight, int] = {}
-    for mu, c in u:
-        for nu, d in v:
-            lam = tuple(map(add, mu, nu))
-            out[lam] = out.get(lam, 0) + c * d
-    return out
-
-
 def _exterior_layers(P: "ParabolicData", weights: Iterable[Weight]) -> list[dict[Weight, int]]:
     """Weight multisets of Λ^k, k = 0..len(weights): the k-element sub-multiset
     sums, equal sums merged, by the elementary-symmetric recurrence in one pass."""
@@ -234,9 +238,15 @@ def _exterior_layers(P: "ParabolicData", weights: Iterable[Weight]) -> list[dict
 
 
 def tensor(P: "ParabolicData", a: RepSum, b: RepSum) -> RepSum:
-    """Tensor product: :func:`decompose` of the weight product of the factors."""
+    """Tensor product: :func:`_net` of the weights of ``a`` against the terms of
+    ``b``; the rank is checked to be multiplicative and the determinant to be
+    rank b · det a + rank a · det b."""
     _check_parabolic(P, a, b)
-    return decompose(P, _product(a._pairs, b._pairs))
+    result = _net(P, a._pairs, b.terms.items())
+    if (result.rank != a.rank * b.rank
+            or result.det != wadd(wscale(b.rank, a.det), wscale(a.rank, b.det))):
+        raise AssertionError("tensor product has the wrong rank or determinant")
+    return result
 
 
 def exterior_power(P: "ParabolicData", r: RepSum, k: int) -> RepSum:

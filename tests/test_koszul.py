@@ -7,25 +7,28 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from collections import Counter
 from itertools import combinations
+from operator import add
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2cy import (CartanMatrix, DimRange, KoszulInput, ParabolicData, RepSum,
-                  build_root_system, bundle_cohomology, dual, e1_page, enumerate_all,
-                  euler_char, g2_parabolic, hilbert_value, irrep, koszul, koszul_terms,
-                  restricted_cohomology, trivial, validate_candidate, weyl_dim)
+                  build_root_system, bundle_cohomology, decompose, dual, e1_page,
+                  enumerate_all, euler_char, g2_parabolic, hilbert_value, irrep, koszul,
+                  koszul_terms, restricted_cohomology, tensor, trivial, validate_candidate,
+                  weyl_dim)
 from g2cy.errors import (InconsistentSpectralSequence, NotGloballyGenerated,
                          NotMaximalParabolic, TrivialSummand)
 from g2cy.invariants import to_record
 from g2cy.koszul import _koszul_layers, _limit_ranges
-from g2cy.reps import _exterior_layers, _levi_terms, _product
+from g2cy.reps import _exterior_layers
 from g2cy.root_system import wneg, wzero
 
 from conftest import koszul_sweep_inputs, p_dominant_box, rep_sums
-from test_reps import oracle_tensor
+from test_reps import oracle_decompose, oracle_tensor
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -285,9 +288,13 @@ class TestTensorDims:
 
     def test_every_term_goes_through_bwb(self):
         # the signed Brauer–Klimyk terms that each column sends to the Bott
-        # kernel net to the Levi terms of Λ^k E* ⊗ W
+        # kernel net to the Levi terms of Λ^k E* ⊗ W, taken by the peeling and
+        # Clebsch–Gordan oracles, which share no code with the straightening
         for inp in koszul_sweep_inputs():
-            assert net_columns(inp) == [term.terms for term in koszul_terms(inp)]
+            P = inp.P
+            layers = _exterior_layers(P, map(wneg, inp.E.weights().elements()))
+            assert net_columns(inp) == [
+                oracle_tensor(P, oracle_decompose(P, layer), inp.W).terms for layer in layers]
 
     def test_wrong_column_rank_raises(self, P1, monkeypatch):
         # a column that loses its top Levi term, here the only one of Λ^1 E*
@@ -405,10 +412,14 @@ class TestKoszulLayers:
 
 @given(rep_sums(count=2))
 def test_levi_terms_of_weight_products_match_tensor(case):
-    # the weight path of ``tensor`` against the Clebsch–Gordan rule
+    # ``tensor``, and ``decompose`` of the full weight product, against the
+    # Clebsch–Gordan rule
     P, a, b = case
-    product = _product(a.weights().items(), b.weights().items())
-    assert _levi_terms(P, product) == oracle_tensor(P, a, b).terms
+    product = Counter()
+    for mu, c in a.weights().items():
+        for nu, d in b.weights().items():
+            product[tuple(map(add, mu, nu))] += c * d
+    assert tensor(P, a, b) == decompose(P, product) == oracle_tensor(P, a, b)
 
 
 @given(rep_sums(count=2))

@@ -99,6 +99,16 @@ class TestForeignParabolic:
         assert type(caught.value) is ValueError
         assert str(caught.value) == "every representation must live over the given parabolic"
 
+    def test_sum_with_a_non_repsum_is_a_type_error(self, P1):
+        # RepSum.__add__ returns NotImplemented, so Python raises TypeError,
+        # on either side of the +
+        with pytest.raises(TypeError):
+            irrep(P1, (1, 0)) + 1
+        with pytest.raises(TypeError):
+            1 + irrep(P1, (1, 0))
+        with pytest.raises(TypeError):
+            irrep(P1, (1, 0)) + Counter({(1, 0): 1})
+
 
 class TestDual:
     def test_character_inversion(self, B):
@@ -156,6 +166,15 @@ class TestTensor:
                         tuple(b.rank * x for x in a.det),
                         tuple(a.rank * x for x in b.det))
                     assert t.det == expected_det
+
+    def test_straightening_without_reflections_fails_the_check(self, P1, monkeypatch):
+        # V(0,2) ⊗ V(0) needs the reflected term -V(1,0) of its weight (2,-2);
+        # a kernel that drops the reflected branch gives rank 4, not 3
+        original = reps._straightened
+        monkeypatch.setattr(reps, "_straightened", lambda P, pairs, terms: (
+            (lam, m, n) for lam, m, n in original(P, pairs, terms) if m > 0))
+        with pytest.raises(AssertionError, match="wrong rank or determinant"):
+            tensor(P1, irrep(P1, (0, 2)), trivial(P1))
 
 
 class TestWeightPairs:
