@@ -141,7 +141,7 @@ def _cmd_bundle(args):
 
 
 def _cmd_cohomology(args):
-    from .cohomology import bundle_cohomology, weyl_dim
+    from .cohomology import bundle_cohomology, euler_char, weyl_dim
     r = _bundle(args.parabolic, args.summands)
     P = r.parabolic
     groups = {}
@@ -149,8 +149,7 @@ def _cmd_cohomology(args):
         irreps = [{"weight": list(mu), "mult": m, "dim": weyl_dim(P.rs, mu)}
                   for mu, m in group.items()]
         groups[str(q)] = {"dim": sum(i["mult"] * i["dim"] for i in irreps), "irreps": irreps}
-    payload = {"parabolic": P.label, "bundle": str(r), "groups": groups,
-               "euler": sum((-1) ** int(q) * g["dim"] for q, g in groups.items())}
+    payload = {"parabolic": P.label, "bundle": str(r), "groups": groups, "euler": euler_char(P, r)}
     shown = []
     for q, g in groups.items():
         terms = " + ".join((f"{i['mult']}·" if i["mult"] > 1 else "")

@@ -18,7 +18,10 @@ connecting-map ranks, subject to
 
 An h^{1,q} is reported as determined only when every pair and every
 consistent choice of ranks gives the same value; χ(Ω^1_X) is
-differential-independent and always exact.
+differential-independent and always exact.  So is the Euler number of a
+threefold: with K_X trivial, Serre duality gives χ(O_X) = 0 and
+χ(Ω^2_X) = -χ(Ω^1_X), so χ_top = Σ_p (-1)^p χ(Ω^p_X) = -2 χ(Ω^1_X).  A
+record's statuses follow from its values alone.
 
 Degree and c_2 are extracted from exact Hilbert samples χ(O_X(i)): for a
 threefold with χ(O_X) = 0 and odd Serre symmetry these lie on the two-term
@@ -191,43 +194,36 @@ def degree_and_c2(c: Candidate) -> tuple[int, int, list[tuple[int, int]]]:
     return deg, c2h, samples
 
 
-def _status(r: DimRange) -> str:
-    return "determined" if r.determined else "bounded"
+def _status(value) -> str:
+    """The status a record value shows: None, an int or ``{lower, upper}``."""
+    if value is None:
+        return "not_applicable"
+    return "determined" if isinstance(value, int) else "bounded"
 
 
 def to_record(c: Candidate) -> dict:
-    """JSON-able invariant record for one candidate."""
+    """JSON-able invariant record for one candidate; on a threefold ``euler`` is -2 χ(Ω^1_X)."""
+    hr = hodge_numbers(c)
+    three = c.dim_x == 3
     record: dict = {
         "parabolic": c.P.label,
         "summands": [list(w) for w in c.summands],
         "rank": c.rank,
         "dim_X": c.dim_x,
         "det": list(c.det),
+        "h0q": [r.to_json() for r in hr.h0q],
+        "h1q": [r.to_json() for r in hr.h1q],
+        "chi_omega1": hr.chi_omega1,
+        "h11": hr.h11.to_json() if three else None,
+        "h12": hr.h12.to_json() if three else None,
+        "euler": -2 * hr.chi_omega1 if three else None,
+        "deg": None,
+        "c2H": None,
     }
-    statuses: dict = {}
-    hr = hodge_numbers(c)
-    for key, row in (("h0q", hr.h0q), ("h1q", hr.h1q)):
-        record[key] = [r.to_json() for r in row]
-        statuses[key] = [_status(r) for r in row]
-    record["chi_omega1"] = hr.chi_omega1
-    if c.dim_x == 3:
-        h11, h12 = hr.h11, hr.h12
-        record["h11"], record["h12"] = h11.to_json(), h12.to_json()
-        statuses["h11"], statuses["h12"] = _status(h11), _status(h12)
-        exact = h11.determined and h12.determined
-        record["euler"] = 2 * (h11.value - h12.value) if exact else None
-        statuses["euler"] = "determined" if exact else "undetermined"
-    else:
-        record["h11"] = record["h12"] = record["euler"] = None
-        statuses["h11"] = statuses["h12"] = statuses["euler"] = "not_applicable"
-    if c.dim_x == 3 and len(c.P.crossed) == 1:
-        deg, c2h, samples = degree_and_c2(c)
-        record["deg"] = deg
-        record["c2H"] = c2h
+    if three and len(c.P.crossed) == 1:
+        record["deg"], record["c2H"], samples = degree_and_c2(c)
         record["chi_samples"] = [[i, v] for i, v in samples]
-        statuses["deg"] = statuses["c2H"] = "determined"
-    else:
-        record["deg"] = record["c2H"] = None
-        statuses["deg"] = statuses["c2H"] = "not_applicable"
-    record["statuses"] = statuses
+    record["statuses"] = {
+        key: [*map(_status, v)] if isinstance(v := record[key], list) else _status(v)
+        for key in ("h0q", "h1q", "h11", "h12", "euler", "deg", "c2H")}
     return record

@@ -3,8 +3,8 @@
 import pytest
 
 from g2cy import (diff_against_paper, enumerate_all, enumerate_candidates,
-                  g2_parabolic, reference_tables, validate_candidate,
-                  verify_theorem)
+                  g2_parabolic, published_invariants, reference_tables,
+                  validate_candidate, verify_theorem)
 from g2cy import classify
 from g2cy.classify import TableRow
 from g2cy.errors import MissingPaperRow, OutOfRange, TheoremViolated
@@ -163,6 +163,21 @@ class TestDiff:
         with pytest.raises(MissingPaperRow):
             classify.diff_against_paper(3)
 
+    @pytest.mark.parametrize("dim_x", [1, 6])
+    def test_no_reference_table(self, dim_x):
+        with pytest.raises(OutOfRange, match=f"no reference table for dim X = {dim_x}"):
+            diff_against_paper(dim_x)
+
     def test_reference_row_counts(self):
         tables = reference_tables()
         assert [len(tables[n]) for n in (1, 2, 3, 4)] == [1, 5, 8, 7]
+
+
+def test_published_invariants_take_a_row_or_a_label_and_summands():
+    rows = enumerate_all(3)
+    published = [row for row in rows if row.summands == ((1, 1),)]
+    assert [row.parabolic for row in published] == ["P1", "P2"]
+    for row in published:
+        assert published_invariants(row) == published_invariants(row.parabolic, row.summands)
+        assert published_invariants(row) is not None
+    assert published_invariants(next(row for row in rows if row not in published)) is None

@@ -424,6 +424,13 @@ class TestEulerNumber:
         assert record["euler"] is None
         assert record["statuses"]["euler"] == "not_applicable"
 
+    def test_is_minus_twice_chi_omega1(self):
+        threefolds = [to_record(c) for c in all_rows() if c.dim_x == 3]
+        assert len(threefolds) == 8
+        for record in threefolds:
+            assert record["euler"] == -2 * record["chi_omega1"]
+            assert record["euler"] == 2 * (record["h11"] - record["h12"])
+
 
 class TestRecord:
     def test_schema(self, P1):
@@ -466,6 +473,15 @@ class TestRecord:
             for payload in payloads:
                 for x in numbers(payload):
                     assert type(x) is int, (c, x)
+
+    def test_statuses_follow_from_values(self, B):
+        assert invariants._status(None) == "not_applicable"
+        assert invariants._status(0) == "determined"
+        assert invariants._status({"lower": 0, "upper": 1}) == "bounded"
+        statuses = to_record(candidate(B, (0, 1), (0, 1), (2, 0)))["statuses"]
+        assert statuses == {"h0q": ["determined"] * 4, "h1q": ["determined"] * 4,
+                            "h11": "determined", "h12": "determined", "euler": "determined",
+                            "deg": "not_applicable", "c2H": "not_applicable"}
 
     def test_borel_record_has_no_polarised_invariants(self, B):
         record = to_record(candidate(B, (0, 1), (0, 1), (2, 0)))

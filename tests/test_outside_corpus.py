@@ -79,6 +79,19 @@ def test_every_k3_has_h11_20():
     assert all(rec["h1q"] == [0, 20, 0] for rec in k3s)
 
 
+def test_threefold_euler_is_minus_twice_chi_omega1():
+    # χ(O_X) = 0 and χ(Ω^2_X) = -χ(Ω^1_X) by Serre duality, so χ_top = -2 χ(Ω^1_X)
+    threefolds = [rec for _, _, rec in every_row() if rec["dim_X"] == 3]
+    both = 0
+    for rec in threefolds:
+        assert rec["euler"] == -2 * rec["chi_omega1"]
+        assert rec["statuses"]["euler"] == "determined"
+        if rec["statuses"]["h11"] == rec["statuses"]["h12"] == "determined":
+            both += 1
+            assert rec["euler"] == 2 * (rec["h11"] - rec["h12"])
+    assert len(threefolds) > both > 0
+
+
 def test_lefschetz_on_ample_line_bundle_cuts():
     # H^{1,q}(X) = H^{1,q}(G/P) for 1 + q < dim X: the Picard rank at q = 1, else 0
     pinned = 0

@@ -195,10 +195,12 @@ class TestKnownAnswers:
         rec = record(factors, summands)
         if all(rec["statuses"]["h1q"][q] == "determined" for q in range(rec["dim_X"] + 1)):
             assert hodge_euler(rec) == chi
-        # χ(Ω^1_X) is exact on every row: χ_top = 2 χ(O_X) - 2 χ(Ω^1_X) on threefolds
+        # χ(Ω^1_X) is exact on every row: χ_top = 2 χ(O_X) - 2 χ(Ω^1_X) on threefolds,
+        # and the record's euler is that number even where h^{1,1} and h^{1,2} are bounded
         if rec["dim_X"] == 3:
             assert 2 * alternating(rec["h0q"]) - 2 * rec["chi_omega1"] == chi
-            assert rec["euler"] in (None, chi)
+            assert rec["euler"] == chi
+            assert rec["statuses"]["euler"] == "determined"
 
 
 # every summand a line bundle that is ample, and dim X >= 3

@@ -42,6 +42,12 @@ def test_equal_fields_give_equal_values(rs, P1):
             hash(a)
 
 
+def test_a_bounded_range_has_no_value():
+    assert DimRange(2, 2).value == 2
+    with pytest.raises(ValueError, match=r"dimension only bounded: \[0, 3\]"):
+        DimRange(0, 3).value
+
+
 def test_assignment_raises(rs, P1):
     for a, _ in pairs(rs, P1):
         with pytest.raises(AttributeError):

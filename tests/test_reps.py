@@ -55,6 +55,10 @@ class TestIrrepWeights:
                 assert irrep(P, (a, b)).rank == dim
                 assert irrep(P, (a, b)).det == det
 
+    def test_str(self, P1):
+        assert str(RepSum(P1)) == "0"
+        assert str(irrep(P1, (1, 1)) + irrep(P1, (1, 1))) == "(1,1)^⊕2"
+
     def test_det_examples(self, P1, P2):
         assert irrep(P1, (1, 1)).det == (3, 0)
         assert irrep(P2, (1, 1)).det == (0, 5)
