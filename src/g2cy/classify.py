@@ -13,23 +13,25 @@ inside provable bounds:
 * an uncrossed coordinate u forces rank lambda_u + 1, bounded by the rank
   budget.
 
+Every d >= 2 has a rank budget of at most dim G/P - 2, so one pool per
+parabolic, :attr:`~g2cy.parabolic.ParabolicData.summand_pool`, holds every
+summand of every d, in the canonical summand order.
+
 The shipped reference data covers the three G2 homogeneous spaces: the known
-classification tables for fibre dimensions 5, 4, 3, 2 and the published
-degree/c2/Hodge values for the two threefolds cut out by indecomposable
-bundles.  ``diff_against_paper`` never drops a computed row: rows absent from
-the reference are reported as extra, and a reference row the enumeration
-misses is a hard failure.
+classification tables for fibre dimensions 5, 4, 3, 2, as literal canonical
+rows, and the published degree/c2/Hodge values for the two threefolds cut
+out by indecomposable bundles.  ``diff_against_paper`` never drops a
+computed row: rows absent from the reference are reported as extra, and a
+reference row the enumeration misses is a hard failure.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import islice, product
 from operator import sub
 
 from .errors import MissingPaperRow, OutOfRange, TheoremViolated
 from .parabolic import G2_PARABOLIC_NAMES, ParabolicData, g2_parabolic
-from .reps import _irrep_det
 from .root_system import Weight, wzero
 
 _PARABOLIC_ORDER = {name: i for i, name in enumerate(G2_PARABOLIC_NAMES)}
@@ -48,28 +50,6 @@ class TableRow(namedtuple("TableRow", "parabolic summands split")):
                 tuple(sorted(self.summands)))
 
 
-def _canonical_row(P: ParabolicData, weights: tuple[Weight, ...]) -> TableRow:
-    """The row of p-dominant int weights, sorted by descending (irreducible rank,
-    weight) as :meth:`RepSum.sorted_terms` sorts terms, split if the longest has rank 1."""
-    ordered = sorted(((P.string_length(w), w) for w in weights), reverse=True)
-    return TableRow(parabolic=P.label, summands=tuple(w for _, w in ordered),
-                    split=ordered[0][0] == 1)
-
-
-def _candidate_pool(P: ParabolicData, rank_budget: int) -> dict[Weight, Weight]:
-    """{weight: det} of the nonzero dominant weights that could be a summand, in
-    the ascending order ``product`` yields, det V(lam) by the closed form
-    :func:`~g2cy.reps._irrep_det`; the uncrossed bound keeps each rank in budget."""
-    A = P.anticanonical
-    bounds = [A[n - 1] if n in P.crossed else rank_budget - 1 for n in range(1, P.rs.rank + 1)]
-    pool = {}
-    for lam in islice(product(*(range(b + 1) for b in bounds)), 1, None):   # skips (0, ..., 0)
-        det = _irrep_det(P, lam)
-        if min(map(sub, A, det)) >= 0:
-            pool[lam] = det
-    return pool
-
-
 def _fits(P: ParabolicData, dim_x: int) -> bool:
     """Whether G/P has fibres of dimension ``dim_x`` to enumerate, 2..dim G/P - 1;
     a ``dim_x`` not of type ``int`` raises ``ValueError``."""
@@ -81,20 +61,22 @@ def _fits(P: ParabolicData, dim_x: int) -> bool:
 def enumerate_candidates(P: ParabolicData, dim_x: int) -> list[TableRow]:
     """All candidate rows on G/P with fibres of dimension ``dim_x``.
 
-    Exhaustive within the bounds above; deterministic (canonically sorted,
-    deduplicated by construction).  Pool weights are dominant int tuples, so
-    each found row is built from them directly, without a :class:`RepSum`.
+    Exhaustive within the bounds above, by a search of
+    :attr:`~g2cy.parabolic.ParabolicData.summand_pool` that never moves back
+    in the pool: each multiset is found once, its summands already in the
+    canonical order, descending (string length, weight), and it becomes a row
+    as it is, split if its first summand has string length 1.  The rows are
+    sorted by :meth:`TableRow.sort_key`.
     """
     if not _fits(P, dim_x):
         raise OutOfRange(f"dim X = {dim_x} outside 2..{P.dim - 1} on {P.label}")
-    rank_budget = P.dim - dim_x
-    pool = [(w, P.string_length(w), det) for w, det in _candidate_pool(P, rank_budget).items()]
+    pool = P.summand_pool
     zero = wzero(P.rs.rank)
-    found: list[tuple[Weight, ...]] = []
+    rows: list[TableRow] = []
 
     def extend(start: int, rank_left: int, det_left: Weight, acc: tuple[Weight, ...]) -> None:
         for idx in range(start, len(pool)):
-            w, n, det = pool[idx]
+            n, w, det = pool[idx]
             if n > rank_left:
                 continue
             rest = tuple(map(sub, det_left, det))
@@ -103,10 +85,10 @@ def enumerate_candidates(P: ParabolicData, dim_x: int) -> list[TableRow]:
             if n < rank_left:
                 extend(idx, rank_left - n, rest, (*acc, w))
             elif rest == zero:          # the rank budget is spent
-                found.append((*acc, w))
+                summands = (*acc, w)
+                rows.append(TableRow(P.label, summands, P.string_length(summands[0]) == 1))
 
-    extend(0, rank_budget, P.anticanonical, ())
-    rows = [_canonical_row(P, ws) for ws in found]
+    extend(0, P.dim - dim_x, P.anticanonical, ())
     rows.sort(key=TableRow.sort_key)
     return rows
 
@@ -140,45 +122,39 @@ def verify_theorem() -> dict[str, TableRow]:
     return witnesses
 
 
+#: The published tables 1-4 as canonical rows, in the published order, unchecked:
+#: :func:`diff_against_paper` fails on any that the enumeration of valid rows misses.
 _REFERENCE_ROWS = {
     1: (
-        ("B", (2, 2)),
+        TableRow("B", ((2, 2),), True),
     ),
     2: (
-        ("P1", (3, 0)),
-        ("P2", (0, 5)),
-        ("B", (0, 1), (2, 1)),
-        ("B", (1, 1), (1, 1)),
-        ("B", (0, 2), (2, 0)),
+        TableRow("P1", ((3, 0),), True),
+        TableRow("P2", ((0, 5),), True),
+        TableRow("B", ((2, 1), (0, 1)), True),
+        TableRow("B", ((1, 1), (1, 1)), True),
+        TableRow("B", ((2, 0), (0, 2)), True),
     ),
     3: (
-        ("P1", (1, 1)),
-        ("P1", (1, 0), (2, 0)),
-        ("P2", (1, 1)),
-        ("P2", (0, 1), (0, 4)),
-        ("P2", (0, 2), (0, 3)),
-        ("B", (0, 1), (0, 1), (2, 0)),
-        ("B", (0, 1), (1, 0), (1, 1)),
-        ("B", (0, 2), (1, 0), (1, 0)),
+        TableRow("P1", ((1, 1),), False),
+        TableRow("P1", ((2, 0), (1, 0)), True),
+        TableRow("P2", ((1, 1),), False),
+        TableRow("P2", ((0, 4), (0, 1)), True),
+        TableRow("P2", ((0, 3), (0, 2)), True),
+        TableRow("B", ((2, 0), (0, 1), (0, 1)), True),
+        TableRow("B", ((1, 1), (1, 0), (0, 1)), True),
+        TableRow("B", ((1, 0), (1, 0), (0, 2)), True),
     ),
     4: (
-        ("P1", (0, 2)),
-        ("P1", (0, 1), (2, 0)),
-        ("P1", (1, 0), (1, 0), (1, 0)),
-        ("P2", (1, 0), (0, 2)),
-        ("P2", (0, 1), (0, 1), (0, 3)),
-        ("P2", (0, 1), (0, 2), (0, 2)),
-        ("B", (0, 1), (0, 1), (1, 0), (1, 0)),
+        TableRow("P1", ((0, 2),), False),
+        TableRow("P1", ((0, 1), (2, 0)), False),
+        TableRow("P1", ((1, 0), (1, 0), (1, 0)), True),
+        TableRow("P2", ((1, 0), (0, 2)), False),
+        TableRow("P2", ((0, 3), (0, 1), (0, 1)), True),
+        TableRow("P2", ((0, 2), (0, 2), (0, 1)), True),
+        TableRow("B", ((1, 0), (1, 0), (0, 1), (0, 1)), True),
     ),
 }
-
-
-def _reference_table(number: int) -> tuple[TableRow, ...]:
-    """Published table ``number`` as canonical rows, in the published order,
-    unchecked: :func:`diff_against_paper` fails on any that the enumeration of
-    valid rows misses."""
-    return tuple(_canonical_row(g2_parabolic(name), summands)
-                 for name, *summands in _REFERENCE_ROWS[number])
 
 
 def reference_tables() -> dict[int, tuple[TableRow, ...]]:
@@ -187,7 +163,7 @@ def reference_tables() -> dict[int, tuple[TableRow, ...]]:
     Tables 1-4 list the fibre dimensions 5, 4, 3, 2 respectively; rows keep
     the published order.
     """
-    return {number: _reference_table(number) for number in _REFERENCE_ROWS}
+    return dict(_REFERENCE_ROWS)
 
 
 DIM_TO_TABLE = {5: 1, 4: 2, 3: 3, 2: 4}
@@ -220,7 +196,7 @@ def diff_against_paper(dim_x: int) -> dict[str, list[TableRow]]:
     table_no = DIM_TO_TABLE.get(dim_x)
     if table_no is None:
         raise OutOfRange(f"no reference table for dim X = {dim_x}")
-    reference = _reference_table(table_no)
+    reference = _REFERENCE_ROWS[table_no]
     ref_set = set(reference)
     comp_set = set(computed)
     missing = [row for row in reference if row not in comp_set]

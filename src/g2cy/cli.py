@@ -214,7 +214,7 @@ def _cmd_table(args):
     from . import classify
     dim = {v: k for k, v in classify.DIM_TO_TABLE.items()}[args.number]
     items, text, md = _numbered(f"reference table {args.number} (dim X = {dim}):",
-                                classify._reference_table(args.number))
+                                classify.reference_tables()[args.number])
     return {"table": args.number, "dim_X": dim, "rows": items}, text, md
 
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from functools import lru_cache
+from itertools import islice, product
+from operator import sub
 
 from . import reps
 from .errors import UnsupportedLevi
@@ -55,6 +57,12 @@ class ParabolicData:
     levi_root : Weight
         The uncrossed simple root, or the zero weight on a torus: V(lam) has
         the weights lam - j * levi_root for j < ``string_length(lam)``.
+    summand_pool : tuple[tuple[int, Weight, Weight], ...]
+        (string length, lam, det V(lam)) for every nonzero dominant lam that
+        can be a summand of a classified bundle (see :mod:`~g2cy.classify`):
+        det V(lam) <= ``anticanonical`` in each coordinate and string length
+        <= dim G/P - 2.  Sorted by descending (string length, lam), the
+        canonical summand order; empty when dim G/P <= 2.
     """
 
     def __init__(self, rs: RootSystem, crossed: Iterable[int]):
@@ -88,6 +96,17 @@ class ParabolicData:
             raise AssertionError("tangent representation lost weights in decomposition")
         self.cotangent = reps.dual(self, self.tangent)
         self.trivial = reps.trivial(self)
+
+        # det_c >= lam_c bounds a crossed coordinate c, the string length an uncrossed one
+        longest = self.dim - 2
+        box = product(*(range(a + 1) if node in crossed else range(longest)
+                        for node, a in enumerate(self.anticanonical, 1)))
+        pool = []
+        for lam in islice(box, 1, None):    # skips (0, ..., 0)
+            n, det = self.string_length(lam), reps._irrep_det(self, lam)
+            if n <= longest and min(map(sub, self.anticanonical, det)) >= 0:
+                pool.append((n, lam, det))
+        self.summand_pool = tuple(sorted(pool, reverse=True))
 
     def _levi_supported(self, root) -> bool:
         return all(c == 0 or (i + 1) in self.uncrossed

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings, strategies as st
 
-from g2cy import (KoszulInput, RepSum, dual, enumerate_all, g2_parabolic,
+from g2cy import (KoszulInput, RepSum, TableRow, dual, enumerate_all, g2_parabolic,
                   g2_root_system, irrep, trivial, validate_candidate)
 
 # fixed example sequence and no per-example time limit, so runs are repeatable
@@ -123,3 +123,11 @@ def oracle_enumerate(name, dim_x):
 
     extend(0, [], 0, (0, 0))
     return found
+
+
+def oracle_canonical_row(P, weights):
+    """The row of dominant weights in canonical order, descending (irreducible
+    rank, weight) as :meth:`RepSum.sorted_terms` sorts terms, with ranks read
+    off :func:`irrep`; split if the first summand has rank 1."""
+    ordered = sorted(((irrep(P, w).rank, tuple(w)) for w in weights), reverse=True)
+    return TableRow(P.label, tuple(w for _, w in ordered), ordered[0][0] == 1)

@@ -1,5 +1,7 @@
 """Candidate enumeration, theorem verification, reference-table diffs."""
 
+from itertools import product
+
 import pytest
 
 from g2cy import (diff_against_paper, enumerate_all, enumerate_candidates,
@@ -10,7 +12,16 @@ from g2cy.classify import TableRow
 from g2cy.errors import MissingPaperRow, OutOfRange, TheoremViolated
 from g2cy.reps import irrep
 
-from conftest import oracle_enumerate
+from conftest import oracle_canonical_row, oracle_enumerate
+from test_outside_corpus import SPACES, parabolics
+from test_product_spaces import ROWS, ambient
+
+
+#: G2's parabolics, those outside the corpus and the products of projective spaces
+POOL_SPACES = {name: g2_parabolic(name) for name in ("P1", "P2", "B")}
+POOL_SPACES |= {f"{name}/{P.label}": P for name in SPACES for P in parabolics(name)}
+POOL_SPACES |= {"x".join(f"P{m}" for m in factors): ambient(factors)
+                for factors in sorted({row[1] for row in ROWS})}
 
 
 def summand_sets(rows):
@@ -51,9 +62,9 @@ class TestEnumerate:
                 assert row.split == all(irrep(P, w).rank == 1 for w in row.summands)
 
     def test_summand_order_is_the_repsum_order(self):
-        # found and reference rows are sorted by _canonical_row, candidates by
-        # RepSum.sorted_terms; both must give the order of the key below, and
-        # every reference row must validate as a candidate
+        # found rows come in the pool's order, reference rows are literal and
+        # candidates are sorted by RepSum.sorted_terms; all must give the order
+        # of the key below, and every reference row must validate as a candidate
         rows = [row for dim in (2, 3, 4, 5) for row in enumerate_all(dim)]
         rows += [row for table in reference_tables().values() for row in table]
         for row in rows:
@@ -61,7 +72,6 @@ class TestEnumerate:
             assert validate_candidate(P, row.summands).summands == row.summands
             assert list(row.summands) == sorted(
                 row.summands, key=lambda w: (irrep(P, w).rank, w), reverse=True)
-            assert classify._canonical_row(P, tuple(reversed(row.summands))) == row
 
     def test_deterministic(self):
         for dim in (2, 3, 4, 5):
@@ -88,28 +98,52 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("name", ["P1", "P2", "B"])
     def test_pool_dets_are_irrep_dets(self, name):
-        # the pool's closed-form det against RepSum.det and against the sum of
-        # the irreducible's weights, on every rank budget the enumeration uses
+        # the pool's closed-form det and string length against RepSum.det,
+        # RepSum.rank and the sum of the irreducible's weights
         P = g2_parabolic(name)
-        for dim_x in range(2, P.dim):
-            pool = classify._candidate_pool(P, P.dim - dim_x)
-            assert pool
-            assert list(pool) == sorted(pool)
-            for w, det in pool.items():
-                weights = irrep(P, w).weights()
-                assert det == irrep(P, w).det == tuple(
-                    sum(c * mu[i] for mu, c in weights.items()) for i in range(P.rs.rank))
+        assert P.summand_pool
+        for n, w, det in P.summand_pool:
+            weights = irrep(P, w).weights()
+            assert n == irrep(P, w).rank
+            assert det == irrep(P, w).det == tuple(
+                sum(c * mu[i] for mu, c in weights.items()) for i in range(P.rs.rank))
 
     @pytest.mark.parametrize("name", ["P1", "P2", "B"])
     def test_pool_dets_bound_crossed_coordinates(self, name):
-        # the enumeration bound: det_c >= lambda_c at every crossed node c, on
-        # every rank budget; det_c can be 0, as for (0, 1) on G/B
+        # the enumeration bound: det_c >= lambda_c at every crossed node c;
+        # det_c can be 0, as for (0, 1) on G/B
         P = g2_parabolic(name)
-        for dim_x in range(2, P.dim):
-            for w, det in classify._candidate_pool(P, P.dim - dim_x).items():
-                assert all(det[c - 1] >= w[c - 1] >= 0 for c in P.crossed), (w, det)
+        for _, w, det in P.summand_pool:
+            assert all(det[c - 1] >= w[c - 1] >= 0 for c in P.crossed), (w, det)
         if name == "B":
-            assert classify._candidate_pool(P, P.dim - 2)[(0, 1)] == (0, 1)
+            assert {w: det for _, w, det in P.summand_pool}[(0, 1)] == (0, 1)
+
+    @pytest.mark.parametrize("P", POOL_SPACES.values(), ids=POOL_SPACES)
+    def test_pool_is_a_brute_force_scan(self, P):
+        # every nonzero dominant weight of a box wider than the pool's bounds,
+        # with rank and det summed over its weights, in descending (rank,
+        # weight) order
+        bound = max(*P.anticanonical, P.dim) + 1
+        expected = []
+        for w in product(range(bound + 1), repeat=P.rs.rank):
+            weights = irrep(P, w).weights()
+            rank = sum(weights.values())
+            det = tuple(sum(c * mu[i] for mu, c in weights.items()) for i in range(P.rs.rank))
+            if any(w) and rank <= P.dim - 2 and all(d <= a for d, a in zip(det, P.anticanonical)):
+                expected.append((rank, w, det))
+        expected.sort(reverse=True)
+        pool = P.summand_pool
+        assert type(pool) is tuple and all(type(entry) is tuple for entry in pool)
+        assert all(a[:2] > b[:2] for a, b in zip(pool, pool[1:]))
+        assert pool == tuple(expected)
+
+    @pytest.mark.parametrize("factors", [(1,), (2,), (1, 1)])
+    def test_pool_is_empty_without_room_for_a_fibre(self, factors):
+        # P^1, P^2 and P^1 x P^1 have dim G/P <= 2, so no fibre of dimension
+        # >= 2 is cut out; on a torus Levi every string length is 1, which only
+        # the pool's string-length filter keeps out
+        P = ambient(factors)
+        assert P.dim <= 2 and P.summand_pool == ()
 
     @pytest.mark.parametrize("name", ["P1", "P2", "B"])
     @pytest.mark.parametrize("dim_x", [2, 3, 4, 5])
@@ -119,6 +153,22 @@ class TestEnumerate:
             return
         rows = enumerate_candidates(P, dim_x)
         assert {tuple(sorted(r.summands)) for r in rows} == oracle_enumerate(name, dim_x)
+
+    @pytest.mark.parametrize("name", ["P1", "P2", "B"])
+    def test_rows_are_the_oracle_rows(self, name):
+        # row for row, summand order and split flag included, in sort_key order
+        P = g2_parabolic(name)
+        for dim_x in range(2, P.dim):
+            expected = [oracle_canonical_row(P, summands)
+                        for summands in oracle_enumerate(name, dim_x)]
+            assert enumerate_candidates(P, dim_x) == sorted(expected, key=TableRow.sort_key)
+
+    def test_reference_rows_are_the_oracle_rows(self):
+        for table in reference_tables().values():
+            for row in table:
+                P = g2_parabolic(row.parabolic)
+                assert type(row) is TableRow
+                assert oracle_canonical_row(P, reversed(row.summands)) == row
 
 
 class TestTheorem:
@@ -159,7 +209,7 @@ class TestDiff:
         real = reference_tables()
         doctored = dict(real)
         doctored[3] = real[3] + (TableRow("B", ((1, 1), (1, 1)), True),)
-        monkeypatch.setattr(classify, "_reference_table", doctored.__getitem__)
+        monkeypatch.setattr(classify, "_REFERENCE_ROWS", doctored)
         with pytest.raises(MissingPaperRow):
             classify.diff_against_paper(3)
 
