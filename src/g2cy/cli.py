@@ -11,24 +11,27 @@ invariants <P> <summands>     full invariant record of a candidate
 table <1..4>                  print a reference table verbatim
 
 Summands are written "(a,b)" and joined with "+", e.g. "(1,0)+(2,0)".
-Parabolics are named P1, P2 or B.  Exit codes: 0 success, 1 error or missing
-reference row, 2 reserved for `classify --check-paper` finding extra rows
-(the documented audit signal).
+Parabolics are named P1, P2 or B.  --format and --seed (ignored: output is
+deterministic) go before or after the command, the later winning; options are
+spelt in full, as --opt value or --opt=value, and <command> -h shows its usage.
+Exit codes: 0 success, 1 error or missing reference row, 2 reserved for
+`classify --check-paper` finding extra rows (the documented audit signal).
 
-Layout (the text above is the ``--help`` description): each ``_cmd_*`` returns
-``(payload, text_lines, md_lines)``; ``main`` alone prints, and exits 2 exactly
-when ``payload["check"]["extra"]`` is non-empty.  ``--format`` and ``--seed``
-may come before or after the command (after wins).  A closed stdout exits 1.
-Each handler imports ``classify``, ``cohomology`` or ``invariants`` itself.
+Layout (the text above is the top-level ``--help``): ``_COMMANDS`` holds each
+command's handler, arguments and one-line help; ``parse_args`` reads argv against
+it in one pass.  Each ``_cmd_*`` returns ``(payload, text_lines, md_lines)``;
+``main`` alone prints, and exits 2 exactly when ``payload["check"]["extra"]`` is
+non-empty.  A closed stdout exits 1.  Each handler imports ``classify``,
+``cohomology`` or ``invariants`` itself.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 from .errors import G2CYError
 from .parabolic import G2_PARABOLIC_NAMES, g2_parabolic, g2_root_system
@@ -36,14 +39,6 @@ from .reps import RepSum
 from .root_system import weight_str
 
 _WEIGHT_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; 2 is reserved for the
-    # classify --check-paper discrepancy signal, so remap usage errors to 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def parse_summands(text: str) -> list[tuple[int, int]]:
@@ -218,53 +213,88 @@ def _cmd_table(args):
     return {"table": args.number, "dim_X": dim, "rows": items}, text, md
 
 
-def _options(fmt, seed) -> _Parser:
-    options = _Parser(add_help=False)
-    options.add_argument("--format", choices=("text", "md", "json"), default=fmt)
-    options.add_argument("--seed", type=int, default=seed,
-                         help="accepted for harness compatibility; ignored "
-                              "(all computation is deterministic)")
-    return options
+#: what an argument accepts: a tuple of choices (read by ``int`` first when
+#: they are ints), ``int`` or ``str`` for any such value, or ``bool`` for a flag
+_COMMON = {"--format": ("text", "md", "json"), "--seed": int}
+_P, _E = ("parabolic", G2_PARABOLIC_NAMES), ("summands", str)
+
+#: command: (handler, positionals, options, required options, one-line help)
+_COMMANDS = {
+    "roots": (_cmd_roots, (), {}, (), "root data of G2"),
+    "parabolic": (_cmd_parabolic, (_P,), {}, (), "dim G/P, tangent representation, anticanonical"),
+    "bundle": (_cmd_bundle, (_P, _E), {}, (), "rank, determinant and weights of a bundle"),
+    "cohomology": (_cmd_cohomology, (_P, _E), {}, (), "cohomology table of the bundle"),
+    "classify": (_cmd_classify, (), {"--dim": (2, 3, 4, 5), "--parabolic": G2_PARABOLIC_NAMES,
+                                     "--check-paper": bool}, ("--dim",),
+                 "enumerate candidate rows; --check-paper diffs them against the paper"),
+    "invariants": (_cmd_invariants, (_P, _E), {}, (), "full invariant record of a candidate"),
+    "table": (_cmd_table, (("number", (1, 2, 3, 4)),), {}, (), "print a reference table verbatim"),
+}
+#: ``g2cy`` before its command, whose help is the module docstring up to "Layout"
+_TOP = (None, (("command", tuple(_COMMANDS)),), {}, (), (__doc__ or "").partition("\n\nLayout")[0])
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="g2cy", description=__doc__.partition("\nLayout")[0],
-                     parents=[_options("text", None)],
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    # after the command the options have no defaults, so they cannot overwrite
-    # a --format or --seed given before it
-    common = _options(argparse.SUPPRESS, argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage(command) -> str:
+    _, positionals, options, required, _ = _COMMANDS.get(command, _TOP)
+    words = ["usage: g2cy", *filter(None, [command]), "[-h]"]
+    for name, kind in [*_COMMON.items(), *options.items(), *positionals]:
+        value = ("{" + ",".join(map(str, kind)) + "}" if isinstance(kind, tuple)
+                 else name.lstrip("-").upper())
+        word = name if kind is bool else f"{name} {value}" if name[0] == "-" else value
+        words.append(word if name in required or name[0] != "-" else f"[{word}]")
+    return " ".join(words) + (" ..." if command is None else "")
 
-    def command(name, run, help_text):
-        p = sub.add_parser(name, help=help_text, parents=[common])
-        p.set_defaults(run=run)
-        return p
 
-    command("roots", _cmd_roots, "root data of G2")
-    command("parabolic", _cmd_parabolic, "data of one parabolic").add_argument(
-        "parabolic", choices=G2_PARABOLIC_NAMES)
-    for name, run, help_text in (
-            ("bundle", _cmd_bundle, "rank/det/weights of a bundle"),
-            ("cohomology", _cmd_cohomology, "cohomology table of a bundle"),
-            ("invariants", _cmd_invariants, "invariant record of a candidate")):
-        p = command(name, run, help_text)
-        p.add_argument("parabolic", choices=G2_PARABOLIC_NAMES)
-        p.add_argument("summands", help='e.g. "(1,0)+(2,0)"')
+def parse_args(argv) -> SimpleNamespace:
+    """The namespace the ``_cmd_*`` handlers read, from one pass over ``argv``: help
+    exits 0 on stdout, a usage error 1 with the usage line and the error on stderr."""
+    args = SimpleNamespace(command=None, run=None, format="text", seed=None, parabolic=None,
+                           summands=None, number=None, dim=None, check_paper=False)
+    positionals, required, options = _TOP[1], (), _COMMON
 
-    p = command("classify", _cmd_classify, "enumerate candidate rows")
-    p.add_argument("--dim", type=int, required=True, choices=(2, 3, 4, 5))
-    p.add_argument("--parabolic", choices=G2_PARABOLIC_NAMES)
-    p.add_argument("--check-paper", action="store_true",
-                   help="diff against the reference table; exit 2 on extra rows")
+    def fail(message):
+        print(f"{_usage(args.command)}\ng2cy: error: {message}", file=sys.stderr)
+        raise SystemExit(1)
 
-    command("table", _cmd_table, "print a reference table").add_argument(
-        "number", type=int, choices=(1, 2, 3, 4))
-    return parser
+    def value(name, kind, text):
+        try:
+            v = int(text) if kind is int or kind is not str and type(kind[0]) is int else text
+        except ValueError:
+            fail(f"argument {name}: invalid int value: {text!r}")
+        if isinstance(kind, tuple) and v not in kind:
+            fail(f"argument {name}: invalid choice: {text!r} "
+                 f"(choose from {', '.join(map(str, kind))})")
+        return v
+
+    tokens = iter(argv)
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        kind = options.get(token if options.get(name) is bool else name)  # no flag=value
+        if token in ("-h", "--help"):
+            print(f"{_usage(args.command)}\n\n{_COMMANDS.get(args.command, _TOP)[-1]}")
+            raise SystemExit(0)
+        if not token.startswith("-") and positionals:
+            (name, kind), *positionals = positionals
+            setattr(args, name, value(name, kind, token))
+            if name == "command":
+                args.run, positionals, more, required, _ = _COMMANDS[token]
+                options = {**_COMMON, **more}
+        elif kind is None:
+            fail(f"unrecognized argument: {token}")
+        elif kind is bool:
+            setattr(args, name[2:].replace("-", "_"), True)
+        elif eq or (text := next(tokens, None)) is not None:
+            setattr(args, name[2:], value(name, kind, text))
+        else:
+            fail(f"argument {name}: expected one argument")
+    missing = [n for n, _ in positionals] + [n for n in required if getattr(args, n[2:]) is None]
+    if missing:
+        fail("the following arguments are required: " + ", ".join(missing))
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         payload, text, md = args.run(args)
     except G2CYError as exc:

@@ -61,16 +61,16 @@ class Candidate(namedtuple("Candidate", "P summands rank dim_x det rep")):
 def validate_candidate(P: ParabolicData, summands) -> Candidate:
     """Check the classification conditions and build a Candidate.
 
-    Conditions, in order: each raw weight passes ``check_weight``, then the
-    :class:`KoszulInput` guard :func:`~g2cy.koszul._check_cut` and :class:`RepSum`'s
-    checks; total rank at most dim G/P - 2; determinant equal to the anticanonical weight.
+    Conditions, in order: each raw weight passes ``check_weight``, then the :class:`KoszulInput`
+    guard :func:`~g2cy.koszul._check_cut`; total rank at most dim G/P - 2, summed from string
+    lengths before the :class:`RepSum` is built; determinant equal to the anticanonical weight.
     """
     weights = [check_weight(w, P.rs.rank) for w in summands]
     _check_cut(P, weights)
-    rep = RepSum(P, [(w, 1) for w in weights])
-    rank = rep.rank
+    rank = sum(map(P.string_length, weights))
     if rank > P.dim - 2:
         raise RankTooLarge(f"rank {rank} exceeds dim G/P - 2 = {P.dim - 2}")
+    rep = RepSum(P, [(w, 1) for w in weights])
     det = rep.det
     if det != P.anticanonical:
         raise WrongDeterminant(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from g2cy import classify, enumerate_all, invariants
-from g2cy.cli import build_parser, main, parse_summands
+from g2cy.cli import main, parse_args, parse_summands
 from g2cy.errors import G2CYError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -207,7 +207,7 @@ class TestHarness:
          "json", 4),
     ])
     def test_option_placement(self, argv, fmt, seed):
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
         assert (args.format, args.seed) == (fmt, seed)
 
     @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
@@ -235,10 +235,91 @@ class TestHarness:
         assert first == second
 
 
+USAGE = ("usage: g2cy [-h] [--format {text,md,json}] [--seed SEED] "
+         "{roots,parabolic,bundle,cohomology,classify,invariants,table} ...")
+
+
+def command_usage(command, rest):
+    return f"usage: g2cy {command} [-h] [--format {{text,md,json}}] [--seed SEED]{rest}"
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv,usage,message", [
+        ([], USAGE, "the following arguments are required: command"),
+        (["foo"], USAGE, "argument command: invalid choice: 'foo' (choose from roots, "
+                         "parabolic, bundle, cohomology, classify, invariants, table)"),
+        (["parabolic", "P9"], command_usage("parabolic", " {P1,P2,B}"),
+         "argument parabolic: invalid choice: 'P9' (choose from P1, P2, B)"),
+        (["table", "5"], command_usage("table", " {1,2,3,4}"),
+         "argument number: invalid choice: '5' (choose from 1, 2, 3, 4)"),
+        (["table", "x"], command_usage("table", " {1,2,3,4}"),
+         "argument number: invalid int value: 'x'"),
+        (["--format", "xml", "roots"], USAGE,
+         "argument --format: invalid choice: 'xml' (choose from text, md, json)"),
+        (["classify"], command_usage("classify", " --dim {2,3,4,5} [--parabolic {P1,P2,B}] "
+                                                 "[--check-paper]"),
+         "the following arguments are required: --dim"),
+        (["classify", "--dim", "3", "--check-paper=yes"],
+         command_usage("classify", " --dim {2,3,4,5} [--parabolic {P1,P2,B}] [--check-paper]"),
+         "unrecognized argument: --check-paper=yes"),
+        (["roots", "--dim", "3"], command_usage("roots", ""), "unrecognized argument: --dim"),
+        (["table", "1", "--check-paper"], command_usage("table", " {1,2,3,4}"),
+         "unrecognized argument: --check-paper"),
+        (["roots", "--form", "json"], command_usage("roots", ""),
+         "unrecognized argument: --form"),
+        (["roots", "--format"], command_usage("roots", ""),
+         "argument --format: expected one argument"),
+        (["--seed", "x", "roots"], USAGE, "argument --seed: invalid int value: 'x'"),
+        (["bundle", "P1"], command_usage("bundle", " {P1,P2,B} SUMMANDS"),
+         "the following arguments are required: summands"),
+        (["bundle", "P1", "(1,0)", "(2,0)"], command_usage("bundle", " {P1,P2,B} SUMMANDS"),
+         "unrecognized argument: (2,0)"),
+    ], ids=" ".join)
+    def test_usage_error(self, capsys, argv, usage, message):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert capsys.readouterr() == ("", f"{usage}\ng2cy: error: {message}\n")
+
+    @pytest.mark.parametrize("argv,attrs", [
+        (["--format=json", "roots", "--seed=5"], {"format": "json", "seed": 5}),
+        (["classify", "--dim=03", "--parabolic=B"], {"dim": 3, "parabolic": "B"}),
+        (["classify", "--check-paper", "--dim", "04"], {"dim": 4, "check_paper": True}),
+        (["table", "02", "--seed", "-1"], {"number": 2, "seed": -1}),
+    ])
+    def test_option_forms(self, argv, attrs):
+        args = parse_args(argv)
+        assert {key: getattr(args, key) for key in attrs} == attrs
+
+    def test_namespace_has_every_attribute(self):
+        args = parse_args(["roots"])
+        assert vars(args) == {"command": "roots", "run": args.run, "format": "text",
+                              "seed": None, "parabolic": None, "summands": None,
+                              "number": None, "dim": None, "check_paper": False}
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--format", "md", "-h", "roots"]])
+    def test_top_level_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        out, err_text = capsys.readouterr()
+        assert (err.value.code, err_text) == (0, "")
+        assert out.startswith(USAGE + "\n\nCommand-line front end.\n")
+        assert "table <1..4>" in out and "Layout" not in out
+
+    def test_command_help(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["invariants", "P1", "-h"])
+        assert err.value.code == 0
+        assert capsys.readouterr() == (
+            command_usage("invariants", " {P1,P2,B} SUMMANDS")
+            + "\n\nfull invariant record of a candidate\n", "")
+
+
 class TestImportWeight:
     # stdlib modules the package does not need on its import path; -S keeps
     # site's .pth files from preloading any of them
-    HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "typing", "json")
+    HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "typing", "json", "argparse",
+             "gettext", "locale")
 
     def test_cli_import_leaves_heavy_stdlib_unloaded(self):
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import g2cy.cli; "

@@ -109,6 +109,14 @@ class TestValidate:
         with pytest.raises(RankTooLarge):
             candidate(P1, (1, 0), (1, 0), (1, 0), (1, 0))
 
+    def test_rank_is_checked_before_any_weight_is_built(self, P1, monkeypatch):
+        # the RepSum of (0,10^9) would hold 10^9 + 1 weights
+        def no_repsum(*args):
+            raise AssertionError("RepSum built")
+        monkeypatch.setattr(invariants, "RepSum", no_repsum)
+        with pytest.raises(RankTooLarge, match=r"^rank 1000000001 exceeds dim G/P - 2 = 3$"):
+            candidate(P1, (0, 10**9))
+
     def test_bool_summands_are_rejected(self, P1):
         # True == 1, so (True, True) would pass for (1, 1) and reach the JSON
         # record as [true, true]
