@@ -50,10 +50,6 @@ class RankTooLarge(G2CYError):
     """Bundle rank exceeds dim G/P - 2."""
 
 
-class NotMaximalParabolic(G2CYError):
-    """Operation needs Picard rank one, i.e. a maximal parabolic."""
-
-
 class FitInconsistent(G2CYError):
     """Hilbert samples do not lie on a two-term odd cubic."""
 

@@ -23,10 +23,10 @@ threefold: with K_X trivial, Serre duality gives χ(O_X) = 0 and
 χ(Ω^2_X) = -χ(Ω^1_X), so χ_top = Σ_p (-1)^p χ(Ω^p_X) = -2 χ(Ω^1_X).  A
 record's statuses follow from its values alone.
 
-Degree and c_2 are extracted from exact Hilbert samples χ(O_X(i)): for a
-threefold with χ(O_X) = 0 and odd Serre symmetry these lie on the two-term
-cubic  deg/6 · i^3 + c2/12 · i, which is fitted exactly and re-verified on
-every sample.
+Degree H^3 and c_2·H come from exact Hilbert samples χ(O_X(i)) on every
+parabolic, O_X(1) = L_H|_X as in :func:`~g2cy.koszul.hilbert_value`: by
+Riemann–Roch with c_1 = 0 they lie on the two-term cubic
+H^3/6 · i^3 + c_2·H/12 · i, fitted exactly and re-verified on every sample.
 """
 
 from __future__ import annotations
@@ -62,16 +62,15 @@ def validate_candidate(P: ParabolicData, summands) -> Candidate:
     """Check the classification conditions and build a Candidate.
 
     Conditions, in order: each raw weight passes ``check_weight``, then the :class:`KoszulInput`
-    guard :func:`~g2cy.koszul._check_cut`; total rank at most dim G/P - 2, summed from string
-    lengths before the :class:`RepSum` is built; determinant equal to the anticanonical weight.
+    guard :func:`~g2cy.koszul._check_cut`; total rank at most dim G/P - 2, read off the
+    :class:`RepSum`, which builds no weight; determinant equal to the anticanonical weight.
     """
     weights = [check_weight(w, P.rs.rank) for w in summands]
     _check_cut(P, weights)
-    rank = sum(map(P.string_length, weights))
+    rep = RepSum(P, [(w, 1) for w in weights])
+    rank, det = rep.rank, rep.det
     if rank > P.dim - 2:
         raise RankTooLarge(f"rank {rank} exceeds dim G/P - 2 = {P.dim - 2}")
-    rep = RepSum(P, [(w, 1) for w in weights])
-    det = rep.det
     if det != P.anticanonical:
         raise WrongDeterminant(
             f"det E = {weight_str(det)} differs from the anticanonical "
@@ -169,7 +168,7 @@ def hodge_numbers(c: Candidate) -> HodgeRecord:
 
 
 def degree_and_c2(c: Candidate) -> tuple[int, int, list[tuple[int, int]]]:
-    """Degree and c_2·H of the polarised threefold from exact Hilbert samples.
+    """Degree H^3 and c_2·H of the threefold polarised by L_H from exact Hilbert samples.
 
     Samples χ(O_X(i)) for i = -4..4, solves the two-term cubic from i = 1, 2
     and verifies every sample in integers as 12 χ = 2 deg i^3 + c2H i
@@ -202,7 +201,8 @@ def _status(value) -> str:
 
 
 def to_record(c: Candidate) -> dict:
-    """JSON-able invariant record for one candidate; on a threefold ``euler`` is -2 χ(Ω^1_X)."""
+    """JSON-able invariant record for one candidate; on every threefold ``euler`` is
+    -2 χ(Ω^1_X) and :func:`degree_and_c2` gives ``deg``, ``c2H`` and ``chi_samples``."""
     hr = hodge_numbers(c)
     three = c.dim_x == 3
     record: dict = {
@@ -220,7 +220,7 @@ def to_record(c: Candidate) -> dict:
         "deg": None,
         "c2H": None,
     }
-    if three and len(c.P.crossed) == 1:
+    if three:
         record["deg"], record["c2H"], samples = degree_and_c2(c)
         record["chi_samples"] = [[i, v] for i, v in samples]
     record["statuses"] = {

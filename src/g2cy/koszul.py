@@ -10,8 +10,9 @@ the first page E1(k, q) = H^q(F, Λ^k E* ⊗ W) of a spectral sequence
 converging to H^{q-k}(X, W|_X).  The weight multisets of Λ^k E*
 (``_koszul_layers``, built once per bundle) feed both E1 columns, which
 :func:`~g2cy.reps._straightened` splits into signed Levi irreducibles against
-the terms of W, and Hilbert samples; both read Borel–Weil–Bott off
-:func:`~g2cy.cohomology._bott` unchecked.
+the terms of W, and Hilbert samples χ(O_X(i)), with O_X(1) = L_H|_X and H
+the sum of the crossed fundamental weights on every parabolic; both read
+Borel–Weil–Bott off :func:`~g2cy.cohomology._bott` unchecked.
 
 The differentials depend on the chosen section (they are contractions with
 it), so they are not equivariant maps and cannot be dismissed by comparing
@@ -60,8 +61,7 @@ from math import comb
 from operator import add
 
 from .cohomology import _bott
-from .errors import (InconsistentSpectralSequence, NotGloballyGenerated,
-                     NotMaximalParabolic, TrivialSummand)
+from .errors import InconsistentSpectralSequence, NotGloballyGenerated, TrivialSummand
 from .parabolic import ParabolicData, is_g_dominant
 from .reps import (RepSum, _check_parabolic, _exterior_layers, _straightened, dual,
                    exterior_power, tensor)
@@ -100,10 +100,10 @@ class KoszulInput(namedtuple("KoszulInput", "P E W")):
 
 def _koszul_layers(P: ParabolicData, E: RepSum) -> tuple[tuple[tuple[Weight, int], ...], ...]:
     """Weight multisets of Λ^k E* for k = 0..rank E as read-only (weight, count)
-    pairs, built once from E's weight pairs and kept on ``E`` for all its pages
-    and Hilbert samples."""
+    pairs, built once from :meth:`~g2cy.reps.RepSum.weights` and kept on ``E``
+    for all its pages and Hilbert samples."""
     if E._dual_layers is None:
-        negated = (wneg(mu) for mu, m in E._pairs for _ in range(m))
+        negated = map(wneg, E.weights().elements())
         E._dual_layers = tuple(tuple(layer.items()) for layer in _exterior_layers(P, negated))
     return E._dual_layers
 
@@ -321,25 +321,22 @@ def restricted_cohomology(inp: KoszulInput) -> RestrictedCohomology:
 
 
 def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:
-    """Exact Euler characteristic of the i-th twist of O_X.
+    """Exact Euler characteristic of the i-th twist of O_X, on any parabolic.
 
-    Needs a maximal parabolic so that Pic F is generated by one line bundle
-    L = E_omega, with omega the fundamental weight of the crossed node;
-    negative twists are allowed.  χ is additive and χ(F, E_mu) is Weyl's
-    product W(mu): (-1)^l dim for (l, _, dim) = :func:`~g2cy.cohomology._bott`,
-    so the Koszul resolution gives χ(O_X(i)) = Σ_S (-1)^|S| W(i omega - ε_S),
-    S running over the sub-multisets of the weights ε of E: the layers of
-    :func:`_koszul_layers` with sign (-1)^k, as in the E1 columns, and no
-    spectral sequence involved.  A twist not of type ``int`` raises ``ValueError``.
+    O_X(1) = L_H|_X, H the sum of the fundamental weights of the crossed nodes,
+    which span the nef cone: so H is ample, the generator of Pic on a maximal
+    parabolic and rho on G/B; negative twists are allowed.  χ is additive and
+    χ(F, E_mu) is Weyl's product W(mu): (-1)^l dim for (l, _, dim) =
+    :func:`~g2cy.cohomology._bott`, so the Koszul resolution gives χ(O_X(i)) =
+    Σ_S (-1)^|S| W(iH - ε_S), S running over the sub-multisets of the weights
+    ε of E: the layers of :func:`_koszul_layers` with sign (-1)^k, as in the
+    E1 columns, and no spectral sequence involved.  An ``E`` over another
+    parabolic or a twist not of type ``int`` raises ``ValueError``.
     """
-    if len(P.crossed) != 1:
-        raise NotMaximalParabolic(
-            f"{P.label} has Picard rank {len(P.crossed)}; a single twist is undefined")
     _check_parabolic(P, E)
     if type(i) is not int:
         raise ValueError(f"twist {i!r} is not an integer")
-    node = next(iter(P.crossed))
-    line = tuple(i if j == node - 1 else 0 for j in range(P.rs.rank))
+    line = tuple(i if j + 1 in P.crossed else 0 for j in range(P.rs.rank))
     rs, total = P.rs, 0
     for k, layer in enumerate(_koszul_layers(P, E)):
         for mu, c in layer:

@@ -22,7 +22,9 @@ weights the package built and checked, so they add them with a bare
 A :class:`RepSum` is a formal non-negative combination of irreducibles over a
 fixed parabolic.  It models every bundle in the package: bundles on G/P
 correspond to P-representations, with rank, determinant and weight multiset
-matching the representation-theoretic ones.
+matching the representation-theoretic ones.  It holds its terms, and its
+weights are built only when :meth:`RepSum.weights` is read, so what reads
+highest weights alone costs the size of the terms, not of the rank.
 """
 
 from __future__ import annotations
@@ -64,35 +66,28 @@ class RepSum:
 
     Built from a mapping or an iterable of (highest weight, multiplicity)
     pairs, repeated weights adding up; see :func:`_collect` for the checks.
-    ``terms`` never changes, so construction derives, in one pass: ``rank``,
-    ``det`` (by :func:`_irrep_det`) and ``_pairs``, the weight multiset as
-    read-only (weight, multiplicity) pairs, each term's string lam,
-    lam - levi_root, ....  Only the weights of its Λ^k duals, which cut
-    bundles alone need, are built later, by :mod:`~g2cy.koszul`.
+    A sum holds its terms and no weight: ``terms`` never changes, so
+    construction derives ``rank`` and ``det`` (by :func:`_irrep_det`) from
+    the highest weights alone, and :meth:`weights` builds the weight multiset
+    when it is read.  The weights of its Λ^k duals, which cut bundles alone
+    need, are built once, by :mod:`~g2cy.koszul`, and kept.
     """
 
-    __slots__ = ("parabolic", "terms", "rank", "det", "_pairs", "_dual_layers")
+    __slots__ = ("parabolic", "terms", "rank", "det", "_dual_layers")
 
     def __init__(self, parabolic: "ParabolicData", terms: Mapping[Weight, int] | Iterable = ()):
         clean = _collect(parabolic, terms)
-        pairs: dict[Weight, int] = {}
         rank, det = 0, [0] * parabolic.rs.rank
         for lam, m in clean.items():
             if not parabolic.is_p_dominant(lam):
                 raise NotPDominant(f"{weight_str(lam)} is not p-dominant for {parabolic.label}")
-            n = parabolic.string_length(lam)
-            rank += m * n
+            rank += m * parabolic.string_length(lam)
             for k, x in enumerate(_irrep_det(parabolic, lam)):
                 det[k] += m * x
-            mu = lam
-            for _ in range(n):
-                pairs[mu] = pairs.get(mu, 0) + m
-                mu = tuple(map(sub, mu, parabolic.levi_root))
         self.parabolic = parabolic
         self.terms = clean
         self.rank = rank
         self.det: Weight = tuple(det)
-        self._pairs = tuple(pairs.items())
         self._dual_layers = None
 
     def sorted_terms(self) -> list[tuple[Weight, int]]:
@@ -102,8 +97,15 @@ class RepSum:
                       reverse=True)
 
     def weights(self) -> Counter:
-        """Full weight multiset, a fresh ``Counter``; its cardinality equals the rank."""
-        return Counter(dict(self._pairs))
+        """Full weight multiset, a fresh ``Counter`` built from the terms: each
+        term's string lam, lam - levi_root, ...; its cardinality equals the rank."""
+        P, out = self.parabolic, Counter()
+        for lam, m in self.terms.items():
+            mu = lam
+            for _ in range(P.string_length(lam)):
+                out[mu] += m
+                mu = tuple(map(sub, mu, P.levi_root))
+        return out
 
     def __add__(self, other: "RepSum") -> "RepSum":
         if not isinstance(other, RepSum):
@@ -134,7 +136,8 @@ class RepSum:
 
 def _check_parabolic(P: "ParabolicData", *sums: RepSum) -> None:
     """Raise ``ValueError`` unless every sum lives over ``P``.  A record runs it
-    4 times, 13 with Hilbert samples: a plain loop, ``is`` (shared parabolics) before ``!=``."""
+    4 times, 13 on a threefold, which adds nine Hilbert samples on every parabolic:
+    a plain loop, ``is`` (shared parabolics) before ``!=``."""
     for r in sums:
         if r.parabolic is not P and r.parabolic != P:
             raise ValueError("every representation must live over the given parabolic")
@@ -205,7 +208,7 @@ def decompose(P: "ParabolicData", multiset: Mapping[Weight, int] | Iterable) -> 
     """
     work = _collect(P, multiset)
     result = _net(P, work.items(), ((wzero(P.rs.rank), 1),))
-    if dict(result._pairs) != work:
+    if result.weights() != work:
         raise NotARepresentation(
             f"weight multiset is not a sum of {P.label} weight strings")
     return result
@@ -242,7 +245,7 @@ def tensor(P: "ParabolicData", a: RepSum, b: RepSum) -> RepSum:
     ``b``; the rank is checked to be multiplicative and the determinant to be
     rank b · det a + rank a · det b."""
     _check_parabolic(P, a, b)
-    result = _net(P, a._pairs, b.terms.items())
+    result = _net(P, a.weights().items(), b.terms.items())
     if (result.rank != a.rank * b.rank
             or result.det != wadd(wscale(b.rank, a.det), wscale(a.rank, b.det))):
         raise AssertionError("tensor product has the wrong rank or determinant")
@@ -259,7 +262,7 @@ def exterior_power(P: "ParabolicData", r: RepSum, k: int) -> RepSum:
     n = r.rank
     if not 0 <= k <= n:
         raise OutOfRange(f"exterior power {k} outside 0..{n}")
-    layer = _exterior_layers(P, (mu for mu, m in r._pairs for _ in range(m)))[k]
+    layer = _exterior_layers(P, r.weights().elements())[k]
     if sum(layer.values()) != comb(n, k):
         raise AssertionError("exterior power has wrong cardinality")
     return decompose(P, layer)

@@ -11,6 +11,7 @@ import pytest
 from g2cy import classify, enumerate_all, invariants
 from g2cy.cli import main, parse_args, parse_summands
 from g2cy.errors import G2CYError
+from g2cy.reps import RepSum
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -75,6 +76,18 @@ class TestParabolicAndBundle:
         code, out, _ = run(capsys, "cohomology", "P1", "(-3,0)")
         assert code == 0
         assert "H^5" in out and "dim 1" in out
+
+    def test_cohomology_builds_no_weight(self, capsys, monkeypatch):
+        # V(0,10^9) has 10^9 + 1 weights; cohomology reads highest weights only,
+        # so it answers with the weight builder patched to fail.  The dimension
+        # is the G2 Weyl formula at m = 10^9 times the 7-dimensional ω2
+        def no_weights(self):
+            raise AssertionError("weights built")
+        monkeypatch.setattr(RepSum, "weights", no_weights)
+        m = 10 ** 9
+        dim = (m + 1) * (m + 2) * (m + 3) * (m + 4) * (2 * m + 5) // 120
+        assert run(capsys, "cohomology", "P1", f"(0,{m})") == (
+            0, f"H^*(G/P1, (0,{m})):\nH^0 = V(0,{m}), dim {dim}\n", "")
 
 
 class TestClassify:

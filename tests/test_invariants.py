@@ -110,10 +110,11 @@ class TestValidate:
             candidate(P1, (1, 0), (1, 0), (1, 0), (1, 0))
 
     def test_rank_is_checked_before_any_weight_is_built(self, P1, monkeypatch):
-        # the RepSum of (0,10^9) would hold 10^9 + 1 weights
-        def no_repsum(*args):
-            raise AssertionError("RepSum built")
-        monkeypatch.setattr(invariants, "RepSum", no_repsum)
+        # (0,10^9) has 10^9 + 1 weights; its RepSum holds the one term, and the
+        # rank check reads the sum's rank with the weight builder patched to fail
+        def no_weights(self):
+            raise AssertionError("weights built")
+        monkeypatch.setattr(reps.RepSum, "weights", no_weights)
         with pytest.raises(RankTooLarge, match=r"^rank 1000000001 exceeds dim G/P - 2 = 3$"):
             candidate(P1, (0, 10**9))
 
@@ -489,12 +490,53 @@ class TestRecord:
         statuses = to_record(candidate(B, (0, 1), (0, 1), (2, 0)))["statuses"]
         assert statuses == {"h0q": ["determined"] * 4, "h1q": ["determined"] * 4,
                             "h11": "determined", "h12": "determined", "euler": "determined",
-                            "deg": "not_applicable", "c2H": "not_applicable"}
+                            "deg": "determined", "c2H": "determined"}
+        # the threefold columns of a K3 surface are null
+        statuses = to_record(candidate(B, (1, 0), (1, 0), (0, 1), (0, 1)))["statuses"]
+        assert [statuses[key] for key in ("h11", "h12", "euler", "deg", "c2H")] == [
+            "not_applicable"] * 5
 
-    def test_borel_record_has_no_polarised_invariants(self, B):
-        record = to_record(candidate(B, (0, 1), (0, 1), (2, 0)))
-        assert record["deg"] is None and record["c2H"] is None
-        assert record["statuses"]["deg"] == "not_applicable"
+    def test_borel_threefolds_match_the_two_variable_fit(self, B):
+        # oracle through public representations: χ(O_X(a,b)) for a, b in -2..2
+        # from the Koszul terms Λ^k E* ⊗ L_(a,b) (dual, exterior_power, tensor,
+        # euler_char), fitted exactly to 12χ = 2D^3 + c2·D with D = a H1 + b H2;
+        # the record's deg and c2H are that fit at H = H1 + H2 = rho
+        def twelve_chi(c, a, b):
+            inp = KoszulInput(B, c.rep, reps.irrep(B, (a, b)))
+            return 12 * sum((-1) ** k * euler_char(B, t) for k, t in enumerate(koszul_terms(inp)))
+
+        def exact(n, d):
+            q, r = divmod(n, d)
+            assert r == 0
+            return q
+
+        # (H1^3, H1^2 H2, H1 H2^2, H2^3), c2·(H1, H2), H^3 and c2·H
+        expected = {((2, 0), (0, 1), (0, 1)): ((36, 24, 12, 4), (84, 52), 148, 136),
+                    ((1, 1), (1, 0), (0, 1)): ((36, 30, 18, 8), (84, 56), 188, 140),
+                    ((1, 0), (1, 0), (0, 2)): ((36, 36, 24, 12), (84, 60), 228, 144)}
+        threefolds = [c for c in all_rows() if c.P.label == "B" and c.dim_x == 3]
+        assert {c.summands for c in threefolds} == set(expected)
+        for c in threefolds:
+            s = {(a, b): twelve_chi(c, a, b) for a in range(-2, 3) for b in range(-2, 3)}
+            # the pure twists give H1^3, c2·H1 and H2^3, c2·H2; (1, ±1) the mixed terms
+            h1, h2 = exact(s[2, 0] - 2 * s[1, 0], 12), exact(s[0, 2] - 2 * s[0, 1], 12)
+            c2 = (s[1, 0] - 2 * h1, s[0, 1] - 2 * h2)
+            plus = s[1, 1] - 2 * h1 - 2 * h2 - c2[0] - c2[1]
+            minus = s[1, -1] - 2 * h1 + 2 * h2 - c2[0] + c2[1]
+            form = (h1, exact(plus - minus, 12), exact(plus + minus, 12), h2)
+            for (a, b), value in s.items():
+                cube = form[0] * a ** 3 + 3 * form[1] * a ** 2 * b + 3 * form[2] * a * b ** 2 \
+                    + form[3] * b ** 3
+                assert value == 2 * cube + c2[0] * a + c2[1] * b, (c, a, b)
+            deg, c2h = form[0] + 3 * form[1] + 3 * form[2] + form[3], c2[0] + c2[1]
+            assert (form, c2, deg, c2h) == expected[c.summands]
+            record = to_record(c)
+            assert (record["deg"], record["c2H"]) == (deg, c2h)
+            assert record["statuses"]["deg"] == record["statuses"]["c2H"] == "determined"
+            # the record's samples are the oracle's on the diagonal L_(i,i) = L_{i rho}
+            for i, value in record["chi_samples"]:
+                if -2 <= i <= 2:
+                    assert 12 * value == s[i, i]
 
     def test_multiset_dual_and_tensor_give_identical_records(self, monkeypatch):
         # the closed-form dual and the Brauer–Klimyk columns against multiset

@@ -20,8 +20,7 @@ from g2cy import (CartanMatrix, DimRange, KoszulInput, ParabolicData, RepSum,
                   enumerate_all, euler_char, g2_parabolic, hilbert_value, irrep, koszul,
                   koszul_terms, restricted_cohomology, tensor, trivial, validate_candidate,
                   weyl_dim)
-from g2cy.errors import (InconsistentSpectralSequence, NotGloballyGenerated,
-                         NotMaximalParabolic, TrivialSummand)
+from g2cy.errors import InconsistentSpectralSequence, NotGloballyGenerated, TrivialSummand
 from g2cy.invariants import to_record
 from g2cy.koszul import _koszul_layers, _limit_ranges
 from g2cy.reps import _exterior_layers
@@ -216,16 +215,19 @@ class TestHilbertValue:
                         for j in range(5))
             assert diff4 == 0
 
-    def test_rejects_borel(self, B):
-        with pytest.raises(NotMaximalParabolic):
-            hilbert_value(B, bundle(B, (0, 1), (0, 1), (2, 0)), 1)
+    def test_borel_twists_by_rho(self, B):
+        # on G/B, O_X(1) is L_rho, rho = (1,1) the sum of both fundamental
+        # weights: 12 chi = 2 H^3 i^3 + c2.H i with H^3 = 148 and c2.H = 136,
+        # the intersection numbers of the two-variable fit in test_invariants
+        e = bundle(B, (0, 1), (0, 1), (2, 0))
+        for i in range(-4, 5):
+            assert 12 * hilbert_value(B, e, i) == 2 * 148 * i ** 3 + 136 * i
 
     def test_boundary_errors_in_order(self, P1, P2, B):
-        # a parabolic that is not maximal is rejected before E is looked at
-        with pytest.raises(NotMaximalParabolic):
-            hilbert_value(B, irrep(P1, (1, 1)), 1)
-        with pytest.raises(ValueError, match="parabolic"):
-            hilbert_value(P2, irrep(P1, (1, 1)), 1)
+        # an E over another parabolic is rejected before the twist is looked at
+        for P, E in ((B, irrep(P1, (1, 1))), (P2, irrep(P1, (1, 1))), (P1, irrep(B, (1, 1)))):
+            with pytest.raises(ValueError, match="parabolic"):
+                hilbert_value(P, E, 1.0)
 
     @pytest.mark.parametrize("twist", [True, False, 1.0, "1", None])
     def test_twist_must_be_an_int(self, P1, twist):
@@ -271,17 +273,17 @@ class TestTensorDims:
                                      for k, term in enumerate(terms))
 
     def test_hilbert_twists(self):
-        # hilbert_value against the Koszul terms Λ^k E* ⊗ L^i, each taken
-        # through tensor and euler_char, on every maximal-parabolic row
+        # hilbert_value against the Koszul terms Λ^k E* ⊗ L_{iH}, each taken
+        # through tensor and euler_char, on every row: H is the sum of the
+        # crossed fundamental weights, ω1, ω2 and rho = ω1 + ω2 on G/B
+        H = {"P1": (1, 0), "P2": (0, 1), "B": (1, 1)}
         rows = [validate_candidate(g2_parabolic(row.parabolic), row.summands)
-                for dim_x in (2, 3, 4) for row in enumerate_all(dim_x)
-                if row.parabolic != "B"]
-        assert len(rows) == 13
+                for dim_x in (2, 3, 4, 5) for row in enumerate_all(dim_x)]
+        assert len(rows) == 22 and {c.P.label for c in rows} == set(H)
         for c in rows:
             P = c.P
-            node = next(iter(P.crossed))
             for i in range(-6, 7):
-                line = irrep(P, tuple(i if j == node - 1 else 0 for j in range(P.rs.rank)))
+                line = irrep(P, tuple(i * h for h in H[P.label]))
                 assert hilbert_value(P, c.rep, i) == sum(
                     (-1) ** k * euler_char(P, term)
                     for k, term in enumerate(koszul_terms(KoszulInput(P, c.rep, line))))
@@ -429,7 +431,7 @@ def test_straightened_weight_products_match_tensor(case):
     # b's highest weights, and nets to the Clebsch–Gordan terms of a ⊗ b
     P, a, b = case
     inp = tuple.__new__(KoszulInput, (P, a, b))      # a need not be a cut bundle
-    layers = (((wzero(P.rs.rank), 1),), a._pairs)
+    layers = (((wzero(P.rs.rank), 1),), tuple(a.weights().items()))
     assert net_columns(inp, layers) == [b.terms, oracle_tensor(P, a, b).terms]
 
 

@@ -92,6 +92,17 @@ def test_threefold_euler_is_minus_twice_chi_omega1():
     assert len(threefolds) > both > 0
 
 
+def test_every_threefold_has_degree_and_c2():
+    # O_X(1) is L_H, H the sum of the crossed fundamental weights, on every
+    # parabolic: H is ample, so H^3 > 0, and c_2·H >= 0 (Miyaoka)
+    threefolds = [rec for _, _, rec in every_row() if rec["dim_X"] == 3]
+    assert len(threefolds) == 30
+    for rec in threefolds:
+        assert rec["statuses"]["deg"] == rec["statuses"]["c2H"] == "determined"
+        assert rec["deg"] > 0 and rec["c2H"] >= 0
+        assert [i for i, _ in rec["chi_samples"]] == list(range(-4, 5))
+
+
 def test_lefschetz_on_ample_line_bundle_cuts():
     # H^{1,q}(X) = H^{1,q}(G/P) for 1 + q < dim X: the Picard rank at q = 1, else 0
     pinned = 0

@@ -128,8 +128,8 @@ def inverse(p, top):
     return out
 
 
-def chern_euler(factors, summands) -> int:
-    """χ_top(X) = ∫_F c_{dim X}(T_F / E) · c_{rank E}(E)."""
+def chern_classes(factors, summands):
+    """(top exponents, c(T_X) = c(T_F) / c(E), c(E), rank E) in the Chern ring of F."""
     top = tuple(factors)
     k = len(top)
     hyperplane = [tuple(int(j == i) for j in range(k)) for i in range(k)]
@@ -149,8 +149,23 @@ def chern_euler(factors, summands) -> int:
             c_e, rank = mul(c_e, c, top), rank + 2
         else:
             c_e, rank = mul(c_e, linear(s), top), rank + 1
-    c_tx = mul(c_tf, inverse(c_e, top), top)
+    return top, mul(c_tf, inverse(c_e, top), top), c_e, rank
+
+
+def chern_euler(factors, summands) -> int:
+    """χ_top(X) = ∫_F c_{dim X}(T_F / E) · c_{rank E}(E)."""
+    top, c_tx, c_e, rank = chern_classes(factors, summands)
     return mul(part(c_tx, sum(top) - rank), part(c_e, rank), top).get(top, 0)
+
+
+def chern_deg_c2h(factors, summands) -> tuple[int, int]:
+    """(H^3, c_2(T_X)·H) on a threefold X, with H = Σ H_i the sum of the
+    crossed fundamental weights: ∫_F H^3 c_top(E) and ∫_F c_2(T_X) H c_top(E)."""
+    top, c_tx, c_e, rank = chern_classes(factors, summands)
+    h = part(linear([1] * len(top)), 1)
+    volume = mul(h, part(c_e, rank), top)
+    return (mul(mul(h, h, top), volume, top).get(top, 0),
+            mul(part(c_tx, 2), volume, top).get(top, 0))
 
 
 def alternating(row) -> int:
@@ -201,6 +216,16 @@ class TestKnownAnswers:
             assert 2 * alternating(rec["h0q"]) - 2 * rec["chi_omega1"] == chi
             assert rec["euler"] == chi
             assert rec["statuses"]["euler"] == "determined"
+
+    def test_chern_ring_gives_degree_and_c2(self, name, factors, summands, expected, chi):
+        # O_X(1) is L_H with H = Σ H_i, one crossed node per factor, so the
+        # Hilbert fit of every threefold is H^3 and c_2·H in the Chern ring
+        rec = record(factors, summands)
+        if rec["dim_X"] != 3:
+            assert rec["deg"] is rec["c2H"] is None
+            return
+        assert rec["statuses"]["deg"] == rec["statuses"]["c2H"] == "determined"
+        assert (rec["deg"], rec["c2H"]) == chern_deg_c2h(factors, summands)
 
 
 # every summand a line bundle that is ample, and dim X >= 3

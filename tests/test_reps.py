@@ -182,8 +182,8 @@ class TestTensor:
 
 
 class TestWeightPairs:
-    """A sum builds its weight pairs at construction, read-only; ``weights()``
-    hands out copies."""
+    """A sum holds its terms and no weight; ``weights()`` builds the weight pairs
+    afresh on each read."""
 
     @staticmethod
     def bundles(P):
@@ -204,17 +204,19 @@ class TestWeightPairs:
             del got[next(iter(r.terms))]
         assert self.results(P1, E, W) == fresh
 
-    def test_built_pairs_are_kept_and_copy(self, P1):
-        # the pairs are built with the sum, and reading the weights keeps them
+    def test_weights_are_built_on_read_and_copy(self, P1):
+        # the sum keeps no weight, so every read builds the strings of its terms
+        # again, in term order, and a copy reads the same weights
         r = self.bundles(P1)[0]
-        pairs = r._pairs
-        assert isinstance(pairs, tuple) and dict(pairs) == r.weights()
-        assert r._pairs is pairs
-        with pytest.raises(TypeError):
-            pairs[0] = ((0, 0), 1)
+        assert not hasattr(r, "__dict__")
+        assert {name: getattr(r, name) for name in RepSum.__slots__} == {
+            "parabolic": P1, "terms": {(1, 1): 1, (0, 1): 1}, "rank": 4, "det": (4, 0),
+            "_dual_layers": None}
+        # levi_root α2 = (-1,2), strings of length 2
+        assert list(r.weights().items()) == [((1, 1), 1), ((2, -1), 1), ((0, 1), 1), ((1, -1), 1)]
         for other in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
             assert other == r and hash(other) == hash(r)
-            assert other._pairs == pairs and other.weights() == r.weights()
+            assert list(other.weights().items()) == list(r.weights().items())
 
 
 class TestExteriorPower:
