@@ -11,7 +11,13 @@ inside provable bounds:
   coordinates of a summand are bounded by the anticanonical; det_c may be 0,
   as for (0, 1) on G/B, whose det is (0, 1);
 * an uncrossed coordinate u forces rank lambda_u + 1, bounded by the rank
-  budget.
+  budget;
+* the search takes summands in descending string length, so after a summand
+  of length n with rank R left, at least ceil(R / n) more follow, and each
+  takes at least d_min, the least coordinate sum of a determinant in the
+  pool, from the coordinate sum of the determinant left.  d_min is read off
+  the pool, never assumed: it is 0 when a summand has determinant 0, as
+  (1, 0, 0, 0) does on A1 x A3 with nodes 2-4 crossed.
 
 Every d >= 2 has a rank budget of at most dim G/P - 2, so one pool per
 parabolic, :attr:`~g2cy.parabolic.ParabolicData.summand_pool`, holds every
@@ -72,6 +78,7 @@ def enumerate_candidates(P: ParabolicData, dim_x: int) -> list[TableRow]:
         raise OutOfRange(f"dim X = {dim_x} outside 2..{P.dim - 1} on {P.label}")
     pool = P.summand_pool
     zero = wzero(P.rs.rank)
+    d_min = min((sum(det) for _, _, det in pool), default=0)
     rows: list[TableRow] = []
 
     def extend(start: int, rank_left: int, det_left: Weight, acc: tuple[Weight, ...]) -> None:
@@ -83,7 +90,10 @@ def enumerate_candidates(P: ParabolicData, dim_x: int) -> list[TableRow]:
             if min(rest) < 0:
                 continue
             if n < rank_left:
-                extend(idx, rank_left - n, rest, (*acc, w))
+                # the ceil((rank_left - n) / n) or more summands still to come
+                # each take at least d_min from the coordinate sum of rest
+                if sum(rest) >= d_min * -((n - rank_left) // n):
+                    extend(idx, rank_left - n, rest, (*acc, w))
             elif rest == zero:          # the rank budget is spent
                 summands = (*acc, w)
                 rows.append(TableRow(P.label, summands, P.string_length(summands[0]) == 1))

@@ -11,15 +11,14 @@ element w with w.lam dominant and
 the dualisation is dropped because only dimensions and irreducible labels
 feed later computations (dim V = dim V*).  Simple reflections reach w
 (``RootSystem.dominant_conjugate``); as lam + rho is strictly dominant on the
-Levi walls, w is a minimal coset representative, so l(w) <= dim G/P.  The one
-memoised kernel, :func:`_bott`, derives the degree, the label and Weyl's
-dimension product of a weight and checks nothing: every weight is checked
-(or comes from a ``RepSum``, which checked it) before it can become a key.
+Levi walls, w is a minimal coset representative, so l(w) <= dim G/P.  Each
+root system keeps one table, :func:`_bott_table`, of the degree, the label
+and Weyl's dimension product by weight; it checks nothing: every weight is
+checked (or comes from a ``RepSum``, which checked it) before it can become
+a key.  :func:`_bott` reads one entry of it.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .errors import NotGDominant, NotPDominant
 from .parabolic import ParabolicData
@@ -38,25 +37,51 @@ def weyl_dim(rs: RootSystem, mu: Weight) -> int:
     return _bott(rs, mu)[2]
 
 
-@lru_cache(maxsize=4096)    # a pass over the 22 rows touches about 80 keys
+class _BottTable(dict):
+    """Borel–Weil–Bott of one root system by checked integer weight: ``None``
+    when lam + rho is singular, else ``(l(w), mu, dim V(mu))`` with mu =
+    w(lam + rho) - rho dominant.  A hit is a plain dict index; a miss
+    computes the entry, after emptying the table once it holds 4096 keys (a
+    pass over the 22 rows makes 1091 lookups of 104 keys)."""
+
+    __slots__ = ("rs",)
+
+    def __init__(self, rs: RootSystem):
+        super().__init__()
+        self.rs = rs
+
+    def __missing__(self, lam: Weight) -> tuple[int, Weight, int] | None:
+        # dim V(mu) is Weyl's product over the positive roots a of
+        # <mu + rho, a^vee>/<rho, a^vee>, one exact integer division at the
+        # end, so (-1)^l(w) dim is χ(G/B, L_lam)
+        if len(self) >= 4096:
+            self.clear()
+        rs = self.rs
+        rho = rs.weyl_vector
+        res = rs.dominant_conjugate(wadd(lam, rho))
+        if res is not None:
+            length, dom = res
+            num = den = 1
+            for alpha in rs.positive_roots:
+                num *= rs.pairing(dom, alpha)
+                den *= rs.pairing(rho, alpha)
+            if num % den:
+                raise AssertionError("Weyl dimension product is not integral")
+            res = length, wsub(dom, rho), num // den
+        self[lam] = res
+        return res
+
+
+def _bott_table(rs: RootSystem) -> _BottTable:
+    """The Bott table of ``rs``, made on first use and kept on it."""
+    if rs._bott_table is None:
+        rs._bott_table = _BottTable(rs)
+    return rs._bott_table
+
+
 def _bott(rs: RootSystem, lam: Weight) -> tuple[int, Weight, int] | None:
-    """Borel–Weil–Bott for a checked integer weight: ``None`` when lam + rho is
-    singular, else ``(l(w), mu, dim V(mu))`` with mu = w(lam + rho) - rho
-    dominant.  dim V(mu) is Weyl's product over the positive roots a of
-    <mu + rho, a^vee>/<rho, a^vee>, one exact integer division at the end, so
-    (-1)^l(w) dim is χ(G/B, L_lam)."""
-    rho = rs.weyl_vector
-    res = rs.dominant_conjugate(wadd(lam, rho))
-    if res is None:
-        return None
-    length, dom = res
-    num = den = 1
-    for alpha in rs.positive_roots:
-        num *= rs.pairing(dom, alpha)
-        den *= rs.pairing(rho, alpha)
-    if num % den:
-        raise AssertionError("Weyl dimension product is not integral")
-    return length, wsub(dom, rho), num // den
+    """The :func:`_bott_table` entry of a checked integer weight."""
+    return _bott_table(rs)[lam]
 
 
 def bwb_irrep(P: ParabolicData, lam: Weight) -> tuple[int, Weight] | None:
@@ -97,8 +122,9 @@ def bundle_cohomology(P: ParabolicData, r: RepSum) -> dict[int, dict[Weight, int
 
 def euler_char(P: ParabolicData, r: RepSum) -> int:
     """Euler characteristic of the bundle, an exact integer: the alternating
-    sum (-1)^l m dim over its terms, each read off :func:`_bott`.  A bundle
-    over another parabolic than ``P`` raises ``ValueError``."""
+    sum (-1)^l m dim over its terms, each read off :func:`_bott_table`.  A
+    bundle over another parabolic than ``P`` raises ``ValueError``."""
     _check_parabolic(P, r)
+    table = _bott_table(P.rs)
     return sum((-1) ** res[0] * m * res[2] for lam, m in r.terms.items()
-               if (res := _bott(P.rs, lam)) is not None)
+               if (res := table[lam]) is not None)

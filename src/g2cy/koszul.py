@@ -11,8 +11,9 @@ converging to H^{q-k}(X, W|_X).  The weight multisets of Λ^k E*
 (``_koszul_layers``, built once per bundle) feed both E1 columns, which
 :func:`~g2cy.reps._straightened` splits into signed Levi irreducibles against
 the terms of W, and Hilbert samples χ(O_X(i)), with O_X(1) = L_H|_X and H
-the sum of the crossed fundamental weights on every parabolic; both read
-Borel–Weil–Bott off :func:`~g2cy.cohomology._bott` unchecked.
+the sum of the crossed fundamental weights on every parabolic; both take
+the root system's Borel–Weil–Bott table, :func:`~g2cy.cohomology._bott_table`,
+once per call and index it unchecked.
 
 The differentials depend on the chosen section (they are contractions with
 it), so they are not equivariant maps and cannot be dismissed by comparing
@@ -25,11 +26,13 @@ irreducible supports.  What the computation does know exactly:
   0..dim X, so every limit entry in a forbidden total degree must die.
 
 A page-r differential maps (k, q) to (k - r, q - r + 1), raising the total
-degree q - k by one, and two positions are joined on at most one page.  The
-page rule "rank in + rank out <= current dimension" therefore adds up to
-"total rank through a position <= its E1 dimension D_p": the reachable limit
-tables are exactly D - inc(f) over the b-matchings f of the bipartite graph
-whose sides are the positions of even and of odd total degree.
+degree q - k by one, so two positions are joined, on one page only, exactly
+when their total degrees differ by one and the one in the higher degree has
+the lower column.  The page rule "rank in + rank out <= current dimension"
+therefore adds up to "total rank through a position <= its E1 dimension
+D_p": the reachable limit tables are exactly D - inc(f) over the
+b-matchings f of the bipartite graph whose sides are the positions of even
+and of odd total degree.
 ``restricted_cohomology`` solves each connected component in closed form.
 Let ν(X→Z) = min over Y ⊆ X of D(X∖Y) + D(N(Y) ∩ Z) be the largest
 b-matching from X into Z (capacitated König–Ore), and S the positions in
@@ -47,6 +50,8 @@ exact.
 
 The solver works on bitmasks: each position is one bit of an ``int``, as
 are adjacency rows, components, sides, forbidden sets and degree layers.
+With the bits in sorted (k, q) order, a bit's adjacency row is the lower
+bits of the next degree's layer and the higher bits of the previous one's.
 ν(X→Z) tabulates D(Y) and N(Y) over the subsets Y of X only: 2^|X| work,
 never 2 to the size of a component or of a side.
 
@@ -60,7 +65,7 @@ from collections import namedtuple
 from math import comb
 from operator import add
 
-from .cohomology import _bott
+from .cohomology import _bott_table
 from .errors import InconsistentSpectralSequence, NotGloballyGenerated, TrivialSummand
 from .parabolic import ParabolicData, is_g_dominant
 from .reps import (RepSum, _check_parabolic, _exterior_layers, _straightened, dual,
@@ -128,13 +133,14 @@ class E1Page(namedtuple("E1Page", "entries euler")):
 def e1_page(inp: KoszulInput) -> E1Page:
     """Column k is :func:`~g2cy.reps._straightened` of layer k of
     :func:`_koszul_layers` against the terms of W: each signed term m V(lam)
-    goes to :func:`~g2cy.cohomology._bott`, whose degree and dimension add to
-    its entry, and counts the column's rank C(rank E, k) · rank W down by m
-    times the string length of lam.  Entries that cancel to 0 are dropped, a
-    negative one raises ``AssertionError``, and the Euler number is the
-    alternating sum of the entries."""
+    is looked up in the Bott table, :func:`~g2cy.cohomology._bott_table`,
+    taken once per page; its degree and dimension add to its entry, and it
+    counts the column's rank C(rank E, k) · rank W down by m times the string
+    length of lam.  Entries that cancel to 0 are dropped, a negative one
+    raises ``AssertionError``, and the Euler number is the alternating sum of
+    the entries."""
     P, E, W = inp
-    rs, dim = P.rs, P.dim
+    table, dim = _bott_table(P.rs), P.dim
     terms = W.terms.items()
     dims: dict[tuple[int, int], int] = {}
     for k, layer in enumerate(_koszul_layers(P, E)):
@@ -142,7 +148,7 @@ def e1_page(inp: KoszulInput) -> E1Page:
         column: dict[int, int] = {}
         for lam, m, n in _straightened(P, layer, terms):
             rank -= m * n
-            if (res := _bott(rs, lam)) is not None:
+            if (res := table[lam]) is not None:
                 q = res[0]
                 column[q] = column.get(q, 0) + m * res[2]
         if rank:
@@ -185,12 +191,28 @@ _INCONSISTENT = ("no differential ranks satisfy the vanishing constraints; the "
                  "input does not define a complete intersection of expected dimension")
 
 
+def _bit_graph(dims: dict[tuple[int, int], int]):
+    """The sorted positions of ``dims``, the i-th as bit 1 << i, with the
+    dimension and adjacency row of each bit and the layer of each total
+    degree, as bitmasks; see the module docstring."""
+    positions = sorted(dims)
+    dim: dict[int, int] = {}
+    layers: dict[int, int] = {}          # positions by total degree
+    for i, (k, q) in enumerate(positions):
+        dim[1 << i] = dims[k, q]
+        layers[q - k] = layers.get(q - k, 0) | 1 << i
+    adjacency = {b: (layers.get(q - k + 1, 0) & (b - 1))
+                 | (layers.get(q - k - 1, 0) & -(b << 1))
+                 for b, (k, q) in zip(dim, positions)}
+    return positions, dim, adjacency, layers
+
+
 def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[int, int]]:
     """Per-degree (lower, upper) limit dimensions over all differential ranks.
 
-    ``dims`` maps E1 positions (k, q), k >= 0, to their dimensions; a page-r
-    differential from column k lands in column k - r, so r runs over 1..k.
-    Limit entries in total degrees n with ``allowed(n)`` false must vanish.
+    ``dims`` maps E1 positions (k, q), k >= 0, to their dimensions, joined
+    as :func:`_bit_graph` joins them.  Limit entries in total degrees n with
+    ``allowed(n)`` false must vanish.
     Each component is checked for consistency, then solved in closed form, as
     in the module docstring; raises :class:`InconsistentSpectralSequence`
     when the vanishing cannot hold.  ν from the empty set is 0 without a
@@ -198,22 +220,7 @@ def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[
     would start from it: it reads [D, D], and a forbidden one with D > 0
     cannot die.  Ranges come out in walk order, component by component.
     """
-    positions = sorted(dims)
-    bit_of: dict[tuple[int, int], int] = {}
-    dim: dict[int, int] = {}
-    adjacency: dict[int, int] = {}       # positions joined on some page
-    layers: dict[int, int] = {}          # positions by total degree
-    for k, q in positions:               # sorted, so every target column k - r is in bit_of
-        b = bit_of[k, q] = 1 << len(dim)
-        dim[b] = dims[k, q]
-        joined = 0
-        for r in range(1, k + 1):
-            t = bit_of.get((k - r, q - r + 1))
-            if t:
-                joined |= t
-                adjacency[t] |= b
-        adjacency[b] = joined
-        layers[q - k] = layers.get(q - k, 0) | b
+    positions, dim, adjacency, layers = _bit_graph(dims)
     degrees = sorted(layers)
     sides = [0, 0]                       # positions of even and of odd total degree
     forbidden = 0
@@ -326,20 +333,21 @@ def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:
     O_X(1) = L_H|_X, H the sum of the fundamental weights of the crossed nodes,
     which span the nef cone: so H is ample, the generator of Pic on a maximal
     parabolic and rho on G/B; negative twists are allowed.  χ is additive and
-    χ(F, E_mu) is Weyl's product W(mu): (-1)^l dim for (l, _, dim) =
-    :func:`~g2cy.cohomology._bott`, so the Koszul resolution gives χ(O_X(i)) =
-    Σ_S (-1)^|S| W(iH - ε_S), S running over the sub-multisets of the weights
-    ε of E: the layers of :func:`_koszul_layers` with sign (-1)^k, as in the
-    E1 columns, and no spectral sequence involved.  An ``E`` over another
-    parabolic or a twist not of type ``int`` raises ``ValueError``.
+    χ(F, E_mu) is Weyl's product W(mu): (-1)^l dim for (l, _, dim) the entry
+    of mu in :func:`~g2cy.cohomology._bott_table`, taken once per sample, so
+    the Koszul resolution gives χ(O_X(i)) = Σ_S (-1)^|S| W(iH - ε_S), S
+    running over the sub-multisets of the weights ε of E: the layers of
+    :func:`_koszul_layers` with sign (-1)^k, as in the E1 columns, and no
+    spectral sequence involved.  An ``E`` over another parabolic or a twist
+    not of type ``int`` raises ``ValueError``.
     """
     _check_parabolic(P, E)
     if type(i) is not int:
         raise ValueError(f"twist {i!r} is not an integer")
     line = tuple(i if j + 1 in P.crossed else 0 for j in range(P.rs.rank))
-    rs, total = P.rs, 0
+    table, total = _bott_table(P.rs), 0
     for k, layer in enumerate(_koszul_layers(P, E)):
         for mu, c in layer:
-            if (res := _bott(rs, tuple(map(add, mu, line)))) is not None:
+            if (res := table[tuple(map(add, mu, line))]) is not None:
                 total += (-c if (k + res[0]) % 2 else c) * res[2]
     return total

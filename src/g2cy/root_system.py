@@ -167,10 +167,11 @@ def _symmetrizer(cartan: CartanMatrix) -> tuple[int, ...]:
 class RootSystem:
     """A finite root system with its Weyl combinatorics.
 
-    Immutable after construction: no method caches or changes state, and all
-    operations are pure functions of their arguments, so instances can be
-    shared freely across threads.  The hash is the Cartan matrix's, computed
-    once, because every Bott-kernel lookup hashes its root system.
+    Immutable after construction apart from one memo: all operations are
+    pure functions of their arguments, and ``_bott_table`` holds the
+    Borel–Weil–Bott table that :func:`~g2cy.cohomology._bott_table` makes on
+    first use, a pure function of the weight too, so instances can be shared
+    freely across threads.  The hash is the Cartan matrix's, computed once.
     """
 
     def __init__(self, cartan: CartanMatrix, symmetrizer: tuple[int, ...],
@@ -181,6 +182,7 @@ class RootSystem:
         self.rank = cartan.rank          # a plain attribute: weight checks read it per call
         self.weyl_vector: Weight = (1,) * cartan.rank
         self._hash = hash(cartan)
+        self._bott_table = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RootSystem) and self.cartan == other.cartan

@@ -1,19 +1,20 @@
 """Candidate enumeration, theorem verification, reference-table diffs."""
 
 from itertools import product
+from operator import sub
 
 import pytest
 
-from g2cy import (diff_against_paper, enumerate_all, enumerate_candidates,
-                  g2_parabolic, published_invariants, reference_tables,
-                  validate_candidate, verify_theorem)
+from g2cy import (CartanMatrix, ParabolicData, build_root_system, diff_against_paper,
+                  enumerate_all, enumerate_candidates, g2_parabolic, published_invariants,
+                  reference_tables, validate_candidate, verify_theorem)
 from g2cy import classify
 from g2cy.classify import TableRow
 from g2cy.errors import MissingPaperRow, OutOfRange, TheoremViolated
 from g2cy.reps import irrep
 
 from conftest import oracle_canonical_row, oracle_enumerate
-from test_outside_corpus import SPACES, parabolics
+from test_outside_corpus import SPACES, a_series, parabolics
 from test_product_spaces import ROWS, ambient
 
 
@@ -22,6 +23,11 @@ POOL_SPACES = {name: g2_parabolic(name) for name in ("P1", "P2", "B")}
 POOL_SPACES |= {f"{name}/{P.label}": P for name in SPACES for P in parabolics(name)}
 POOL_SPACES |= {"x".join(f"P{m}" for m in factors): ambient(factors)
                 for factors in sorted({row[1] for row in ROWS})}
+
+#: A1 x A3 with the three A3 nodes crossed: (1,0,0,0), (2,0,0,0) and (3,0,0,0)
+#: are summands with determinant 0, so a summand can take nothing from it
+P234 = ParabolicData(build_root_system(CartanMatrix(
+    [[2, 0, 0, 0]] + [[0, *row] for row in a_series(3)])), (2, 3, 4))
 
 
 def summand_sets(rows):
@@ -136,6 +142,45 @@ class TestEnumerate:
         assert type(pool) is tuple and all(type(entry) is tuple for entry in pool)
         assert all(a[:2] > b[:2] for a, b in zip(pool, pool[1:]))
         assert pool == tuple(expected)
+
+    @pytest.mark.parametrize("P", [*POOL_SPACES.values(), P234],
+                             ids=[*POOL_SPACES, "A1xA3/P234"])
+    def test_search_is_the_unbounded_search(self, P):
+        # the determinant bound on the summands still to come prunes only
+        # branches that find no row: the search without it, row for row
+        def unbounded(dim_x):
+            pool, zero, rows = P.summand_pool, (0,) * P.rs.rank, []
+
+            def extend(start, rank_left, det_left, acc):
+                for idx in range(start, len(pool)):
+                    n, w, det = pool[idx]
+                    if n > rank_left:
+                        continue
+                    rest = tuple(map(sub, det_left, det))
+                    if min(rest) < 0:
+                        continue
+                    if n < rank_left:
+                        extend(idx, rank_left - n, rest, (*acc, w))
+                    elif rest == zero:
+                        summands = (*acc, w)
+                        rows.append(TableRow(P.label, summands,
+                                             P.string_length(summands[0]) == 1))
+
+            extend(0, P.dim - dim_x, P.anticanonical, ())
+            return sorted(rows, key=TableRow.sort_key)
+
+        for dim_x in range(2, P.dim):
+            assert enumerate_candidates(P, dim_x) == unbounded(dim_x)
+
+    def test_summands_with_determinant_zero(self):
+        # the least determinant coordinate sum in the pool is 0 here, so the
+        # bound must not assume 1: (1,1,1,1) + (1,0,0,0) is a surface whose
+        # last summand takes nothing from the determinant
+        assert sorted(w for _, w, det in P234.summand_pool if not any(det)) == [
+            (1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0)]
+        assert [len(enumerate_candidates(P234, d)) for d in range(2, P234.dim)] == [52, 33, 14, 1]
+        surfaces = {row.summands for row in enumerate_candidates(P234, 2)}
+        assert ((1, 1, 1, 1), (1, 0, 0, 0)) in surfaces
 
     @pytest.mark.parametrize("factors", [(1,), (2,), (1, 1)])
     def test_pool_is_empty_without_room_for_a_fibre(self, factors):

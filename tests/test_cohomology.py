@@ -13,7 +13,7 @@ import pytest
 from g2cy import (G2_CARTAN, CartanMatrix, RepSum, build_root_system, bundle_cohomology,
                   bwb_irrep, dual, euler_char, g2_root_system, hilbert_value, irrep, trivial,
                   weyl_dim)
-from g2cy.cohomology import _bott
+from g2cy.cohomology import _BottTable, _bott, _bott_table
 from g2cy.errors import NotGDominant, NotPDominant
 from g2cy.root_system import wadd, wneg, wsub
 
@@ -80,28 +80,37 @@ class TestWeylDim:
             signed = 0 if res is None else (-1) ** res[0] * res[2]
             assert signed == weyl_dim_oracle(rs, mu)
 
-    def test_cache_is_bounded(self, P1):
-        # each Hilbert twist feeds the Bott kernel's cache new non-dominant weights
+    def test_cache_is_bounded(self, P1, monkeypatch):
+        # each Hilbert twist feeds the root system's Bott table new
+        # non-dominant weights: it computes more entries than its bound, never
+        # holds more keys than the bound, stays the one table of the root
+        # system, and reads the same values after emptying itself
+        computed = []
+        compute = _BottTable.__missing__
+        monkeypatch.setattr(_BottTable, "__missing__",
+                            lambda table, lam: computed.append(lam) or compute(table, lam))
         E = irrep(P1, (1, 1))
+        table = _bott_table(P1.rs)
+        values = {}
         for i in range(-2500, 2500):
-            hilbert_value(P1, E, i)
-        info = _bott.cache_info()
-        assert isinstance(info.maxsize, int)
-        assert info.misses > info.maxsize
-        assert info.currsize <= info.maxsize
+            values[i] = hilbert_value(P1, E, i)
+            assert len(table) <= 4096
+        assert len(computed) > 4096
+        assert _bott_table(P1.rs) is table and type(table) is _BottTable
+        assert all(hilbert_value(P1, E, i) == values[i] for i in range(-2500, 2500, 97))
 
     def test_float_weights_cannot_poison_the_cache(self):
         # in a child interpreter, so that a float key left in the Bott
-        # kernel's cache cannot reach the rest of the session: 1.0 == 1 and
-        # both hash alike, so one cached float result would be served to every
-        # integer caller; every public entry rejects the float before the cache,
+        # table cannot reach the rest of the session: 1.0 == 1 and both hash
+        # alike, so one stored float result would be served to every integer
+        # caller; every public entry rejects the float before the table,
         # which holds only the key (1, 0) of the one integer weyl_dim call
         code = textwrap.dedent("""
             import sys
             sys.path.insert(0, sys.argv[1])
             from g2cy import (KoszulInput, RepSum, bwb_irrep, e1_page, g2_parabolic,
                               hilbert_value, irrep, validate_candidate, weyl_dim)
-            from g2cy.cohomology import _bott
+            from g2cy.cohomology import _bott_table
             from g2cy.invariants import to_record
             P1 = g2_parabolic("P1")
             for call in (lambda: weyl_dim(P1.rs, (0.0, 1)),
@@ -114,7 +123,7 @@ class TestWeylDim:
                     print("returned", call())
                 except ValueError:
                     print("ValueError")
-            print("cached", _bott.cache_info().currsize)
+            print("cached", list(_bott_table(P1.rs)))
 
             def numbers(x):
                 if isinstance(x, dict):
@@ -129,7 +138,7 @@ class TestWeylDim:
         proc = subprocess.run([sys.executable, "-c", code, SRC],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["ValueError"] * 5 + ["cached 1", "['int'] 42"]
+        assert proc.stdout.splitlines() == ["ValueError"] * 5 + ["cached [(1, 0)]", "['int'] 42"]
 
 
 class TestBott:

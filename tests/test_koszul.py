@@ -22,8 +22,8 @@ from g2cy import (CartanMatrix, DimRange, KoszulInput, ParabolicData, RepSum,
                   weyl_dim)
 from g2cy.errors import InconsistentSpectralSequence, NotGloballyGenerated, TrivialSummand
 from g2cy.invariants import to_record
-from g2cy.koszul import _koszul_layers, _limit_ranges
-from g2cy.reps import _exterior_layers
+from g2cy.koszul import _bit_graph, _koszul_layers, _limit_ranges
+from g2cy.reps import _exterior_layers, _straightened
 from g2cy.root_system import wneg, wzero
 
 from conftest import koszul_sweep_inputs, p_dominant_box, rep_sums
@@ -39,22 +39,31 @@ def bundle(P, *summands):
     return RepSum(P, terms)
 
 
+class _NumberingTable(dict):
+    """A stand-in Bott table: the j-th distinct weight it meets reads degree j
+    and dimension 1."""
+
+    def __missing__(self, lam):
+        res = self[lam] = (len(self), lam, 1)
+        return res
+
+
 def net_columns(inp, layers=None):
     """Net signed Levi terms of each E1 column, as :func:`e1_page` makes them.
 
-    A stand-in Bott kernel sends the j-th distinct weight it meets to degree j
+    A stand-in Bott table sends the j-th distinct weight it meets to degree j
     with dimension 1, and the degree guard is lifted, so entry (k, j) of the
     page is the net multiplicity of that weight in column k.  ``layers``, if
     given, stands in for the Λ^k E* weight layers.
     """
-    seen: dict = {}
+    table = _NumberingTable()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(koszul, "_bott", lambda rs, lam: (seen.setdefault(lam, len(seen)), lam, 1))
+        mp.setattr(koszul, "_bott_table", lambda rs: table)
         mp.setattr(inp.P, "dim", 10 ** 6)
         if layers is not None:
             mp.setattr(koszul, "_koszul_layers", lambda P, E: layers)
         entries = e1_page(inp).entries
-    weights = list(seen)
+    weights = list(table)
     columns = [{} for _ in (layers or _koszul_layers(inp.P, inp.E))]
     for (k, j), m in entries.items():
         columns[k][weights[j]] = m
@@ -340,15 +349,52 @@ class TestTensorDims:
 
     def test_degree_past_dim_g_p_raises(self, P1, monkeypatch):
         # a Bott degree above dim G/P fails the page's degree guard
-        original = koszul._bott
+        original = koszul._bott_table(P1.rs)
 
-        def too_high(rs, lam):
-            res = original(rs, lam)
-            return None if res is None else (P1.dim + 1, *res[1:])
+        class TooHigh(dict):
+            def __missing__(self, lam):
+                res = original[lam]
+                return None if res is None else (P1.dim + 1, *res[1:])
 
-        monkeypatch.setattr(koszul, "_bott", too_high)
+        monkeypatch.setattr(koszul, "_bott_table", lambda rs: TooHigh())
         with pytest.raises(AssertionError, match="exceeded dim G/P"):
             e1_page(KoszulInput(P1, irrep(P1, (1, 1)), trivial(P1)))
+
+    def test_bott_table_is_taken_once_per_call(self, monkeypatch):
+        # e1_page and hilbert_value take the root system's Bott table once
+        # per call, never once per term, and index it for every term: each
+        # straightened term of a page, each weight of a Hilbert sample
+        inputs = koszul_sweep_inputs(records_only=True)
+        pages = [e1_page(inp) for inp in inputs]
+        samples = [hilbert_value(inp.P, inp.E, i) for inp in inputs for i in (-1, 2)]
+        taken, looked_up = [], []
+        original = koszul._bott_table
+
+        class Counting(dict):
+            def __init__(self, table):
+                super().__init__()
+                self.table = table
+
+            def __missing__(self, lam):
+                looked_up.append(lam)
+                return self.table[lam]
+
+        def take(rs):
+            taken.append(rs)
+            return Counting(original(rs))
+
+        monkeypatch.setattr(koszul, "_bott_table", take)
+        for inp, page in zip(inputs, pages):
+            del taken[:], looked_up[:]
+            assert e1_page(inp) == page
+            terms = sum(len(list(_straightened(inp.P, layer, inp.W.terms.items())))
+                        for layer in _koszul_layers(inp.P, inp.E))
+            assert taken == [inp.P.rs] and len(looked_up) == terms > 1
+        for (inp, i), value in zip([(inp, i) for inp in inputs for i in (-1, 2)], samples):
+            del taken[:], looked_up[:]
+            assert hilbert_value(inp.P, inp.E, i) == value
+            weights = sum(map(len, _koszul_layers(inp.P, inp.E)))
+            assert taken == [inp.P.rs] and len(looked_up) == weights > 1
 
 
 class TestKoszulLayers:
@@ -599,6 +645,14 @@ def _set_limit_ranges(dims: dict[tuple[int, int], int], max_page: int,
     return ranges
 
 
+def solver_neighbours(dims) -> dict[tuple, set]:
+    """The adjacency rows the bitmask solver builds, as sets of positions."""
+    positions, _, adjacency, _ = _bit_graph(dims)
+    assert positions == sorted(dims) and list(adjacency) == [1 << i for i in range(len(dims))]
+    return {positions[b.bit_length() - 1]: {p for i, p in enumerate(positions) if row >> i & 1}
+            for b, row in adjacency.items()}
+
+
 def assert_same_ranges(dims, max_page, allowed):
     """The bitmask solver returns the set-based one's dict, or both raise."""
     try:
@@ -689,8 +743,11 @@ def e1_grids(draw):
 def test_closed_form_matches_search_on_random_grids(grid, enforce):
     # a small search budget keeps this fast; components the search cannot
     # finish within it are skipped, infeasible ones must raise on both sides.
-    # The set-based closed form has no budget and checks the whole page.
+    # The set-based closed form has no budget and checks the whole page, and
+    # the solver's degree-layer rule joins exactly the positions that some
+    # page 1..rank joins.
     dims, rank, dim_x = grid
+    assert solver_neighbours(dims) == _adjacency(sorted(dims), rank)
     compare_components(dims, rank, vanishing(dim_x, enforce), budget=5_000)
     assert_same_ranges(dims, rank, vanishing(dim_x, enforce))
 
@@ -730,6 +787,14 @@ class TestIsolatedPositions:
 
 
 class TestBitmaskAgainstSets:
+    def test_sweep_neighbours_are_the_oracle_adjacency(self, sweep_pages):
+        joined = 0
+        for inp, page in sweep_pages:
+            neighbours = solver_neighbours(page.entries)
+            assert neighbours == _adjacency(sorted(page.entries), inp.E.rank)
+            joined += sum(map(len, neighbours.values()))
+        assert joined > 0
+
     @pytest.mark.parametrize("enforce", [True, False])
     def test_sweep_pages(self, sweep_pages, enforce):
         for inp, page in sweep_pages:
