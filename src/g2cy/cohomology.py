@@ -15,7 +15,7 @@ Levi walls, w is a minimal coset representative, so l(w) <= dim G/P.  Each
 root system keeps one table, :func:`_bott_table`, of the degree, the label
 and Weyl's dimension product by weight; it checks nothing: every weight is
 checked (or comes from a ``RepSum``, which checked it) before it can become
-a key.  :func:`_bott` reads one entry of it.
+a key, and every caller indexes it directly.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ from .root_system import RootSystem, Weight, check_weight, wadd, wsub, weight_st
 
 def weyl_dim(rs: RootSystem, mu: Weight) -> int:
     """Dimension of the G-irreducible with dominant highest weight mu, Weyl's
-    product as :func:`_bott` evaluates it.  A weight that
+    product as :func:`_bott_table` evaluates it.  A weight that
     :func:`~g2cy.root_system.check_weight` rejects raises ``ValueError``.
     """
     mu = check_weight(mu, rs.rank)
     if min(mu) < 0:
         raise NotGDominant(f"{weight_str(mu)} is not dominant")
-    return _bott(rs, mu)[2]
+    return _bott_table(rs)[mu][2]
 
 
 class _BottTable(dict):
@@ -79,11 +79,6 @@ def _bott_table(rs: RootSystem) -> _BottTable:
     return rs._bott_table
 
 
-def _bott(rs: RootSystem, lam: Weight) -> tuple[int, Weight, int] | None:
-    """The :func:`_bott_table` entry of a checked integer weight."""
-    return _bott_table(rs)[lam]
-
-
 def bwb_irrep(P: ParabolicData, lam: Weight) -> tuple[int, Weight] | None:
     """Single-degree cohomology of E_lam on G/P.
 
@@ -95,7 +90,7 @@ def bwb_irrep(P: ParabolicData, lam: Weight) -> tuple[int, Weight] | None:
     lam = check_weight(lam, P.rs.rank)
     if not P.is_p_dominant(lam):
         raise NotPDominant(f"{weight_str(lam)} is not p-dominant for {P.label}")
-    res = _bott(P.rs, lam)
+    res = _bott_table(P.rs)[lam]
     if res is not None and res[0] > P.dim:
         raise AssertionError("cohomological degree exceeded dim G/P")
     return None if res is None else res[:2]

@@ -88,14 +88,6 @@ class HodgeRecord(namedtuple("HodgeRecord", "h0q h1q chi_omega1")):
 
     __slots__ = ()
 
-    @property
-    def h11(self) -> DimRange:
-        return self.h1q[1]
-
-    @property
-    def h12(self) -> DimRange:
-        return self.h1q[2]
-
 
 def _page_vectors(rc: RestrictedCohomology) -> list[tuple[int, ...]]:
     """Vectors over degrees 0..dim X inside ``rc``'s ranges with its exact Euler characteristic."""
@@ -214,8 +206,8 @@ def to_record(c: Candidate) -> dict:
         "h0q": [r.to_json() for r in hr.h0q],
         "h1q": [r.to_json() for r in hr.h1q],
         "chi_omega1": hr.chi_omega1,
-        "h11": hr.h11.to_json() if three else None,
-        "h12": hr.h12.to_json() if three else None,
+        "h11": hr.h1q[1].to_json() if three else None,
+        "h12": hr.h1q[2].to_json() if three else None,
         "euler": -2 * hr.chi_omega1 if three else None,
         "deg": None,
         "c2H": None,

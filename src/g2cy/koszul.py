@@ -178,9 +178,6 @@ class DimRange(namedtuple("DimRange", "lower upper")):
             raise ValueError(f"dimension only bounded: [{self.lower}, {self.upper}]")
         return self.lower
 
-    def __str__(self) -> str:
-        return str(self.lower) if self.determined else f"[{self.lower}..{self.upper}]"
-
     def to_json(self):
         if self.determined:
             return self.lower
@@ -237,10 +234,9 @@ def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[
             mask ^= b
         return total
 
-    def nu(X: int, Z: int, below: int = 0) -> int:
+    def nu(X: int, Z: int) -> int:
         # capacitated König–Ore: ν(X→Z) = min over Y ⊆ X of D(X∖Y) + D(N(Y) ∩ Z),
-        # with D(Y) and N(Y) tabulated over the subsets of X only, stopping
-        # at the first value under ``below``
+        # with D(Y) and N(Y) tabulated over the subsets of X only
         d_x = best = D(X)                # Y = ∅
         d_sub, n_sub = [0], [0]
         while X:
@@ -249,8 +245,6 @@ def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[
             for i in range(len(d_sub)):
                 d, m = d_sub[i] + dim[b], n_sub[i] | adjacency[b]
                 best = min(best, d_x - d + D(m & Z))
-                if best < below:
-                    return best
                 d_sub.append(d)
                 n_sub.append(m)
         return best
@@ -285,7 +279,7 @@ def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[
         # Mendelsohn–Dulmage: saturating S∩A and S∩B separately suffices;
         # ν(∅ → ·) = 0 = D(∅), so only a nonempty S∩A needs the check
         for j in (0, 1):
-            if S & sides[j] and nu(S & sides[j], sides[1 - j], d_s[j]) != d_s[j]:
+            if S & sides[j] and nu(S & sides[j], sides[1 - j]) != d_s[j]:
                 raise InconsistentSpectralSequence(_INCONSISTENT)
         for n in degrees:
             layer = layers[n] & comp

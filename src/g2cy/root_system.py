@@ -3,9 +3,9 @@
 Weights are integer tuples in the basis of fundamental weights, so coordinate
 i of a weight ``lam`` equals the pairing ``<lam, alpha_i^vee>`` with the i-th
 simple coroot.  Simple roots are then the rows of the Cartan matrix read in
-these coordinates.  Coroot expansions are carried through the reflection
-closure using the symmetrizer, which keeps every pairing an exact integer;
-Python integers never overflow, so no checked arithmetic is needed.
+these coordinates.  The reflection closure reflects each coroot together
+with its root, so every coroot expansion, and every pairing, is an exact
+integer; Python integers never overflow, so no checked arithmetic is needed.
 
 Node indices are 1-based throughout the public interface, matching the usual
 Dynkin-diagram numbering.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import InvalidCartan, NonFiniteType
 
@@ -115,8 +115,11 @@ class Root(namedtuple("Root", "weight simple_coords coroot_coords long")):
 
     ``weight`` is the root in fundamental-weight coordinates, ``simple_coords``
     its expansion over the simple roots, and ``coroot_coords`` the expansion of
-    the coroot ``2*alpha/(alpha,alpha)`` over simple coroots; ``long`` marks
-    roots of maximal length.
+    the coroot ``2*beta/(beta,beta)`` over simple coroots, reflected with the
+    root from alpha_i^vee = e_i as s_i(beta^vee) = beta^vee - <alpha_i, beta^vee>
+    alpha_i^vee, <alpha_i, beta^vee> = sum_j C[i][j] cv_j.  ``long`` marks roots
+    of maximal length, those with sum sc_i d_i = max(d) sum cv_i: that sum is
+    |beta|^2 sum cv_i, |alpha_i|^2 = d_i and every root is conjugate to a simple one.
     """
 
     __slots__ = ()
@@ -276,12 +279,12 @@ def build_root_system(cartan: CartanMatrix) -> RootSystem:
     def unit(i: int) -> tuple[int, ...]:
         return tuple(int(k == i) for k in range(n))
 
-    known: dict[tuple[int, ...], Weight] = {unit(i): cartan.row(i + 1) for i in range(n)}
+    known = {unit(i): (cartan.row(i + 1), unit(i)) for i in range(n)}  # sc: (weight, cv)
     frontier = list(known)
     while frontier:
         nxt = []
         for sc in frontier:
-            w = known[sc]
+            w, cv = known[sc]
             for i in range(n):
                 c = w[i]
                 if c == 0:
@@ -290,29 +293,17 @@ def build_root_system(cartan: CartanMatrix) -> RootSystem:
                 if any(x < 0 for x in nsc):
                     continue  # reflection left the positive cone
                 if nsc not in known:
-                    # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i
-                    known[nsc] = tuple([x - c * a for x, a in zip(w, C[i])])
+                    # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i and
+                    # s_i(beta^vee) = beta^vee - <alpha_i, beta^vee> alpha_i^vee
+                    cc = sum(a * x for a, x in zip(C[i], cv))
+                    known[nsc] = (tuple([x - c * a for x, a in zip(w, C[i])]),
+                                  tuple(x - (cc if k == i else 0) for k, x in enumerate(cv)))
                     nxt.append(nsc)
         frontier = nxt
 
-    roots = []
-    norms = {}
-    for sc, w in known.items():
-        q = sum(sc[i] * sc[j] * bilinear[i][j] for i in range(n) for j in range(n))
-        if q <= 0 or q % 2:
-            raise InvalidCartan("root closure produced a vector of invalid norm")
-        norms[sc] = q // 2
-    max_norm = max(norms.values())
-    for sc, w in known.items():
-        nh = norms[sc]
-        cv = []
-        for i in range(n):
-            num = sc[i] * d[i]
-            if num % nh:
-                raise InvalidCartan("coroot expansion is not integral")
-            cv.append(num // nh)
-        roots.append(Root(weight=w, simple_coords=sc, coroot_coords=tuple(cv),
-                          long=(nh == max_norm)))
+    roots = [Root(weight=w, simple_coords=sc, coroot_coords=cv,
+                  long=sum(map(mul, sc, d)) == max(d) * sum(cv))
+             for sc, (w, cv) in known.items()]
     roots.sort(key=lambda r: (r.height, r.simple_coords))
 
     rs = RootSystem(cartan, d, tuple(roots))

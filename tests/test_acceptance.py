@@ -124,7 +124,7 @@ def test_criterion_6_invariants_no1():
     assert (deg, c2h) == (42, 84)
     hr = hodge_numbers(c)
     assert [r.value for r in hr.h0q] == [1, 0, 0, 1]
-    assert hr.h11.value == 1 and hr.h12.value == 50
+    assert hr.h1q[1].value == 1 and hr.h1q[2].value == 50
     assert to_record(c)["euler"] == -98
     _pass(6, "deg 42, c2 84, h^{0,1} = h^{0,2} = 0, h11 1, h12 50, Euler -98")
 
@@ -134,7 +134,7 @@ def test_criterion_7_invariants_no3():
     deg, c2h, samples = degree_and_c2(c)
     assert deg == 14
     hr = hodge_numbers(c)
-    assert hr.h11.value == 1 and hr.h12.value == 50
+    assert hr.h1q[1].value == 1 and hr.h1q[2].value == 50
     # integrality audit of chi(O_X(i)) = deg/6 i^3 + c2/12 i for i = -4..4
     for i in range(-4, 5):
         numerator = 2 * deg * i ** 3 + c2h * i

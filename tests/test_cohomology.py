@@ -13,7 +13,7 @@ import pytest
 from g2cy import (G2_CARTAN, CartanMatrix, RepSum, build_root_system, bundle_cohomology,
                   bwb_irrep, dual, euler_char, g2_root_system, hilbert_value, irrep, trivial,
                   weyl_dim)
-from g2cy.cohomology import _BottTable, _bott, _bott_table
+from g2cy.cohomology import _BottTable, _bott_table
 from g2cy.errors import NotGDominant, NotPDominant
 from g2cy.root_system import wadd, wneg, wsub
 
@@ -75,8 +75,9 @@ class TestWeylDim:
         # - rho), or 0 when mu + rho is singular: the identity hilbert_value
         # and euler_char sum over, read off the Bott kernel
         rs = build_root_system(cartan)
+        table = _bott_table(rs)
         for mu in product(range(-8, 9), repeat=2):
-            res = _bott(rs, mu)
+            res = table[mu]
             signed = 0 if res is None else (-1) ** res[0] * res[2]
             assert signed == weyl_dim_oracle(rs, mu)
 
@@ -151,7 +152,7 @@ class TestBott:
             rho = P.rs.weyl_vector
             for lam in p_dominant_box(P, 8):
                 conj = P.rs.dominant_conjugate(wadd(lam, rho))
-                res = _bott(P.rs, lam)
+                res = _bott_table(P.rs)[lam]
                 if conj is None:
                     assert res is None and bwb_irrep(P, lam) is None
                     continue
@@ -165,14 +166,14 @@ class TestBott:
         # on any weight, the degree and label are the dominant conjugate's and
         # the dimension is the product oracle's at the label
         rs = build_root_system(cartan)
-        rho = rs.weyl_vector
+        rho, table = rs.weyl_vector, _bott_table(rs)
         for mu in product(range(-8, 9), repeat=2):
             conj = rs.dominant_conjugate(wadd(mu, rho))
             if conj is None:
-                assert _bott(rs, mu) is None
+                assert table[mu] is None
             else:
                 dom = wsub(conj[1], rho)
-                assert _bott(rs, mu) == (conj[0], dom, weyl_dim_oracle(rs, dom))
+                assert table[mu] == (conj[0], dom, weyl_dim_oracle(rs, dom))
 
 
 class TestBwbIrrep:

@@ -177,8 +177,8 @@ class TestHodgeNumbers:
 
         hr = hodge_numbers(c)
         assert hr.chi_omega1 == 60
-        assert hr.h11.value == 1
-        assert hr.h12.value == hr.h11.value + hr.chi_omega1 == 61
+        assert hr.h1q[1].value == 1
+        assert hr.h1q[2].value == hr.h1q[1].value + hr.chi_omega1 == 61
 
     def test_non_threefolds_report_every_h1q(self, P1, B):
         hr = hodge_numbers(candidate(P1, (3, 0)))
@@ -222,7 +222,7 @@ class TestHodgeNumbers:
         c = candidate(B, (0, 1), (0, 1), (2, 0))
         hr = hodge_numbers(c)
         assert [r.value for r in hr.h0q] == [1, 0, 0, 1]
-        assert hr.h12.value - hr.h11.value == hr.chi_omega1 == 56
+        assert hr.h1q[2].value - hr.h1q[1].value == hr.chi_omega1 == 56
 
     @pytest.mark.parametrize("name,summands", [("P1", ((1, 1),)),
                                                ("P2", ((0, 1), (0, 4))),

@@ -35,6 +35,47 @@ def e_series(r):
     return CartanMatrix(rows)
 
 
+def _chain(r, last):
+    """The chain 1-2-...-r whose last edge (r - 1, r) has the entries ``last``."""
+    rows = [list(row) for row in a_series(r).entries]
+    rows[r - 2][r - 1], rows[r - 1][r - 2] = last
+    return CartanMatrix(rows)
+
+
+def d_series(r):
+    """D_r: the chain 1-...-(r-1) with node r on node r - 2."""
+    rows = [list(row) for row in _chain(r, (0, 0)).entries]
+    rows[r - 3][r - 1] = rows[r - 1][r - 3] = -1
+    return CartanMatrix(rows)
+
+
+def block_sum(*cartans):
+    """The Cartan matrix of a product: the blocks on the diagonal."""
+    n = sum(c.rank for c in cartans)
+    rows, offset = [[0] * n for _ in range(n)], 0
+    for c in cartans:
+        for i, row in enumerate(c.entries):
+            rows[offset + i][offset:offset + c.rank] = row
+        offset += c.rank
+    return CartanMatrix(rows)
+
+
+#: Every finite type the root-datum oracle covers, with its number of
+#: positive roots: B_r has the short simple root r and C_r the long one
+FINITE_TYPES = {
+    **{f"A{r}": (a_series(r), r * (r + 1) // 2) for r in range(1, 9)},
+    **{f"B{r}": (_chain(r, (-2, -1)), r * r) for r in range(2, 7)},
+    **{f"C{r}": (_chain(r, (-1, -2)), r * r) for r in range(2, 7)},
+    **{f"D{r}": (d_series(r), r * (r - 1)) for r in range(4, 8)},
+    "E6": (e_series(6), 36), "E7": (e_series(7), 63), "E8": (e_series(8), 120),
+    "F4": (CartanMatrix([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]), 24),
+    "G2": (G2_CARTAN, 6),
+    "G2-short-first": (CartanMatrix([[2, -1], [-3, 2]]), 6),
+    "A1xB2": (block_sum(a_series(1), _chain(2, (-2, -1))), 5),
+    "A1xA2xG2": (block_sum(a_series(1), a_series(2), G2_CARTAN), 10),
+}
+
+
 # The Weyl walk the package used to ship, now only an oracle: the group as
 # reduced words over the orbit of rho, words acting on weights through
 # ``oracle_reflect``, and simple roots looked up among the positive roots.
@@ -187,6 +228,25 @@ class TestBuild:
     def test_g2_length_classes(self, rs):
         long_roots = {r.weight for r in rs.positive_roots if r.long}
         assert long_roots == {(2, -3), (-1, 3), (1, 0)}
+
+    @pytest.mark.parametrize("cartan, count", FINITE_TYPES.values(), ids=FINITE_TYPES)
+    def test_root_datum_oracle(self, cartan, count):
+        # independent of the closure: the coroot 2 beta/(beta, beta) expands
+        # over the simple coroots as sc_i d_i / (beta, beta)/2, since
+        # alpha_i = d_i alpha_i^vee, and a root is long exactly when its norm
+        # is the largest; checked on coordinates, not on a box of weights
+        rs = build_root_system(cartan)
+        d, C, n = rs.symmetrizer, cartan.entries, cartan.rank
+        bil = [[C[i][j] * d[j] for j in range(n)] for i in range(n)]
+        assert len(rs.positive_roots) == count
+        half_norms = [Fraction(sum(sc[i] * sc[j] * bil[i][j]
+                                   for i in range(n) for j in range(n)), 2)
+                      for sc in (r.simple_coords for r in rs.positive_roots)]
+        for alpha, nh in zip(rs.positive_roots, half_norms):
+            sc = alpha.simple_coords
+            assert alpha.weight == tuple(sum(sc[i] * C[i][j] for i in range(n)) for j in range(n))
+            assert alpha.coroot_coords == tuple(Fraction(sc[i] * d[i]) / nh for i in range(n))
+            assert alpha.long == (nh == max(half_norms))
 
     def test_simple_roots_are_cartan_rows(self, rs):
         assert simple_root(rs, 1).weight == (2, -3)
