@@ -38,7 +38,7 @@ from operator import sub
 
 from .errors import MissingPaperRow, OutOfRange, TheoremViolated
 from .parabolic import G2_PARABOLIC_NAMES, ParabolicData, g2_parabolic
-from .root_system import Weight, wzero
+from .root_system import Weight
 
 _PARABOLIC_ORDER = {name: i for i, name in enumerate(G2_PARABOLIC_NAMES)}
 
@@ -71,14 +71,13 @@ def enumerate_candidates(P: ParabolicData, dim_x: int) -> list[TableRow]:
     :attr:`~g2cy.parabolic.ParabolicData.summand_pool` that never moves back
     in the pool: each multiset is found once, its summands already in the
     canonical order, descending (string length, weight), and it becomes a row
-    as it is, split if its first summand has string length 1.  The rows are
-    sorted by :meth:`TableRow.sort_key`.
+    as it is, split if it has as many summands as its rank, that is if every
+    string length is 1.  The rows are sorted by :meth:`TableRow.sort_key`.
     """
     if not _fits(P, dim_x):
         raise OutOfRange(f"dim X = {dim_x} outside 2..{P.dim - 1} on {P.label}")
-    pool = P.summand_pool
-    zero = wzero(P.rs.rank)
-    d_min = min((sum(det) for _, _, det in pool), default=0)
+    pool, rank = P.summand_pool, P.dim - dim_x
+    d_min = min([sum(det) for _, _, det in pool], default=0)
     rows: list[TableRow] = []
 
     def extend(start: int, rank_left: int, det_left: Weight, acc: tuple[Weight, ...]) -> None:
@@ -94,11 +93,11 @@ def enumerate_candidates(P: ParabolicData, dim_x: int) -> list[TableRow]:
                 # each take at least d_min from the coordinate sum of rest
                 if sum(rest) >= d_min * -((n - rank_left) // n):
                     extend(idx, rank_left - n, rest, (*acc, w))
-            elif rest == zero:          # the rank budget is spent
+            elif not any(rest):         # the rank budget is spent
                 summands = (*acc, w)
-                rows.append(TableRow(P.label, summands, P.string_length(summands[0]) == 1))
+                rows.append(TableRow(P.label, summands, len(summands) == rank))
 
-    extend(0, P.dim - dim_x, P.anticanonical, ())
+    extend(0, rank, P.anticanonical, ())
     rows.sort(key=TableRow.sort_key)
     return rows
 

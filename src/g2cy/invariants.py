@@ -32,7 +32,7 @@ H^3/6 · i^3 + c_2·H/12 · i, fitted exactly and re-verified on every sample.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
+from itertools import product, repeat
 from operator import add, gt
 
 from .errors import FitInconsistent, InconsistentLongExactSequence, RankTooLarge, WrongDeterminant
@@ -67,7 +67,7 @@ def validate_candidate(P: ParabolicData, summands) -> Candidate:
     """
     weights = [check_weight(w, P.rs.rank) for w in summands]
     _check_cut(P, weights)
-    rep = RepSum(P, [(w, 1) for w in weights])
+    rep = RepSum(P, zip(weights, repeat(1)))
     rank, det = rep.rank, rep.det
     if rank > P.dim - 2:
         raise RankTooLarge(f"rank {rank} exceeds dim G/P - 2 = {P.dim - 2}")
@@ -75,8 +75,8 @@ def validate_candidate(P: ParabolicData, summands) -> Candidate:
         raise WrongDeterminant(
             f"det E = {weight_str(det)} differs from the anticanonical "
             f"{weight_str(P.anticanonical)}")
-    ordered = tuple(w for w, m in rep.sorted_terms() for _ in range(m))
-    return Candidate(P=P, summands=ordered, rank=rank, dim_x=P.dim - rank, det=det, rep=rep)
+    ordered = tuple([w for w, m in rep.sorted_terms() for _ in range(m)])
+    return Candidate(P, ordered, rank, P.dim - rank, det, rep)
 
 
 class HodgeRecord(namedtuple("HodgeRecord", "h0q h1q chi_omega1")):
@@ -91,8 +91,8 @@ class HodgeRecord(namedtuple("HodgeRecord", "h0q h1q chi_omega1")):
 
 def _page_vectors(rc: RestrictedCohomology) -> list[tuple[int, ...]]:
     """Vectors over degrees 0..dim X inside ``rc``'s ranges with its exact Euler characteristic."""
-    return [v for v in product(*(range(r.lower, r.upper + 1) for r in rc.by_degree.values()))
-            if sum(v[0::2]) - sum(v[1::2]) == rc.euler]
+    ranges = [range(r.lower, r.upper + 1) for r in rc.by_degree.values()]
+    return [v for v in product(*ranges) if sum(v[0::2]) - sum(v[1::2]) == rc.euler]
 
 
 def _les_ranges(A, B, pins: dict[int, int]) -> list[tuple[int, int]] | None:
@@ -138,9 +138,9 @@ def hodge_numbers(c: Candidate) -> HodgeRecord:
     """
     P, E = c.P, c.rep
     # the pages of W = O, the conormal E* and Ω_F = (g/p)*
-    rc0, rc_conormal, rc_cotangent = (
+    rc0, rc_conormal, rc_cotangent = [
         restricted_cohomology(KoszulInput(P, E, W))
-        for W in (P.trivial, dual(P, E), P.cotangent))
+        for W in (P.trivial, dual(P, E), P.cotangent)]
     h0q = tuple(rc0.by_degree.values())
     # additivity of χ on 0 -> E*|_X -> Ω^1_F|_X -> Ω^1_X -> 0
     chi_omega1 = rc_cotangent.euler - rc_conormal.euler
@@ -154,9 +154,9 @@ def hodge_numbers(c: Candidate) -> HodgeRecord:
         raise InconsistentLongExactSequence(
             "no connecting-map ranks make the conormal long exact sequence "
             "consistent; invalid input")
-    h1q = tuple(DimRange(min(lows), max(highs))     # over every solution, per q
-                for lows, highs in (zip(*column) for column in zip(*solved)))
-    return HodgeRecord(h0q=h0q, h1q=h1q, chi_omega1=chi_omega1)
+    h1q = tuple([DimRange(min(lows), max(highs))    # over every solution, per q
+                 for lows, highs in [zip(*column) for column in zip(*solved)]])
+    return HodgeRecord(h0q, h1q, chi_omega1)
 
 
 def degree_and_c2(c: Candidate) -> tuple[int, int, list[tuple[int, int]]]:
@@ -199,12 +199,12 @@ def to_record(c: Candidate) -> dict:
     three = c.dim_x == 3
     record: dict = {
         "parabolic": c.P.label,
-        "summands": [list(w) for w in c.summands],
+        "summands": [*map(list, c.summands)],
         "rank": c.rank,
         "dim_X": c.dim_x,
         "det": list(c.det),
-        "h0q": [r.to_json() for r in hr.h0q],
-        "h1q": [r.to_json() for r in hr.h1q],
+        "h0q": [*map(DimRange.to_json, hr.h0q)],
+        "h1q": [*map(DimRange.to_json, hr.h1q)],
         "chi_omega1": hr.chi_omega1,
         "h11": hr.h1q[1].to_json() if three else None,
         "h12": hr.h1q[2].to_json() if three else None,

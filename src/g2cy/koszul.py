@@ -8,12 +8,12 @@ dimension dim F - rank E, and the structure sheaf of X is resolved by
 Tensoring the resolution with a bundle W and taking cohomology termwise gives
 the first page E1(k, q) = H^q(F, Λ^k E* ⊗ W) of a spectral sequence
 converging to H^{q-k}(X, W|_X).  The weight multisets of Λ^k E*
-(``_koszul_layers``, built once per bundle) feed both E1 columns, which
-:func:`~g2cy.reps._straightened` splits into signed Levi irreducibles against
-the terms of W, and Hilbert samples χ(O_X(i)), with O_X(1) = L_H|_X and H
-the sum of the crossed fundamental weights on every parabolic; both take
-the root system's Borel–Weil–Bott table, :func:`~g2cy.cohomology._bott_table`,
-once per call and index it unchecked.
+(``_koszul_layers``, built once per bundle) feed both E1 columns, each of
+which :func:`~g2cy.reps._straightened` splits into one list of signed Levi
+irreducibles against the terms of W, and Hilbert samples χ(O_X(i)), with
+O_X(1) = L_H|_X and H the sum of the crossed fundamental weights on every
+parabolic; both take the root system's Borel–Weil–Bott table,
+:func:`~g2cy.cohomology._bott_table`, once per call and index it unchecked.
 
 The differentials depend on the chosen section (they are contractions with
 it), so they are not equivariant maps and cannot be dismissed by comparing
@@ -96,7 +96,7 @@ class KoszulInput(namedtuple("KoszulInput", "P E W")):
     def __new__(cls, P, E, W):
         _check_parabolic(P, E, W)
         _check_cut(P, E.terms)
-        return super().__new__(cls, P, E, W)
+        return tuple.__new__(cls, (P, E, W))
 
     @property
     def dim_x(self) -> int:
@@ -109,7 +109,7 @@ def _koszul_layers(P: ParabolicData, E: RepSum) -> tuple[tuple[tuple[Weight, int
     for all its pages and Hilbert samples."""
     if E._dual_layers is None:
         negated = map(wneg, E.weights().elements())
-        E._dual_layers = tuple(tuple(layer.items()) for layer in _exterior_layers(P, negated))
+        E._dual_layers = tuple(map(tuple, map(dict.items, _exterior_layers(P, negated))))
     return E._dual_layers
 
 
@@ -137,12 +137,12 @@ def e1_page(inp: KoszulInput) -> E1Page:
     taken once per page; its degree and dimension add to its entry, and it
     counts the column's rank C(rank E, k) · rank W down by m times the string
     length of lam.  Entries that cancel to 0 are dropped, a negative one
-    raises ``AssertionError``, and the Euler number is the alternating sum of
-    the entries."""
+    raises ``AssertionError``, and each kept entry adds to the alternating
+    sum, the Euler number, as it is written."""
     P, E, W = inp
     table, dim = _bott_table(P.rs), P.dim
     terms = W.terms.items()
-    dims: dict[tuple[int, int], int] = {}
+    dims, euler = {}, 0                 # {(k, q): entry}, the alternating sum
     for k, layer in enumerate(_koszul_layers(P, E)):
         rank = comb(E.rank, k) * W.rank
         column: dict[int, int] = {}
@@ -160,7 +160,8 @@ def e1_page(inp: KoszulInput) -> E1Page:
                 raise AssertionError(f"E1 entry ({k}, {q}) is negative")
             if d:
                 dims[k, q] = d
-    return E1Page(dims, sum(-d if (q - k) % 2 else d for (k, q), d in dims.items()))
+                euler += -d if (q - k) % 2 else d
+    return E1Page(dims, euler)
 
 
 class DimRange(namedtuple("DimRange", "lower upper")):
@@ -174,12 +175,12 @@ class DimRange(namedtuple("DimRange", "lower upper")):
 
     @property
     def value(self) -> int:
-        if not self.determined:
+        if self.lower != self.upper:
             raise ValueError(f"dimension only bounded: [{self.lower}, {self.upper}]")
         return self.lower
 
     def to_json(self):
-        if self.determined:
+        if self.lower == self.upper:
             return self.lower
         return {"lower": self.lower, "upper": self.upper}
 
@@ -235,26 +236,25 @@ def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[
         return total
 
     def nu(X: int, Z: int) -> int:
-        # capacitated König–Ore: ν(X→Z) = min over Y ⊆ X of D(X∖Y) + D(N(Y) ∩ Z),
-        # with D(Y) and N(Y) tabulated over the subsets of X only
-        d_x = best = D(X)                # Y = ∅
-        d_sub, n_sub = [0], [0]
+        # capacitated König–Ore: ν(X→Z) = D(X) + min over Y ⊆ X of D(N(Y) ∩ Z) - D(Y),
+        # with D(Y) and N(Y) tabulated over the subsets of X only, Y = X last
+        best, d_sub, n_sub = 0, [0], [0]     # Y = ∅
         while X:
             b = X & -X
             X ^= b
             for i in range(len(d_sub)):
                 d, m = d_sub[i] + dim[b], n_sub[i] | adjacency[b]
-                best = min(best, d_x - d + D(m & Z))
                 d_sub.append(d)
                 n_sub.append(m)
-        return best
+                d, m = -d, m & Z
+                while m:                     # d += D(m), inline in the 2^|X| loop
+                    b_m = m & -m
+                    d += dim[b_m]
+                    m ^= b_m
+                best = d if d < best else best
+        return d_sub[-1] + best
 
-    ranges: dict[int, tuple[int, int]] = {}
-
-    def add(n: int, lo: int, hi: int) -> None:     # component ranges add up
-        old_lo, old_hi = ranges.get(n, (0, 0))
-        ranges[n] = (old_lo + lo, old_hi + hi)
-
+    ranges: dict[int, tuple[int, int]] = {}     # component ranges add up
     unseen = (1 << len(dim)) - 1
     while unseen:
         comp = todo = unseen & -unseen
@@ -263,7 +263,8 @@ def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[
             if comp & forbidden and dim[comp]:
                 raise InconsistentSpectralSequence(_INCONSISTENT)
             k, q = positions[comp.bit_length() - 1]
-            add(q - k, dim[comp], dim[comp])
+            lo, hi = ranges.get(q - k, (0, 0))
+            ranges[q - k] = (lo + dim[comp], hi + dim[comp])
             unseen ^= comp
             continue
         while todo:
@@ -285,14 +286,13 @@ def _limit_ranges(dims: dict[tuple[int, int], int], allowed) -> dict[int, tuple[
             layer = layers[n] & comp
             if not layer:
                 continue
-            if (layer & S) == layer:    # L ⊆ S
-                add(n, 0, 0)
-                continue
-            A, B = sides[n % 2], sides[1 - n % 2]
-            SB, d_l = B & S, D(layer)
-            lo = d_l - nu((A & S) | layer, B) + d_s[n % 2]
-            hi = (d_l - d_s[1 - n % 2] + nu(SB, A & ~layer)) if SB else d_l
-            add(n, lo, hi)
+            lo, hi = ranges.get(n, (0, 0))
+            if (layer & S) != layer:    # L ⊆ S adds [0, 0]
+                A, B = sides[n % 2], sides[1 - n % 2]
+                SB, d_l = B & S, D(layer)
+                lo += d_l - nu((A & S) | layer, B) + d_s[n % 2]
+                hi += (d_l - d_s[1 - n % 2] + nu(SB, A & ~layer)) if SB else d_l
+            ranges[n] = (lo, hi)
     return ranges
 
 
@@ -314,10 +314,9 @@ def restricted_cohomology(inp: KoszulInput) -> RestrictedCohomology:
     ``by_degree`` holds exactly the degrees 0..dim X; a degree with no E1
     entry is a determined zero.  ``euler`` is the page's.
     """
-    page = e1_page(inp)
-    dim_x = inp.dim_x
-    ranges = _limit_ranges(page.entries, lambda n: 0 <= n <= dim_x)
-    by_degree = {n: DimRange(*ranges[n]) if n in ranges else _ZERO for n in range(dim_x + 1)}
+    page, degrees = e1_page(inp), range(inp.dim_x + 1)
+    ranges = _limit_ranges(page.entries, degrees.__contains__)
+    by_degree = {n: DimRange(*ranges[n]) if n in ranges else _ZERO for n in degrees}
     return RestrictedCohomology(by_degree, page.euler)
 
 
@@ -338,7 +337,7 @@ def hilbert_value(P: ParabolicData, E: RepSum, i: int) -> int:
     _check_parabolic(P, E)
     if type(i) is not int:
         raise ValueError(f"twist {i!r} is not an integer")
-    line = tuple(i if j + 1 in P.crossed else 0 for j in range(P.rs.rank))
+    line = tuple([i if j in P.crossed else 0 for j in range(1, P.rs.rank + 1)])
     table, total = _bott_table(P.rs), 0
     for k, layer in enumerate(_koszul_layers(P, E)):
         for mu, c in layer:

@@ -103,7 +103,8 @@ class ParabolicData:
                         for node, a in enumerate(self.anticanonical, 1)))
         pool = []
         for lam in islice(box, 1, None):    # skips (0, ..., 0)
-            n, det = self.string_length(lam), reps._irrep_det(self, lam)
+            n = self.string_length(lam)
+            det = reps._irrep_det(self, lam, n)
             if n <= longest and min(map(sub, self.anticanonical, det)) >= 0:
                 pool.append((n, lam, det))
         self.summand_pool = tuple(sorted(pool, reverse=True))
@@ -133,7 +134,7 @@ class ParabolicData:
 
 def is_g_dominant(lam: Weight) -> bool:
     """True iff every coordinate is non-negative (global generation of E_lam)."""
-    return all(c >= 0 for c in lam)
+    return min(lam) >= 0
 
 
 @lru_cache(maxsize=None)

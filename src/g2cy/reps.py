@@ -6,10 +6,10 @@ Levis of semisimple rank at most one and holds their one model: the weights
 of V(lam) are the string lam - j levi_root, j < n = ``P.string_length(lam)``,
 where levi_root is the uncrossed simple root, or zero on a torus (n = 1).
 Weights, determinants and duals are closed forms in that model: det V(lam) =
-n lam - n(n-1)/2 levi_root (:func:`_irrep_det`) and V(lam)* =
+n lam - n(n-1)/2 levi_root (:func:`_irrep_det`, given n) and V(lam)* =
 V((n-1) levi_root - lam).  Everything else goes through one sl2 rule,
-Brauer–Klimyk straightening in :func:`_straightened`, which keeps its own
-Levi index ``P._levi_node`` and torus branch for speed (reading
+Brauer–Klimyk straightening in :func:`_straightened`, one list per call, with
+its own Levi index ``P._levi_node`` and torus branch for speed (reading
 ``P.string_length`` per term was 0.7-4.1 % slower): :func:`tensor` straightens
 one factor's weights against the other's highest weights, :func:`decompose`
 a weight multiset against V(0), and :func:`~g2cy.koszul.e1_page` the Λ^k E*
@@ -31,7 +31,7 @@ highest weights alone costs the size of the terms, not of the rank.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from math import comb
 from operator import add, sub
 
@@ -50,7 +50,8 @@ def _collect(P: "ParabolicData", pairs: Mapping[Weight, int] | Iterable) -> dict
     """
     rank = P.rs.rank
     out: dict[Weight, int] = {}
-    for lam, mult in (pairs.items() if isinstance(pairs, Mapping) else pairs):
+    items = getattr(pairs, "items", None)     # isinstance(pairs, Mapping) runs Python code
+    for lam, mult in (items() if items else pairs):
         lam = check_weight(lam, rank)
         if not isinstance(mult, int):
             raise NotARepresentation(f"multiplicity {mult!r} of {weight_str(lam)} "
@@ -80,10 +81,11 @@ class RepSum:
         clean = _collect(parabolic, terms)
         rank, det = 0, [0] * parabolic.rs.rank
         for lam, m in clean.items():
-            if not parabolic.is_p_dominant(lam):
+            n = parabolic.string_length(lam)    # n >= 1 iff p-dominant
+            if n < 1:
                 raise NotPDominant(f"{weight_str(lam)} is not p-dominant for {parabolic.label}")
-            rank += m * parabolic.string_length(lam)
-            for k, x in enumerate(_irrep_det(parabolic, lam)):
+            rank += m * n
+            for k, x in enumerate(_irrep_det(parabolic, lam, n)):
                 det[k] += m * x
         self.parabolic = parabolic
         self.terms = clean
@@ -104,7 +106,7 @@ class RepSum:
         for lam, m in self.terms.items():
             mu = lam
             for _ in range(P.string_length(lam)):
-                out[mu] += m
+                out[mu] = out.get(mu, 0) + m
                 mu = tuple(map(sub, mu, P.levi_root))
         return out
 
@@ -136,8 +138,8 @@ class RepSum:
 
 
 def _check_parabolic(P: "ParabolicData", *sums: RepSum) -> None:
-    """Raise ``ValueError`` unless every sum lives over ``P``.  A record runs it
-    4 times, 13 on a threefold, which adds nine Hilbert samples on every parabolic:
+    """Raise ``ValueError`` unless every sum lives over ``P``.  A record runs it 4
+    times (``dual``, three ``KoszulInput``), 13 on a threefold (nine Hilbert samples):
     a plain loop, ``is`` (shared parabolics) before ``!=``."""
     for r in sums:
         if r.parabolic is not P and r.parabolic != P:
@@ -153,39 +155,37 @@ def trivial(P: "ParabolicData") -> RepSum:
     return irrep(P, wzero(P.rs.rank))
 
 
-def _irrep_det(P: "ParabolicData", lam: Weight) -> Weight:
+def _irrep_det(P: "ParabolicData", lam: Weight, n: int) -> Weight:
     """det V(lam) = n lam - n(n-1)/2 levi_root, n the string length of lam."""
-    n = P.string_length(lam)
     drop = n * (n - 1) // 2
     return tuple([n * x - drop * a for x, a in zip(lam, P.levi_root)])
 
 
 def _straightened(P: "ParabolicData", pairs: Iterable[tuple[Weight, int]],
-                  terms: Iterable[tuple[Weight, int]]) -> Iterator[tuple[Weight, int, int]]:
+                  terms: Iterable[tuple[Weight, int]]) -> list[tuple[Weight, int, int]]:
     """Brauer–Klimyk: the signed Levi irreducibles of a weight multiset tensored
     with a sum of irreducibles, as (lam, m, n) with n the string length of lam.
 
     Each weight mu of ``pairs`` (count c) and highest weight nu of ``terms``
     (multiplicity m, re-iterable) give lam = mu + nu and a = lam_i, i the
-    Levi coordinate: a >= 0 yields +c·m V(lam); a = -1 yields nothing; a <= -2
-    yields -c·m V(lam - (a + 1) levi_root), the sl2 reflection of lam + rho.
-    On a torus every lam is kept, with n = 1.  The yields net to the terms of
-    the product when ``pairs`` is a character; callers net them themselves.
+    Levi coordinate: a >= 0 gives +c·m V(lam); a = -1 gives nothing; a <= -2
+    gives -c·m V(lam - (a + 1) levi_root), the sl2 reflection of lam + rho.
+    On a torus every lam is kept, with n = 1.  The list nets to the terms of
+    the product when ``pairs`` is a character; callers net it themselves.
     """
     if P._levi_node is None:
-        for mu, c in pairs:
-            for nu, m in terms:
-                yield tuple(map(add, mu, nu)), c * m, 1
-        return
+        return [(tuple(map(add, mu, nu)), c * m, 1) for mu, c in pairs for nu, m in terms]
     i, alpha = P._levi_node - 1, P.levi_root
+    out = []
     for mu, c in pairs:
         for nu, m in terms:
             lam = tuple(map(add, mu, nu))
             a = lam[i]
             if a >= 0:
-                yield lam, c * m, a + 1
+                out.append((lam, c * m, a + 1))
             elif a < -1:
-                yield tuple([x - (a + 1) * y for x, y in zip(lam, alpha)]), -c * m, -a - 1
+                out.append((tuple([x - (a + 1) * y for x, y in zip(lam, alpha)]), -c * m, -a - 1))
+    return out
 
 
 def _net(P: "ParabolicData", pairs: Iterable[tuple[Weight, int]],
@@ -228,8 +228,8 @@ def dual(P: "ParabolicData", r: RepSum) -> RepSum:
 
 
 def _exterior_layers(P: "ParabolicData", weights: Iterable[Weight]) -> list[dict[Weight, int]]:
-    """Weight multisets of Λ^k, k = 0..len(weights): the k-element sub-multiset
-    sums, equal sums merged, by the elementary-symmetric recurrence in one pass."""
+    """Weight multisets of Λ^k, k = 0..n, n the number of weights read: the k-element
+    sub-multiset sums, equal sums merged, by the elementary-symmetric recurrence in one pass."""
     layers: list[dict[Weight, int]] = [{wzero(P.rs.rank): 1}]
     for eps in weights:
         layers.append({})

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from .errors import InvalidCartan, NonFiniteType
 
@@ -42,11 +42,11 @@ def wsub(u: Weight, v: Weight) -> Weight:
 
 
 def wneg(u: Weight) -> Weight:
-    return tuple(-a for a in u)
+    return tuple(map(neg, u))
 
 
 def wscale(c: int, u: Weight) -> Weight:
-    return tuple(c * a for a in u)
+    return tuple([c * a for a in u])
 
 
 def wzero(rank: int) -> Weight:
