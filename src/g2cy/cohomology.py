@@ -11,8 +11,10 @@ element w with w.lam dominant and
 the dualisation is dropped because only dimensions and irreducible labels
 feed later computations (dim V = dim V*).  Simple reflections reach w
 (``RootSystem.dominant_conjugate``); as lam + rho is strictly dominant on the
-Levi walls, w is a minimal coset representative, so l(w) <= dim G/P.  Each
-root system keeps one table, :func:`_bott_table`, of the degree, the label
+Levi walls, w is a minimal coset representative, so l(w) <= dim G/P.  E1
+columns also read weights with <lam + rho, alpha_i^vee> < 0 at the Levi node
+i, whose entry is that of s_i.lam one degree up (Demazure's step in Bott's
+theorem).  Each root system keeps one table, :func:`_bott_table`, of the degree, the label
 and Weyl's dimension product by weight; it checks nothing: every weight is
 checked (or comes from a ``RepSum``, which checked it) before it can become
 a key, and every caller indexes it directly.
@@ -40,9 +42,9 @@ def weyl_dim(rs: RootSystem, mu: Weight) -> int:
 class _BottTable(dict):
     """Borel–Weil–Bott of one root system by checked integer weight: ``None``
     when lam + rho is singular, else ``(l(w), mu, dim V(mu))`` with mu =
-    w(lam + rho) - rho dominant.  A hit is a plain dict index; a miss
-    computes the entry, after emptying the table once it holds 4096 keys (a
-    pass over the 22 rows makes 1091 lookups of 104 keys)."""
+    w(lam + rho) - rho dominant, p-dominant or not.  A hit is a plain dict
+    index; a miss computes the entry, after emptying the table once it holds
+    4096 keys (a pass over the 22 rows makes 1107 lookups of 104 keys)."""
 
     __slots__ = ("rs",)
 

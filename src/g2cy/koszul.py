@@ -8,12 +8,14 @@ dimension dim F - rank E, and the structure sheaf of X is resolved by
 Tensoring the resolution with a bundle W and taking cohomology termwise gives
 the first page E1(k, q) = H^q(F, Λ^k E* ⊗ W) of a spectral sequence
 converging to H^{q-k}(X, W|_X).  The weight multisets of Λ^k E*
-(``_koszul_layers``, built once per bundle) feed both E1 columns, each of
-which :func:`~g2cy.reps._straightened` splits into one list of signed Levi
-irreducibles against the terms of W, and Hilbert samples χ(O_X(i)), with
-O_X(1) = L_H|_X and H the sum of the crossed fundamental weights on every
-parabolic; both take the root system's Borel–Weil–Bott table,
-:func:`~g2cy.cohomology._bott_table`, once per call and index it unchecked.
+(``_koszul_layers``, built once per bundle) feed both E1 columns, against
+the highest weights of W, and Hilbert samples χ(O_X(i)), against the twist,
+with O_X(1) = L_H|_X and H the sum of the crossed fundamental weights on
+every parabolic; both take the root system's Borel–Weil–Bott table,
+:func:`~g2cy.cohomology._bott_table`, once per call and index it unchecked
+by weight sums.  No column straightens: where <lam + rho, alpha_i^vee> < 0 at
+the Levi node i, H^q(G/B, L_lam) = H^{q-1}(G/B, L_{s_i.lam}), same label and
+dimension (Demazure), so lam's entry is its Levi reflection's, one degree up.
 
 The differentials depend on the chosen section (they are contractions with
 it), so they are not equivariant maps and cannot be dismissed by comparing
@@ -68,8 +70,7 @@ from operator import add
 from .cohomology import _bott_table
 from .errors import InconsistentSpectralSequence, NotGloballyGenerated, TrivialSummand
 from .parabolic import ParabolicData, is_g_dominant
-from .reps import (RepSum, _check_parabolic, _exterior_layers, _straightened, dual,
-                   exterior_power, tensor)
+from .reps import RepSum, _check_parabolic, _exterior_layers, dual, exterior_power, tensor
 from .root_system import Weight, weight_str, wneg
 
 
@@ -131,26 +132,33 @@ class E1Page(namedtuple("E1Page", "entries euler")):
 
 
 def e1_page(inp: KoszulInput) -> E1Page:
-    """Column k is :func:`~g2cy.reps._straightened` of layer k of
-    :func:`_koszul_layers` against the terms of W: each signed term m V(lam)
-    is looked up in the Bott table, :func:`~g2cy.cohomology._bott_table`,
-    taken once per page; its degree and dimension add to its entry, and it
-    counts the column's rank C(rank E, k) · rank W down by m times the string
-    length of lam.  Entries that cancel to 0 are dropped, a negative one
-    raises ``AssertionError``, and each kept entry adds to the alternating
-    sum, the Euler number, as it is written."""
+    """Column k reads lam = mu + nu, for each weight mu (count c) of layer k of
+    :func:`_koszul_layers` and highest weight nu (multiplicity m) of W, in
+    the Bott table, taken once per page.  With n = lam_i + 1 at the Levi node
+    i (n = 1 on a torus), n > 0 adds c·m·dim at the entry's degree l, n < 0
+    adds -c·m·dim at l - 1 (the reflected Levi term, see the module
+    docstring) and n = 0 has no entry; each pair counts the column's rank
+    C(rank E, k) · rank W down by c·m·n.  Entries that cancel to 0 are
+    dropped, a negative one raises ``AssertionError``, and each kept entry
+    adds to the alternating sum, the Euler number, as it is written."""
     P, E, W = inp
-    table, dim = _bott_table(P.rs), P.dim
+    table, dim, i = _bott_table(P.rs), P.dim, P._levi_node
     terms = W.terms.items()
     dims, euler = {}, 0                 # {(k, q): entry}, the alternating sum
     for k, layer in enumerate(_koszul_layers(P, E)):
         rank = comb(E.rank, k) * W.rank
         column: dict[int, int] = {}
-        for lam, m, n in _straightened(P, layer, terms):
-            rank -= m * n
-            if (res := table[lam]) is not None:
-                q = res[0]
-                column[q] = column.get(q, 0) + m * res[2]
+        for mu, c in layer:
+            for nu, m in terms:
+                lam = tuple(map(add, mu, nu))
+                n = 1 if i is None else lam[i - 1] + 1
+                m *= c
+                rank -= m * n
+                if (res := table[lam]) is not None:
+                    q, d = res[0], m * res[2]
+                    if n < 0:
+                        q, d = q - 1, -d
+                    column[q] = column.get(q, 0) + d
         if rank:
             raise AssertionError(f"Koszul column {k} has the wrong rank")
         for q, d in column.items():

@@ -7,18 +7,17 @@ of V(lam) are the string lam - j levi_root, j < n = ``P.string_length(lam)``,
 where levi_root is the uncrossed simple root, or zero on a torus (n = 1).
 Weights, determinants and duals are closed forms in that model: det V(lam) =
 n lam - n(n-1)/2 levi_root (:func:`_irrep_det`, given n) and V(lam)* =
-V((n-1) levi_root - lam).  Everything else goes through one sl2 rule,
-Brauer–Klimyk straightening in :func:`_straightened`, one list per call, with
-its own Levi index ``P._levi_node`` and torus branch for speed (reading
-``P.string_length`` per term was 0.7-4.1 % slower): :func:`tensor` straightens
-one factor's weights against the other's highest weights, :func:`decompose`
-a weight multiset against V(0), and :func:`~g2cy.koszul.e1_page` the Λ^k E*
-weights of :func:`_exterior_layers` against the highest weights of W.
-:func:`decompose` expands its result again and compares it with the input,
-so a multiset that is not a character is rejected.  The kernels only see
-weights the package built and checked, so they add them with a bare
-``tuple(map(add, ...))``, not the length-checking
-:func:`~g2cy.root_system.wadd`.
+V((n-1) levi_root - lam).  Products go through one sl2 rule, Brauer–Klimyk
+straightening in :func:`_net`, which reads the Levi index ``P._levi_node``
+per term for speed: :func:`tensor` straightens one factor's weights against
+the other's highest weights, and :func:`decompose` a weight multiset
+against V(0); :func:`decompose` expands its result again and compares it
+with the input, so a multiset that is not a character is rejected.  E1
+columns need no straightening: :func:`~g2cy.koszul.e1_page` reads each
+weight sum in the Bott table and turns the reflection into a degree
+shift.  The kernels only see weights the package built and checked, so
+they add them with a bare ``tuple(map(add, ...))``, not the
+length-checking :func:`~g2cy.root_system.wadd`.
 
 A :class:`RepSum` is a formal non-negative combination of irreducibles over a
 fixed parabolic.  It models every bundle in the package: bundles on G/P
@@ -161,40 +160,29 @@ def _irrep_det(P: "ParabolicData", lam: Weight, n: int) -> Weight:
     return tuple([n * x - drop * a for x, a in zip(lam, P.levi_root)])
 
 
-def _straightened(P: "ParabolicData", pairs: Iterable[tuple[Weight, int]],
-                  terms: Iterable[tuple[Weight, int]]) -> list[tuple[Weight, int, int]]:
-    """Brauer–Klimyk: the signed Levi irreducibles of a weight multiset tensored
-    with a sum of irreducibles, as (lam, m, n) with n the string length of lam.
+def _net(P: "ParabolicData", pairs: Iterable[tuple[Weight, int]],
+         terms: Iterable[tuple[Weight, int]]) -> RepSum:
+    """Brauer–Klimyk: a weight multiset tensored with a sum of irreducibles,
+    netted into a sum; a negative net multiplicity raises
+    :class:`NotARepresentation`.
 
     Each weight mu of ``pairs`` (count c) and highest weight nu of ``terms``
     (multiplicity m, re-iterable) give lam = mu + nu and a = lam_i, i the
     Levi coordinate: a >= 0 gives +c·m V(lam); a = -1 gives nothing; a <= -2
     gives -c·m V(lam - (a + 1) levi_root), the sl2 reflection of lam + rho.
-    On a torus every lam is kept, with n = 1.  The list nets to the terms of
-    the product when ``pairs`` is a character; callers net it themselves.
+    On a torus every lam is kept.
     """
-    if P._levi_node is None:
-        return [(tuple(map(add, mu, nu)), c * m, 1) for mu, c in pairs for nu, m in terms]
-    i, alpha = P._levi_node - 1, P.levi_root
-    out = []
+    net: dict[Weight, int] = {}
+    i, alpha = P._levi_node, P.levi_root
     for mu, c in pairs:
         for nu, m in terms:
             lam = tuple(map(add, mu, nu))
-            a = lam[i]
+            a = 0 if i is None else lam[i - 1]
             if a >= 0:
-                out.append((lam, c * m, a + 1))
+                net[lam] = net.get(lam, 0) + c * m
             elif a < -1:
-                out.append((tuple([x - (a + 1) * y for x, y in zip(lam, alpha)]), -c * m, -a - 1))
-    return out
-
-
-def _net(P: "ParabolicData", pairs: Iterable[tuple[Weight, int]],
-         terms: Iterable[tuple[Weight, int]]) -> RepSum:
-    """The :func:`_straightened` terms added up into a sum; a negative net
-    multiplicity raises :class:`NotARepresentation`."""
-    net: dict[Weight, int] = {}
-    for lam, m, _ in _straightened(P, pairs, terms):
-        net[lam] = net.get(lam, 0) + m
+                lam = tuple([x - (a + 1) * y for x, y in zip(lam, alpha)])
+                net[lam] = net.get(lam, 0) - c * m
     return RepSum(P, net)
 
 

@@ -10,14 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from g2cy import (G2_CARTAN, CartanMatrix, RepSum, build_root_system, bundle_cohomology,
-                  bwb_irrep, dual, euler_char, g2_root_system, hilbert_value, irrep, trivial,
-                  weyl_dim)
+from g2cy import (G2_CARTAN, CartanMatrix, ParabolicData, RepSum, build_root_system,
+                  bundle_cohomology, bwb_irrep, dual, euler_char, g2_root_system,
+                  hilbert_value, irrep, trivial, weyl_dim)
 from g2cy.cohomology import _BottTable, _bott_table
 from g2cy.errors import NotGDominant, NotPDominant
-from g2cy.root_system import wadd, wneg, wsub
+from g2cy.root_system import wadd, wneg, wscale, wsub
 
 from conftest import p_dominant_box
+from test_kernels import root_system
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -174,6 +175,30 @@ class TestBott:
             else:
                 dom = wsub(conj[1], rho)
                 assert table[mu] == (conj[0], dom, weyl_dim_oracle(rs, dom))
+
+    def test_levi_reflection_is_a_degree_shift(self):
+        # Demazure's step in Bott's theorem, which e1_page reads for the
+        # Brauer–Klimyk reflection: with a = lam_i < 0 at the Levi node i,
+        # a = -1 is singular, and a <= -2 gives the entry of
+        # s_i.lam = lam - (a + 1) alpha_i one degree higher, same label and
+        # dimension.  Every rank-one-Levi parabolic of four root systems,
+        # every lam in [-7, 7]^rank; s_i.lam is p-dominant, so the checked
+        # bwb_irrep and weyl_dim read it
+        checked = 0
+        for name in ("G2", "A2", "B2", "A3"):
+            rs = root_system(name)
+            table, nodes = _bott_table(rs), range(1, rs.rank + 1)
+            for i in nodes:
+                P = ParabolicData(rs, [j for j in nodes if j != i])
+                for lam in product(range(-7, 8), repeat=rs.rank):
+                    a = lam[i - 1]
+                    if a >= 0:
+                        continue
+                    checked += 1
+                    res = bwb_irrep(P, wsub(lam, wscale(a + 1, P.levi_root))) if a < -1 else None
+                    assert table[lam] == (
+                        None if res is None else (res[0] + 1, res[1], weyl_dim(rs, res[1])))
+        assert checked == 5355
 
 
 class TestBwbIrrep:

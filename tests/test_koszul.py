@@ -16,14 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2cy import (CartanMatrix, DimRange, KoszulInput, ParabolicData, RepSum,
-                  build_root_system, bundle_cohomology, decompose, dual, e1_page,
+                  build_root_system, bundle_cohomology, bwb_irrep, decompose, dual, e1_page,
                   enumerate_all, euler_char, g2_parabolic, hilbert_value, irrep, koszul,
                   koszul_terms, restricted_cohomology, tensor, trivial, validate_candidate,
                   weyl_dim)
 from g2cy.errors import InconsistentSpectralSequence, NotGloballyGenerated, TrivialSummand
 from g2cy.invariants import to_record
 from g2cy.koszul import _bit_graph, _koszul_layers, _limit_ranges
-from g2cy.reps import _exterior_layers, _straightened
+from g2cy.reps import _exterior_layers
 from g2cy.root_system import wneg, wzero
 
 from conftest import koszul_sweep_inputs, p_dominant_box, rep_sums
@@ -39,35 +39,17 @@ def bundle(P, *summands):
     return RepSum(P, terms)
 
 
-class _NumberingTable(dict):
-    """A stand-in Bott table: the j-th distinct weight it meets reads degree j
-    and dimension 1."""
-
-    def __missing__(self, lam):
-        res = self[lam] = (len(self), lam, 1)
-        return res
-
-
-def net_columns(inp, layers=None):
-    """Net signed Levi terms of each E1 column, as :func:`e1_page` makes them.
-
-    A stand-in Bott table sends the j-th distinct weight it meets to degree j
-    with dimension 1, and the degree guard is lifted, so entry (k, j) of the
-    page is the net multiplicity of that weight in column k.  ``layers``, if
-    given, stands in for the Λ^k E* weight layers.
-    """
-    table = _NumberingTable()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(koszul, "_bott_table", lambda rs: table)
-        mp.setattr(inp.P, "dim", 10 ** 6)
-        if layers is not None:
-            mp.setattr(koszul, "_koszul_layers", lambda P, E: layers)
-        entries = e1_page(inp).entries
-    weights = list(table)
-    columns = [{} for _ in (layers or _koszul_layers(inp.P, inp.E))]
-    for (k, j), m in entries.items():
-        columns[k][weights[j]] = m
-    return columns
+def bwb_entries(P, columns):
+    """E1 entries of columns given by their Levi terms: Σ m·dim V(mu) at degree
+    q over the terms m V(lam) of column k, (q, mu) = bwb_irrep(P, lam) and the
+    dimension by weyl_dim; zero entries dropped."""
+    entries = {}
+    for k, terms in enumerate(columns):
+        for lam, m in terms.items():
+            if (res := bwb_irrep(P, lam)) is not None:
+                q, mu = res
+                entries[k, q] = entries.get((k, q), 0) + m * weyl_dim(P.rs, mu)
+    return {kq: d for kq, d in entries.items() if d}
 
 
 class TestKoszulTerms:
@@ -297,15 +279,30 @@ class TestTensorDims:
                     (-1) ** k * euler_char(P, term)
                     for k, term in enumerate(koszul_terms(KoszulInput(P, c.rep, line))))
 
+    def test_hilbert_values_are_page_euler_numbers(self):
+        # the two Bott-by-weight kernels held to each other on every row:
+        # χ(O_X(i)) is the Euler number of the page with W = L_{iH}, H the
+        # sum of the crossed fundamental weights
+        rows = [validate_candidate(g2_parabolic(row.parabolic), row.summands)
+                for dim_x in (2, 3, 4, 5) for row in enumerate_all(dim_x)]
+        assert len(rows) == 22
+        for c in rows:
+            P = c.P
+            H = [int(j in P.crossed) for j in range(1, P.rs.rank + 1)]
+            for i in range(-4, 5):
+                line = irrep(P, tuple(i * h for h in H))
+                assert hilbert_value(P, c.rep, i) == e1_page(KoszulInput(P, c.rep, line)).euler
+
     def test_every_term_goes_through_bwb(self):
-        # the signed Brauer–Klimyk terms that each column sends to the Bott
-        # kernel net to the Levi terms of Λ^k E* ⊗ W, taken by the peeling and
-        # Clebsch–Gordan oracles, which share no code with the straightening
+        # each column, read off the Bott table by weight with the Levi
+        # reflection as a degree shift, equals Borel–Weil–Bott of the Levi
+        # terms of Λ^k E* ⊗ W, taken by the peeling and Clebsch–Gordan
+        # oracles, which share no code with the package's straightening
         for inp in koszul_sweep_inputs():
             P = inp.P
             layers = _exterior_layers(P, map(wneg, inp.E.weights().elements()))
-            assert net_columns(inp) == [
-                oracle_tensor(P, oracle_decompose(P, layer), inp.W).terms for layer in layers]
+            assert e1_page(inp).entries == bwb_entries(P, [
+                oracle_tensor(P, oracle_decompose(P, layer), inp.W).terms for layer in layers])
 
     def test_wrong_column_rank_raises(self, P1, monkeypatch):
         # a column that loses its top Levi term, here the only one of Λ^1 E*
@@ -363,7 +360,7 @@ class TestTensorDims:
     def test_bott_table_is_taken_once_per_call(self, monkeypatch):
         # e1_page and hilbert_value take the root system's Bott table once
         # per call, never once per term, and index it for every term: each
-        # straightened term of a page, each weight of a Hilbert sample
+        # (Λ^k E* weight, W term) pair of a page, each weight of a Hilbert sample
         inputs = koszul_sweep_inputs(records_only=True)
         pages = [e1_page(inp) for inp in inputs]
         samples = [hilbert_value(inp.P, inp.E, i) for inp in inputs for i in (-1, 2)]
@@ -387,8 +384,7 @@ class TestTensorDims:
         for inp, page in zip(inputs, pages):
             del taken[:], looked_up[:]
             assert e1_page(inp) == page
-            terms = sum(len(list(_straightened(inp.P, layer, inp.W.terms.items())))
-                        for layer in _koszul_layers(inp.P, inp.E))
+            terms = sum(map(len, _koszul_layers(inp.P, inp.E))) * len(inp.W.terms)
             assert taken == [inp.P.rs] and len(looked_up) == terms > 1
         for (inp, i), value in zip([(inp, i) for inp in inputs for i in (-1, 2)], samples):
             del taken[:], looked_up[:]
@@ -472,13 +468,17 @@ def test_levi_terms_of_weight_products_match_tensor(case):
 
 @given(rep_sums(count=2))
 def test_straightened_weight_products_match_tensor(case):
-    # Brauer–Klimyk as e1_page runs it, on the torus too: column 1 of a page
-    # whose Λ^1 layer is a's weight multiset straightens a's weights against
-    # b's highest weights, and nets to the Clebsch–Gordan terms of a ⊗ b
+    # Brauer–Klimyk as e1_page runs it, a reflected term as a degree shift,
+    # on the torus too: column 1 of a page whose Λ^1 layer is a's weight
+    # multiset pairs a's weights with b's highest weights, and equals
+    # Borel–Weil–Bott of the Clebsch–Gordan terms of a ⊗ b
     P, a, b = case
     inp = tuple.__new__(KoszulInput, (P, a, b))      # a need not be a cut bundle
     layers = (((wzero(P.rs.rank), 1),), tuple(a.weights().items()))
-    assert net_columns(inp, layers) == [b.terms, oracle_tensor(P, a, b).terms]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(koszul, "_koszul_layers", lambda P, E: layers)
+        entries = e1_page(inp).entries
+    assert entries == bwb_entries(P, [b.terms, oracle_tensor(P, a, b).terms])
 
 
 # Reference solver: the exhaustive page-by-page rank search that the closed

@@ -121,7 +121,7 @@ def count_calls(fn) -> Counter:
 
 # One warm pass on CPython 3.10/3.11, which count a frame per comprehension;
 # 3.12 and later inline comprehensions and count fewer.
-ITEM_CALLS = 4800
+ITEM_CALLS = 4200
 STEP_CALLS = 400
 
 

@@ -173,10 +173,17 @@ class TestTensor:
 
     def test_straightening_without_reflections_fails_the_check(self, P1, monkeypatch):
         # V(0,2) ⊗ V(0) needs the reflected term -V(1,0) of its weight (2,-2);
-        # a kernel that drops the reflected branch gives rank 4, not 3
-        original = reps._straightened
-        monkeypatch.setattr(reps, "_straightened", lambda P, pairs, terms: (
-            (lam, m, n) for lam, m, n in original(P, pairs, terms) if m > 0))
+        # a copy of reps._net that drops the reflected branch gives rank 4, not 3
+        def kept_terms_only(P, pairs, terms):
+            i, net = P._levi_node, {}
+            for mu, c in pairs:
+                for nu, m in terms:
+                    lam = wadd(mu, nu)
+                    if i is None or lam[i - 1] >= 0:
+                        net[lam] = net.get(lam, 0) + c * m
+            return RepSum(P, net)
+
+        monkeypatch.setattr(reps, "_net", kept_terms_only)
         with pytest.raises(AssertionError, match="wrong rank or determinant"):
             tensor(P1, irrep(P1, (0, 2)), trivial(P1))
 
